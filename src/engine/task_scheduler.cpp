@@ -422,8 +422,7 @@ std::optional<size_t> TaskScheduler::pick_task_for(TaskSet& set,
   // (spark.locality.wait) expires; preference-free tasks are always fair
   // game. Finally, a speculative duplicate of a straggler.
   const int node_id = execs_[exec_idx].exec->node_id();
-  const bool wait_over =
-      sim_.now() - set.result.submit_time >= options_.locality_wait;
+  const bool wait_over = set_wait_over(set);
   std::optional<size_t> any;
   bool deferred = false;
   // `pending` holds exactly the indices with !done && running_copies == 0,
@@ -472,17 +471,22 @@ std::optional<size_t> TaskScheduler::pick_task_for(TaskSet& set,
 void TaskScheduler::arm_locality_timer(TaskSet& set) {
   if (set.locality_timer_armed) return;
   set.locality_timer_armed = true;
-  const double remaining =
-      set.result.submit_time + options_.locality_wait - sim_.now();
   const uint64_t set_id = set.id;
-  sim_.schedule_after(std::max(remaining, 0.0), [this, set_id] {
+  sim_.schedule_at(locality_deadline(set), [this, set_id] {
     if (TaskSet* s = find_set(set_id)) s->locality_timer_armed = false;
     try_assign();
   });
 }
 
+// The timer and the test share one deadline. Testing now - submit >= wait
+// instead can round below the wait at the very instant the timer fires
+// (4.1 - 1.1 < 3), re-arming a zero-delay timer forever.
+double TaskScheduler::locality_deadline(const TaskSet& set) const noexcept {
+  return set.result.submit_time + options_.locality_wait;
+}
+
 bool TaskScheduler::set_wait_over(const TaskSet& set) const noexcept {
-  return sim_.now() - set.result.submit_time >= options_.locality_wait;
+  return sim_.now() >= locality_deadline(set);
 }
 
 // True when some offerable set could hand a task to an *arbitrary* free

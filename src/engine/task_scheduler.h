@@ -322,6 +322,7 @@ class TaskScheduler {
   // candidates). O(dispatches), not O(executors x sets).
   void try_assign_fast();
   bool offer_to(size_t exec_idx);
+  double locality_deadline(const TaskSet& set) const noexcept;
   bool set_wait_over(const TaskSet& set) const noexcept;
   bool any_generic_set() const noexcept;
   void build_candidates();

@@ -48,10 +48,10 @@ Disk::Disk(sim::Simulation& sim, DiskParams params, std::string name,
 
 void Disk::set_speed_factor(double factor) {
   assert(factor > 0.0);
-  advance_and_reschedule();  // settle in-flight work at the old rate
+  advance(false);  // settle in-flight work at the old rate
   speed_factor_ = factor;
   cap_cache_.clear();  // memoized capacities embed the old factor
-  advance_and_reschedule();  // recompute the next completion at the new rate
+  advance(true);  // move the next completion to the new rate
 }
 
 double Disk::capacity_uncached(double kd) const noexcept {
@@ -116,7 +116,7 @@ void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
   // processor-sharing pool (controller/syscall time; device is free).
   sim_.schedule_after(params_.latency, [this, work, bytes, is_write,
                                         done = std::move(done)]() mutable {
-    advance_and_reschedule();  // settle other transfers up to 'now' first
+    advance(false);  // settle other transfers up to 'now' first
     transfers_.push_back(Transfer{work, is_write, std::move(done)});
     if (is_write) {
       ++write_streams_;
@@ -126,11 +126,11 @@ void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
       bytes_read_ += bytes;
     }
     busy_.set_active(sim_.now(), 1.0);
-    advance_and_reschedule();
+    advance(true);
   });
 }
 
-void Disk::advance_and_reschedule() {
+void Disk::advance(bool reschedule) {
   SAEX_PROF_SCOPE(kDisk);
   const double now = sim_.now();
   const double dt = now - last_advance_;
@@ -139,11 +139,6 @@ void Disk::advance_and_reschedule() {
     for (auto& tr : transfers_) tr.remaining_work -= rate * dt;
   }
   last_advance_ = now;
-
-  if (pending_completion_ != sim::kInvalidEvent) {
-    sim_.cancel(pending_completion_);
-    pending_completion_ = sim::kInvalidEvent;
-  }
 
   // Complete everything that has (numerically) finished, compacting the
   // survivors in place, and find their minimum remaining work in the same
@@ -171,16 +166,22 @@ void Disk::advance_and_reschedule() {
   }
   transfers_.resize(out);
 
-  if (transfers_.empty()) {
-    busy_.set_active(now, 0.0);
-  } else {
+  if (transfers_.empty()) busy_.set_active(now, 0.0);
+  // A settle-only pass leaves the completion event to the caller's next
+  // pass, which moves it — or cancels it if the device has gone idle.
+  if (reschedule && transfers_.empty()) {
+    sim_.cancel(completion_);
+    completion_ = sim::kInvalidEvent;
+  } else if (reschedule) {
     const double next_rate = current_rate_per_transfer();
     // Floor the wake-up so time strictly advances even for sub-byte tails.
-    const double dt = std::max(min_work / next_rate, 1e-9);
-    pending_completion_ = sim_.schedule_after(dt, [this] {
-      pending_completion_ = sim::kInvalidEvent;
-      advance_and_reschedule();
-    });
+    const double wake = std::max(min_work / next_rate, 1e-9);
+    if (!sim_.reschedule_after(completion_, wake)) {
+      completion_ = sim_.schedule_after(wake, [this] {
+        completion_ = sim::kInvalidEvent;
+        advance(true);
+      });
+    }
   }
 
   // Callbacks run last: they may submit new transfers reentrantly (a nested

@@ -104,7 +104,12 @@ class Disk {
     sim::Callback done;
   };
 
-  void advance_and_reschedule();
+  // Settles every transfer up to now at the current shares and completes
+  // the finished ones. With `reschedule`, also moves the single completion
+  // event to the next finish time in place, or cancels it when the device
+  // is idle. An arrival settles without it (its transfer is not in the pool
+  // yet) and reschedules once, after the insert.
+  void advance(bool reschedule);
   double current_rate_per_transfer() const noexcept;
   double effective_streams() const noexcept;
   double capacity_uncached(double kd) const noexcept;
@@ -127,7 +132,7 @@ class Disk {
   // activation moves it out, so a nested advance simply allocates afresh).
   std::vector<sim::Callback> finished_scratch_;
   double last_advance_ = 0.0;
-  sim::EventId pending_completion_ = sim::kInvalidEvent;
+  sim::EventId completion_ = sim::kInvalidEvent;  // the one pending wake-up
 
   Bytes bytes_read_ = 0;
   Bytes bytes_written_ = 0;

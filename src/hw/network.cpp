@@ -82,7 +82,7 @@ void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
   }
   sim_.schedule_after(params_.latency, [this, src, dst, bytes, streams, cap,
                                         done = std::move(done)]() mutable {
-    advance_and_reschedule();
+    advance(false);  // settle other flows up to 'now' first
     flows_.push_back(Flow{src, dst, static_cast<double>(bytes), streams, cap,
                           std::move(done)});
     up_count_[static_cast<size_t>(src)] += streams;
@@ -90,11 +90,11 @@ void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
     open_inc(src, dst);
     sent_[static_cast<size_t>(src)] += bytes;
     total_bytes_ += bytes;
-    advance_and_reschedule();
+    advance(true);
   });
 }
 
-void Network::advance_and_reschedule() {
+void Network::advance(bool reschedule) {
   SAEX_PROF_SCOPE(kNetwork);
   const double now = sim_.now();
   const double dt = now - last_advance_;
@@ -105,11 +105,6 @@ void Network::advance_and_reschedule() {
     for (auto& f : flows_) f.remaining -= flow_rate(f) * dt;
   }
   last_advance_ = now;
-
-  if (pending_completion_ != sim::kInvalidEvent) {
-    sim_.cancel(pending_completion_);
-    pending_completion_ = sim::kInvalidEvent;
-  }
 
   // Half-byte completion threshold + floored wake-up: see Disk for why
   // sub-byte tails must not schedule zero-advance events.
@@ -130,17 +125,25 @@ void Network::advance_and_reschedule() {
   }
   flows_.resize(out);
 
-  if (!flows_.empty()) {
+  // A settle-only pass leaves the completion event to the caller's next
+  // pass, which moves it — or cancels it if the network has gone idle.
+  if (reschedule && flows_.empty()) {
+    sim_.cancel(completion_);
+    completion_ = sim::kInvalidEvent;
+  } else if (reschedule) {
     // Survivor rates reflect the post-completion counts, so this pass must
     // run after the sweep above.
     double min_time = std::numeric_limits<double>::infinity();
     for (const auto& f : flows_) {
       min_time = std::min(min_time, f.remaining / flow_rate(f));
     }
-    pending_completion_ = sim_.schedule_after(std::max(min_time, 1e-9), [this] {
-      pending_completion_ = sim::kInvalidEvent;
-      advance_and_reschedule();
-    });
+    const double wake = std::max(min_time, 1e-9);
+    if (!sim_.reschedule_after(completion_, wake)) {
+      completion_ = sim_.schedule_after(wake, [this] {
+        completion_ = sim::kInvalidEvent;
+        advance(true);
+      });
+    }
   }
 
   for (auto& fn : finished) fn();

@@ -134,7 +134,11 @@ class Network {
                   sim::Callback done);
 
   double flow_rate(const Flow& f) const noexcept;
-  void advance_and_reschedule();
+  // Settles every flow up to now and completes the finished ones; with
+  // `reschedule`, also moves the completion event to the next finish time.
+  // Same protocol as Disk::advance: an arrival settles without it and
+  // reschedules once after the insert; idle cancels the event.
+  void advance(bool reschedule);
   static uint64_t open_key(NodeId src, NodeId dst) noexcept {
     return (static_cast<uint64_t>(static_cast<uint32_t>(dst)) << 32) |
            static_cast<uint32_t>(src);
@@ -182,7 +186,7 @@ class Network {
   int64_t flow_transfers_ = 0;
   int64_t dropped_fetches_ = 0;
   double last_advance_ = 0.0;
-  sim::EventId pending_completion_ = sim::kInvalidEvent;
+  sim::EventId completion_ = sim::kInvalidEvent;  // the one pending wake-up
 };
 
 }  // namespace saex::hw

@@ -14,8 +14,7 @@ uint32_t Simulation::alloc_slot() {
     free_slots_.pop_back();
     return index;
   }
-  assert(slots_.size() < std::numeric_limits<uint32_t>::max() &&
-         "slot table exhausted");
+  assert(slots_.size() < kNoSlot && "slot table exhausted");
   slots_.emplace_back();
   return static_cast<uint32_t>(slots_.size() - 1);
 }
@@ -23,9 +22,26 @@ uint32_t Simulation::alloc_slot() {
 void Simulation::release_slot(uint32_t index) noexcept {
   Slot& slot = slots_[index];
   slot.cb.reset();
-  slot.cancelled = false;
   ++slot.generation;
   free_slots_.push_back(index);
+}
+
+uint32_t Simulation::pending_slot(EventId id) const noexcept {
+  if (id == kInvalidEvent) return kNoSlot;
+  const uint64_t index = (id & 0xffffffffull) - 1;
+  if (index >= slots_.size()) return kNoSlot;
+  // A generation mismatch means the event already fired or was cancelled
+  // and the slot moved on; the handle is stale.
+  if (slots_[index].generation != static_cast<uint32_t>(id >> 32)) {
+    return kNoSlot;
+  }
+  return static_cast<uint32_t>(index);
+}
+
+void Simulation::check_invariants() const noexcept {
+  assert(queue_.size() == pending() && "heap keys != pending events");
+  assert((queue_.empty() || queue_.indexed(queue_.top().slot)) &&
+         "heap position index out of sync");
 }
 
 EventId Simulation::schedule_at(Time t, Callback fn) {
@@ -33,7 +49,7 @@ EventId Simulation::schedule_at(Time t, Callback fn) {
   Slot& slot = slots_[index];
   slot.cb = std::move(fn);
   queue_.push(EventKey{std::max(t, now_), seq_++, index});
-  ++live_events_;
+  check_invariants();
   return make_id(slot.generation, index);
 }
 
@@ -42,50 +58,42 @@ EventId Simulation::schedule_after(Time delay, Callback fn) {
 }
 
 bool Simulation::cancel(EventId id) {
-  if (id == kInvalidEvent) return false;
-  const uint64_t raw_index = (id & 0xffffffffull) - 1;
-  if (raw_index >= slots_.size()) return false;
-  Slot& slot = slots_[static_cast<uint32_t>(raw_index)];
-  // A generation mismatch means the event already fired (or was cancelled
-  // and collected) and the slot moved on; the handle is stale.
-  if (slot.generation != static_cast<uint32_t>(id >> 32)) return false;
-  if (slot.cancelled || !slot.cb) return false;
-  slot.cancelled = true;
-  slot.cb.reset();  // captured state is released eagerly, not at pop time
-  assert(live_events_ > 0);
-  --live_events_;
+  const uint32_t index = pending_slot(id);
+  if (index == kNoSlot) return false;
+  queue_.erase(index);
+  release_slot(index);
+  check_invariants();
   return true;
 }
 
-void Simulation::drop_cancelled_head() {
-  while (!queue_.empty() && slots_[queue_.top().slot].cancelled) {
-    release_slot(queue_.pop().slot);
-  }
+bool Simulation::reschedule_at(EventId id, Time t) {
+  const uint32_t index = pending_slot(id);
+  if (index == kNoSlot) return false;
+  queue_.update(EventKey{std::max(t, now_), seq_++, index});
+  check_invariants();
+  return true;
+}
+
+bool Simulation::reschedule_after(EventId id, Time delay) {
+  return reschedule_at(id, now_ + std::max(delay, 0.0));
 }
 
 bool Simulation::fire_next() {
-  while (!queue_.empty()) {
-    const EventKey key = queue_.pop();
-    Slot& slot = slots_[key.slot];
-    if (slot.cancelled) {
-      release_slot(key.slot);
-      continue;
-    }
-    assert(key.t >= now_ && "event scheduled in the past");
-    now_ = key.t;
-    // Move the callback out before invoking: the callback may schedule new
-    // events, growing slots_ and invalidating `slot`.
-    Callback cb = std::move(slot.cb);
-    release_slot(key.slot);
-    --live_events_;
-    ++processed_;
-    {
-      SAEX_PROF_SCOPE(kSim);
-      cb();
-    }
-    return true;
+  if (queue_.empty()) return false;
+  const EventKey key = queue_.pop();
+  assert(key.t >= now_ && "event scheduled in the past");
+  now_ = key.t;
+  // Move the callback out before invoking: the callback may schedule new
+  // events, growing slots_.
+  Callback cb = std::move(slots_[key.slot].cb);
+  release_slot(key.slot);
+  ++processed_;
+  {
+    SAEX_PROF_SCOPE(kSim);
+    cb();
   }
-  return false;
+  check_invariants();
+  return true;
 }
 
 Time Simulation::run() {
@@ -95,9 +103,7 @@ Time Simulation::run() {
 }
 
 bool Simulation::run_until(Time limit) {
-  for (;;) {
-    drop_cancelled_head();
-    if (queue_.empty()) break;
+  while (!queue_.empty()) {
     if (queue_.top().t > limit) {
       now_ = limit;
       return true;
@@ -109,11 +115,5 @@ bool Simulation::run_until(Time limit) {
 }
 
 bool Simulation::step() { return fire_next(); }
-
-Time Simulation::next_time() {
-  drop_cancelled_head();
-  return queue_.empty() ? std::numeric_limits<Time>::infinity()
-                        : queue_.top().t;
-}
 
 }  // namespace saex::sim

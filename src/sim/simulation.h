@@ -5,13 +5,16 @@
 // events with equal timestamps fire in scheduling order (FIFO tiebreak), so
 // a run is a pure function of (configuration, seed).
 //
-// Hot-path layout: the priority queue (a hand-rolled 4-ary heap) holds
-// 24-byte POD keys only; callbacks live in a generation-stamped slot table
-// and are moved out exactly once, when their event fires. cancel() is O(1):
-// it flips the slot's tombstone flag, and the key is dropped when it
-// surfaces at the queue head. The generation stamp makes stale handles —
-// including ids of already-fired events — detectably invalid, so cancel()
-// never tombstones an event that is no longer pending.
+// Hot-path layout: the priority queue (an indexed 4-ary heap) holds 24-byte
+// POD keys only; callbacks live in a generation-stamped slot table and are
+// moved out exactly once, when their event fires. The heap tracks where each
+// slot's key sits, so cancel() erases the key at once and reschedule_at()
+// moves a pending event's key in place: the heap holds exactly the pending
+// events. A rescheduled event takes a fresh FIFO sequence number, so it
+// orders exactly as cancel() followed by schedule_at() would. The generation
+// stamp makes stale handles — including ids of already-fired events —
+// detectably invalid, so cancel() and reschedule_*() never touch an event
+// that is no longer pending.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +52,15 @@ class Simulation {
   /// for double-cancels, already-fired events, and invalid handles.
   bool cancel(EventId id);
 
+  /// Moves a pending event to absolute time `t` (clamped to now()), keeping
+  /// its callback and handle. The event orders after every event scheduled
+  /// before this call, exactly as cancel() + schedule_at() would. Returns
+  /// false, changing nothing, for fired, cancelled and invalid handles.
+  bool reschedule_at(EventId id, Time t);
+
+  /// reschedule_at() `delay` seconds from now (negative delays clamp to 0).
+  bool reschedule_after(EventId id, Time delay);
+
   /// Runs until the event queue is empty. Returns the final time.
   Time run();
 
@@ -61,23 +73,26 @@ class Simulation {
   bool step();
 
   /// Timestamp of the earliest pending event, or +infinity when the queue
-  /// is empty. Pops tombstoned (cancelled) entries sitting at the head, so
-  /// the answer reflects the next event that will actually fire. Used by the
-  /// shard layer to compute conservative time-window horizons.
-  Time next_time();
+  /// is empty. Used by the shard layer to compute conservative time-window
+  /// horizons.
+  Time next_time() const noexcept {
+    return queue_.empty() ? std::numeric_limits<Time>::infinity()
+                          : queue_.top().t;
+  }
 
-  size_t pending() const noexcept { return live_events_; }
+  size_t pending() const noexcept { return slots_.size() - free_slots_.size(); }
   uint64_t processed() const noexcept { return processed_; }
 
  private:
-  // One scheduled (or tombstoned) event's payload. The generation counter
-  // increments every time the slot is released, so an EventId minted for an
-  // earlier occupancy no longer matches.
+  // One pending event's payload. The generation counter increments every
+  // time the slot is released, so an EventId minted for an earlier
+  // occupancy no longer matches.
   struct Slot {
     Callback cb;
     uint32_t generation = 0;
-    bool cancelled = false;
   };
+
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
   static EventId make_id(uint32_t generation, uint32_t slot) noexcept {
     return (static_cast<EventId>(generation) << 32) |
@@ -86,14 +101,15 @@ class Simulation {
 
   uint32_t alloc_slot();
   void release_slot(uint32_t index) noexcept;
+  /// Slot of the event `id` names if it is still pending, else kNoSlot.
+  uint32_t pending_slot(EventId id) const noexcept;
   bool fire_next();
-  /// Pops tombstoned entries sitting at the queue head.
-  void drop_cancelled_head();
+  /// Debug builds: the heap holds exactly one key per pending event.
+  void check_invariants() const noexcept;
 
   Time now_ = 0.0;
-  uint64_t seq_ = 0;  // total schedule_* calls; FIFO tiebreak key
+  uint64_t seq_ = 0;  // schedule_* and reschedule_* calls; FIFO tiebreak key
   uint64_t processed_ = 0;
-  size_t live_events_ = 0;
   EventHeap queue_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;

@@ -271,6 +271,11 @@ struct Landscape {
   int expected_settle;
 };
 
+// Without this gtest prints a Landscape as its raw bytes, name pointer
+// included, so the ctest names CMake derives from GetParam() change with
+// every load address.
+void PrintTo(const Landscape& land, std::ostream* os) { *os << land.name; }
+
 class ControllerLandscapeTest : public ::testing::TestWithParam<Landscape> {};
 
 TEST_P(ControllerLandscapeTest, SettlesAtExpectedSize) {

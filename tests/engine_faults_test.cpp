@@ -207,6 +207,39 @@ TEST(DelayScheduling, LocalityWaitKeepsTasksLocal) {
   EXPECT_GT(net_bytes(0.0), 0);
 }
 
+TEST(DelayScheduling, LocalityTimerEndsTheWaitAtItsDeadline) {
+  // Regression: the locality timer fired at submit + wait, but the wait was
+  // tested as now - submit >= wait. Submitted at 1.1 s with a 3 s wait, the
+  // timer fires at 4.1 s, where 4.1 - 1.1 == 2.9999999999999996 < 3: the
+  // wait never ended and the timer re-armed at zero delay forever, one
+  // timestamp, no progress. The event budget turns that hang into a failure.
+  hw::Cluster cluster(hw::ClusterSpec::das5(2));
+  conf::Config config;
+  config.set("spark.locality.wait", "3s");
+  SparkContext ctx(cluster, config);
+  const dfs::FileInfo& file = ctx.dfs().load_input("/in", mib(64), 1);
+  ASSERT_EQ(file.blocks.size(), 1u);
+  // The single task prefers the block's only home, whose executor is
+  // inactive; the other executor is active and free.
+  const int home = file.blocks[0].replicas[0];
+  ctx.scheduler().set_executor_active(home, false);
+
+  sim::Simulation& sim = cluster.sim();
+  bool finished = false;
+  sim.schedule_at(1.1, [&] {
+    ctx.submit_job(ctx.text_file("/in").count(), "remote", "default",
+                   [&finished](const JobReport& r) { finished = !r.failed; });
+  });
+  int64_t budget = 100'000;
+  while (!finished && budget > 0 && sim.step()) --budget;
+  ASSERT_TRUE(finished) << "stuck at t=" << sim.now();
+  // The task could only start once the wait ended, on the remote executor.
+  const auto starts = ctx.event_log().of_kind(EventKind::kTaskStart);
+  ASSERT_EQ(starts.size(), 1u);
+  EXPECT_NE(starts[0].node, home);
+  EXPECT_GE(starts[0].time, 1.1 + 3.0);
+}
+
 TEST(AimdPolicy, RunsAndStaysInBounds) {
   hw::Cluster cluster(hw::ClusterSpec::das5(4));
   conf::Config config;
