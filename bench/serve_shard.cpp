@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
 
   print_title("serve_shard",
               "sharded serve path on the heavy-tailed serve_trace_xl trace "
-              "(router + per-shard kernels + time-window runner)",
+              "(router + one JobServer replay per shard on the worker pool)",
               "4-shard merged report bitwise-identical across worker counts; "
               "full mode: serve_xl_shard4 >= 3x serve_xl_serial WALL speedup");
 

@@ -444,16 +444,12 @@ void define_adaptive_extension(Registry& r) {
             "shards the cluster's nodes are partitioned into (1 = the "
             "single-driver path)."});
   r.define({"saex.shard.workers", c, V::kInt, "1",
-            "Worker threads advancing shard kernels; execution-only (any "
+            "Worker threads replaying the shards; execution-only (any "
             "worker count produces bitwise-identical reports for a fixed "
             "shard count)."});
   r.define({"saex.shard.placement", c, V::kString, "hash",
             "Cross-shard job router: hash (by client id) | least (greedy "
             "least-estimated-load in arrival order) | rr (round-robin)."});
-  r.define({"saex.shard.window", c, V::kDurationSeconds, "0s",
-            "Conservative synchronization lookahead override; 0 derives it "
-            "from the minimum cross-shard network latency (with no "
-            "cross-shard channels, shards run to completion independently)."});
   r.define({"saex.aqe.enabled", c, V::kBool, "false",
             "Adaptive query execution (src/aqe/): re-plan shuffle consumer "
             "stages at submission from actual map-output statistics "

@@ -31,6 +31,15 @@ std::vector<TraceJob> make_trace(const TraceOptions& options) {
     throw std::invalid_argument(
         "pareto arrival shape must be > 1 (finite mean)");
   }
+  if (options.num_jobs < 0) {
+    throw std::invalid_argument(strfmt::format(
+        "trace length must be >= 0 (got {})", options.num_jobs));
+  }
+  if (!(options.mean_interarrival >= 0.0)) {  // NaN too
+    throw std::invalid_argument(strfmt::format(
+        "mean inter-arrival gap must be >= 0 (got {})",
+        options.mean_interarrival));
+  }
   // Lomax(alpha, lambda) via inverse CDF with mean lambda / (alpha - 1);
   // lambda is solved from the requested mean gap.
   const double alpha = options.pareto_shape;

@@ -56,7 +56,9 @@ struct TraceOptions {
 /// they are documented (small-pool templates first).
 const std::vector<std::string>& trace_workload_names();
 
-/// Draws a deterministic trace (sorted by arrival time).
+/// Draws a deterministic trace (sorted by arrival time). Throws
+/// std::invalid_argument on an unknown arrival law, a pareto shape <= 1, a
+/// negative job count or a negative mean inter-arrival gap.
 std::vector<TraceJob> make_trace(const TraceOptions& options);
 
 /// Loads the shared input files into the context's DFS (idempotent).

@@ -1,15 +1,14 @@
 #include "shard/sharded_server.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <functional>
 #include <sstream>
 #include <utility>
 
 #include "common/format.h"
 #include "common/table.h"
-#include "common/units.h"
 #include "fault/fault.h"
+#include "harness/harness.h"
 
 namespace saex::shard {
 
@@ -17,8 +16,7 @@ ShardedServer::ShardedServer(const hw::ClusterSpec& spec,
                              const conf::Config& config)
     : config_(config),
       options_(ShardOptions::from_config(config)),
-      topology_(spec.num_nodes, options_.count),
-      spec_(spec) {
+      topology_(spec.num_nodes, options_.count) {
   shards_.reserve(static_cast<size_t>(options_.count));
   for (int s = 0; s < options_.count; ++s) {
     Shard shard;
@@ -88,11 +86,6 @@ conf::Config ShardedServer::shard_config(int shard) const {
   return config;
 }
 
-double ShardedServer::lookahead() const noexcept {
-  return options_.window > 0.0 ? options_.window
-                               : std::numeric_limits<double>::infinity();
-}
-
 ShardedServeReport ShardedServer::replay(
     const std::vector<serve::TraceJob>& trace,
     const serve::TraceOptions& trace_options) {
@@ -103,7 +96,6 @@ ShardedServeReport ShardedServer::replay(
   out.placement = router.route(trace);
   out.placement_policy = options_.placement;
   out.workers = options_.workers;
-  out.lookahead = lookahead();
 
   // Split the trace; jobs keep their global ids and arrival times.
   std::vector<std::vector<serve::TraceJob>> sub(
@@ -112,49 +104,27 @@ ShardedServeReport ShardedServer::replay(
     sub[static_cast<size_t>(out.placement[i])].push_back(trace[i]);
   }
 
-  // Schedule every shard's inputs and arrival events WITHOUT draining —
-  // mirrors JobServer::replay up to (but not including) drain(), so a
-  // 1-shard run replays the exact serial event sequence.
+  // Shards share no mutable state, so each one's whole replay (load inputs,
+  // schedule arrivals, run, drain) is an independent task; run_ordered
+  // returns the reports by shard id for any worker count.
+  std::vector<std::function<serve::ServeReport()>> tasks;
+  tasks.reserve(shards_.size());
   for (int s = 0; s < num_shards; ++s) {
-    Shard& shard = shards_[static_cast<size_t>(s)];
-    serve::load_trace_inputs(*shard.ctx, trace_options);
-    sim::Simulation& sim = shard.cluster->sim();
-    serve::JobServer* server = shard.server.get();
-    for (const serve::TraceJob& job : sub[static_cast<size_t>(s)]) {
-      const serve::TraceJob copy = job;
-      sim.schedule_at(job.arrival_time, [server, copy] {
-        server->submit(strfmt::format("{}#{}", copy.workload, copy.id),
-                       copy.client, copy.pool,
-                       [copy](engine::SparkContext& ctx) {
-                         return serve::build_trace_job(ctx, copy);
-                       },
-                       copy.deadline);
-      });
-    }
+    tasks.push_back([this, s, &sub, &trace_options] {
+      return shards_[static_cast<size_t>(s)].server->replay(
+          sub[static_cast<size_t>(s)], trace_options);
+    });
   }
+  out.shards = harness::run_ordered(std::move(tasks), options_.workers);
 
-  // Advance all shard kernels to completion in conservative time windows.
-  TimeWindowRunner::Options ropts;
-  ropts.lookahead = out.lookahead;
-  ropts.workers = options_.workers;
-  std::vector<sim::Simulation*> sims;
-  sims.reserve(shards_.size());
-  for (Shard& shard : shards_) sims.push_back(&shard.cluster->sim());
-  const TimeWindowRunner::Result run = TimeWindowRunner::run(sims, ropts);
-  out.windows = run.windows;
-  out.events = run.events;
-
-  // Per-shard reports (drain() on an empty kernel only aggregates).
-  out.shards.reserve(shards_.size());
   out.stats.reserve(shards_.size());
   for (int s = 0; s < num_shards; ++s) {
-    Shard& shard = shards_[static_cast<size_t>(s)];
-    out.shards.push_back(shard.server->drain());
     ShardStats stats;
     stats.shard = s;
     stats.nodes = topology_.shard_size(s);
     stats.jobs = static_cast<int>(sub[static_cast<size_t>(s)].size());
-    stats.events = shard.cluster->sim().processed();
+    stats.events = shards_[static_cast<size_t>(s)].cluster->sim().processed();
+    out.events += stats.events;
     out.stats.push_back(stats);
   }
 
@@ -186,12 +156,9 @@ std::string ShardedServeReport::render() const {
   std::ostringstream out;
   out << merged.render() << "\n\n";
   out << strfmt::format(
-      "shards {}  workers {}  placement {}  lookahead {}  windows {}"
-      "  events {}\n",
+      "shards {}  workers {}  placement {}  events {}\n",
       static_cast<int>(shards.size()), workers, placement_policy,
-      std::isinf(lookahead) ? std::string("unbounded")
-                            : format_duration(lookahead),
-      windows, static_cast<int64_t>(events));
+      static_cast<int64_t>(events));
   TextTable table({"shard", "nodes", "jobs", "events"});
   for (const ShardStats& s : stats) {
     table.add_row({strfmt::format("{}", s.shard), strfmt::format("{}", s.nodes),

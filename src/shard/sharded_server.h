@@ -1,12 +1,13 @@
 // Sharded serve path: S independent driver/scheduler/kernel stacks behind one
-// job router, advanced together by the conservative time-window runner.
+// job router. Shards share no DFS, shuffle or network state, so each shard's
+// whole replay is one harness::run_ordered task on saex.shard.workers threads.
 //
 // Each shard owns a contiguous slice of the cluster (its own hw::Cluster,
 // sim::Simulation, SparkContext, and JobServer), seeded deterministically as
 // base seed + shard id. A trace job is routed whole onto one shard, runs
 // there exactly as it would on a stand-alone cluster of that size, and the
 // per-shard records are merged back into one ServeReport in global trace-id
-// order using the same aggregation code as the serial path — so the merged
+// order using the same aggregation code as JobServer::drain — so the merged
 // report of a 1-shard run is bitwise-identical to JobServer::replay, and an
 // S-shard run is bitwise-identical across any worker count.
 //
@@ -25,7 +26,6 @@
 #include "hw/cluster.h"
 #include "serve/job_server.h"
 #include "shard/router.h"
-#include "shard/sync.h"
 #include "shard/topology.h"
 
 namespace saex::shard {
@@ -46,8 +46,9 @@ struct ShardedServeReport {
   std::vector<ShardStats> stats;
   std::vector<int> placement;  // trace job id -> shard
   std::string placement_policy;
-  double lookahead = 0.0;  // +inf = unbounded (no cross-shard channels)
-  int windows = 0;         // time-window rounds executed
+  // Always 1 (each shard's replay is one run_ordered task); kept because
+  // perfbench reports it as shard.windows.
+  static constexpr int windows = 1;
   int workers = 0;
   uint64_t events = 0;     // total events across shard kernels
 
@@ -64,8 +65,8 @@ class ShardedServer {
   ShardedServer(const hw::ClusterSpec& spec, const conf::Config& config);
   ~ShardedServer();
 
-  /// Routes the trace across shards, advances all shard kernels to
-  /// completion (on saex.shard.workers threads), and merges the reports.
+  /// Routes the trace across shards, runs each shard's JobServer::replay of
+  /// its sub-trace (on saex.shard.workers threads), and merges the reports.
   ShardedServeReport replay(const std::vector<serve::TraceJob>& trace,
                             const serve::TraceOptions& trace_options = {});
 
@@ -85,16 +86,10 @@ class ShardedServer {
 
   /// Per-shard config: global fault node ids -> local, parallelism scaled.
   conf::Config shard_config(int shard) const;
-  /// Lookahead for the window runner: the saex.shard.window override if set,
-  /// else unbounded (jobs never span shards, so no cross-shard channel can
-  /// carry an event; were one registered, spec_.network.latency would bound
-  /// the lookahead from below).
-  double lookahead() const noexcept;
 
   conf::Config config_;
   ShardOptions options_;
   ShardTopology topology_;
-  hw::ClusterSpec spec_;
   std::vector<Shard> shards_;
 };
 

@@ -9,7 +9,6 @@ ShardOptions ShardOptions::from_config(const conf::Config& config) {
   o.count = static_cast<int>(config.get_int("saex.shard.count"));
   o.workers = static_cast<int>(config.get_int("saex.shard.workers"));
   o.placement = config.get_string("saex.shard.placement");
-  o.window = config.get_duration_seconds("saex.shard.window");
   if (o.count < 1) {
     throw conf::ConfigError(
         strfmt::format("saex.shard.count must be >= 1 (got {})", o.count));
@@ -21,9 +20,6 @@ ShardOptions ShardOptions::from_config(const conf::Config& config) {
   if (o.placement != "hash" && o.placement != "least" && o.placement != "rr") {
     throw conf::ConfigError(strfmt::format(
         "saex.shard.placement '{}' (valid: hash, least, rr)", o.placement));
-  }
-  if (o.window < 0.0) {
-    throw conf::ConfigError("saex.shard.window must be >= 0");
   }
   return o;
 }

@@ -19,12 +19,11 @@ namespace saex::shard {
 /// Parsed saex.shard.* options.
 struct ShardOptions {
   int count = 1;             // saex.shard.count: drivers/kernels
-  int workers = 1;           // saex.shard.workers: OS threads advancing them
+  int workers = 1;           // saex.shard.workers: OS threads replaying them
   std::string placement = "hash";  // saex.shard.placement: hash | least | rr
-  double window = 0.0;       // saex.shard.window: >0 forces a finite lookahead
 
   /// Reads and validates saex.shard.*; throws conf::ConfigError on a count or
-  /// worker count < 1, an unknown placement policy, or a negative window.
+  /// worker count < 1, or an unknown placement policy.
   static ShardOptions from_config(const conf::Config& config);
 };
 

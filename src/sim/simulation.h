@@ -73,8 +73,7 @@ class Simulation {
   bool step();
 
   /// Timestamp of the earliest pending event, or +infinity when the queue
-  /// is empty. Used by the shard layer to compute conservative time-window
-  /// horizons.
+  /// is empty.
   Time next_time() const noexcept {
     return queue_.empty() ? std::numeric_limits<Time>::infinity()
                           : queue_.top().t;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "common/format.h"
 #include "serve/job_server.h"
@@ -353,6 +354,18 @@ TEST(Trace, DeterministicAndSorted) {
   }
   EXPECT_GT(by_pool["interactive"], 0);
   EXPECT_GT(by_pool["batch"], 0);
+}
+
+// A negative length or mean gap is a caller error, not a degenerate trace:
+// -3 jobs must not reach reserve(), and negative gaps must not pull every
+// arrival to t = 0.
+TEST(Trace, RejectsNegativeLengthOrGap) {
+  TraceOptions t = small_trace_options();
+  t.num_jobs = -3;
+  EXPECT_THROW(make_trace(t), std::invalid_argument);
+  t = small_trace_options();
+  t.mean_interarrival = -1.0;
+  EXPECT_THROW(make_trace(t), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,32 +1,29 @@
-// saex::shard: topology partitioning, router determinism, conservative
-// time-window invariance, and the headline guarantee — an N-shard replay on
-// any worker count merges to a report bitwise-identical to fewer workers,
-// and a 1-shard replay is bitwise-identical to the serial JobServer path.
+// saex::shard: topology partitioning, router determinism, and the headline
+// guarantees — each shard replays exactly like a stand-alone JobServer of its
+// size, an N-shard replay on any worker count merges to a report
+// bitwise-identical to fewer workers, and a 1-shard replay is
+// bitwise-identical to the serial JobServer path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <map>
 
 #include "common/format.h"
 #include "serve/job_server.h"
 #include "shard/router.h"
 #include "shard/sharded_server.h"
-#include "shard/sync.h"
 #include "shard/topology.h"
 
 namespace saex::shard {
 namespace {
 
 conf::Config shard_config(int shards, int workers,
-                          const std::string& placement = "hash",
-                          double window = 0.0) {
+                          const std::string& placement = "hash") {
   conf::Config c;
   c.set("spark.default.parallelism", "64");
   c.set_int("saex.shard.count", shards);
   c.set_int("saex.shard.workers", workers);
   c.set("saex.shard.placement", placement);
-  c.set("saex.shard.window", strfmt::format("{}", window));
   return c;
 }
 
@@ -152,41 +149,12 @@ TEST(JobRouter, RejectsUnknownPolicy) {
   EXPECT_THROW(JobRouter(2, "banana", 0), conf::ConfigError);
 }
 
-// ---------- time-window runner ----------
-
-TEST(TimeWindowRunner, DrainsIndependentKernels) {
-  sim::Simulation a, b;
-  std::vector<double> fired;
-  a.schedule_at(1.0, [&] { fired.push_back(1.0); });
-  a.schedule_at(5.0, [&] { fired.push_back(5.0); });
-  b.schedule_at(2.0, [&] { fired.push_back(2.0); });
-
-  TimeWindowRunner::Options opts;  // unbounded lookahead
-  const auto result = TimeWindowRunner::run({&a, &b}, opts);
-  EXPECT_EQ(result.windows, 1);
-  EXPECT_EQ(result.events, 3u);
-  EXPECT_EQ(a.next_time(), std::numeric_limits<double>::infinity());
-}
-
-TEST(TimeWindowRunner, FiniteLookaheadTakesMultipleWindows) {
-  sim::Simulation a, b;
-  int count = 0;
-  for (double t : {0.5, 3.0, 9.0}) a.schedule_at(t, [&] { ++count; });
-  b.schedule_at(6.0, [&] { ++count; });
-
-  TimeWindowRunner::Options opts;
-  opts.lookahead = 1.0;
-  const auto result = TimeWindowRunner::run({&a, &b}, opts);
-  EXPECT_EQ(count, 4);
-  EXPECT_GE(result.windows, 3);  // 0.5 / 3.0 / 6.0 / 9.0 clusters
-}
-
 // ---------- sharded replay: the determinism guarantees ----------
 
 std::string sharded_render(int nodes, int shards, int workers,
-                           const serve::TraceOptions& t, double window = 0.0,
-                           int kill_node = -1, double kill_time = -1.0) {
-  conf::Config config = shard_config(shards, workers, "hash", window);
+                           const serve::TraceOptions& t, int kill_node = -1,
+                           double kill_time = -1.0) {
+  conf::Config config = shard_config(shards, workers);
   if (kill_node >= 0) {
     config.set_bool("saex.fault.enabled", true);
     config.set_int("saex.fault.killNode", kill_node);
@@ -222,11 +190,60 @@ TEST(ShardedServer, WorkerCountDoesNotChangeTheMergedReport) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ShardedServer, WindowSizeDoesNotChangeTheMergedReport) {
-  const serve::TraceOptions t = small_trace(13);
-  const std::string unbounded = sharded_render(8, 2, 2, t);
-  const std::string windowed = sharded_render(8, 2, 2, t, /*window=*/0.25);
-  EXPECT_EQ(unbounded, windowed);
+TEST(ShardedServer, EachShardReplaysLikeAStandaloneJobServer) {
+  const serve::TraceOptions t = small_trace(23);
+  const auto trace = serve::make_trace(t);
+  // 10 nodes over 3 shards: 4, 3, 3 — uneven, so the per-shard seed and
+  // parallelism scaling both matter.
+  ShardedServer server(spec_for(10), shard_config(3, 2, "rr"));
+  const ShardedServeReport report = server.replay(trace, t);
+
+  for (int s = 0; s < 3; ++s) {
+    const int size = server.topology().shard_size(s);
+    std::vector<serve::TraceJob> routed;
+    for (size_t i = 0; i < trace.size(); ++i) {
+      if (report.placement[i] == s) routed.push_back(trace[i]);
+    }
+    ASSERT_FALSE(routed.empty()) << "shard " << s;
+
+    conf::Config config;
+    config.set_int("spark.default.parallelism", 64 * size / 10);
+    hw::Cluster cluster(spec_for(size, 42 + static_cast<uint64_t>(s)));
+    engine::SparkContext ctx(cluster, config);
+    serve::JobServer standalone(ctx);
+    const serve::ServeReport expected = standalone.replay(routed, t);
+
+    const serve::ServeReport& got = report.shards[static_cast<size_t>(s)];
+    EXPECT_EQ(got.render() + got.render_jobs(),
+              expected.render() + expected.render_jobs())
+        << "shard " << s;
+    EXPECT_EQ(report.stats[static_cast<size_t>(s)].events,
+              cluster.sim().processed())
+        << "shard " << s;
+  }
+}
+
+TEST(ShardedServer, ShardsWithoutJobsDrainCleanly) {
+  serve::TraceOptions t = small_trace(29);
+  t.num_clients = 1;  // hash placement: every job lands on one shard
+  ShardedServer server(spec_for(8), shard_config(4, 2));
+  const ShardedServeReport report = server.replay(serve::make_trace(t), t);
+
+  int empty = 0;
+  uint64_t events = 0;
+  for (int s = 0; s < 4; ++s) {
+    const auto idx = static_cast<size_t>(s);
+    if (report.stats[idx].jobs == 0) {
+      ++empty;
+      EXPECT_EQ(report.shards[idx].submitted, 0) << "shard " << s;
+    }
+    EXPECT_EQ(server.context(s).cluster().sim().pending(), 0u)
+        << "shard " << s;
+    events += report.stats[idx].events;
+  }
+  EXPECT_EQ(empty, 3);
+  EXPECT_EQ(report.events, events);
+  EXPECT_EQ(report.merged.finished, t.num_jobs);
 }
 
 TEST(ShardedServer, KillNodeFaultIsIdenticalAcrossWorkerCounts) {
@@ -234,9 +251,9 @@ TEST(ShardedServer, KillNodeFaultIsIdenticalAcrossWorkerCounts) {
   // Global node 5 lives on shard 1 of a 2x4 split; the fault must land there
   // and only there, independent of worker count.
   const std::string serial =
-      sharded_render(8, 2, 1, t, 0.0, /*kill_node=*/5, /*kill_time=*/4.0);
+      sharded_render(8, 2, 1, t, /*kill_node=*/5, /*kill_time=*/4.0);
   const std::string parallel =
-      sharded_render(8, 2, 2, t, 0.0, /*kill_node=*/5, /*kill_time=*/4.0);
+      sharded_render(8, 2, 2, t, /*kill_node=*/5, /*kill_time=*/4.0);
   EXPECT_EQ(serial, parallel);
 }
 

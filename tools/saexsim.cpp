@@ -28,7 +28,7 @@
 #include "prof/profiler.h"
 #include "storage/eviction.h"
 #include "harness/harness.h"
-#include "serve/job_server.h"
+#include "serve/trace.h"
 #include "shard/sharded_server.h"
 #include "workloads/workloads.h"
 
@@ -110,13 +110,10 @@ struct Args {
   bool max_retries_set = false;
   bool quarantine = false;
 
-  // serve sharding (saex.shard.*): any of these flags selects the sharded
-  // path even at --shards 1 (useful to demo the 1-shard identity).
-  bool sharded = false;
+  // serve sharding (saex.shard.*).
   int shards = 1;
   int shard_workers = 1;
   std::string placement = "hash";
-  double shard_window = 0.0;
 };
 
 void usage() {
@@ -186,13 +183,10 @@ void usage() {
       "  --pareto-shape A    Lomax tail index, > 1 (default 1.5)\n"
       "  --shards S          split the cluster across S drivers/event kernels\n"
       "                      with a cross-shard job router (default 1)\n"
-      "  --workers W         OS threads advancing the shard kernels (0 = all\n"
-      "                      cores); the merged report is identical for any W\n"
+      "  --workers W         OS threads replaying the shards (0 = all cores);\n"
+      "                      the merged report is identical for any W\n"
       "  --placement P       shard router policy: hash | least | rr\n"
       "                      (default hash)\n"
-      "  --window T          force a finite lookahead window of T simulated\n"
-      "                      seconds (default: derived — unbounded, since\n"
-      "                      jobs never span shards)\n"
       "  --mode M            one of: %s (default FAIR)\n"
       "  --pools SPEC        name:weight:minShare,... (default\n"
       "                      interactive:3:16,batch:1:0)\n"
@@ -207,8 +201,10 @@ void usage() {
       "                      exponential backoff (default 0)\n"
       "  --quarantine        enable the node-health circuit breaker\n"
       "  --jobs-table        also print the per-submission table\n"
-      "  (--policy, --nodes, --ssd, --seed, --parallelism, --eventlog,\n"
-      "   --trace apply here too)\n",
+      "  (--policy, --io-threads, --nodes, --ssd, --seed, --parallelism,\n"
+      "   --failures, --speculation, the storage, flow-batch, AQE and fault\n"
+      "   flags, --eventlog and --trace apply here too; with --shards S > 1\n"
+      "   the event log and trace get a .<shard> suffix per shard)\n",
       kWorkloadChoices, kPolicyChoices, kStoragePolicyChoices, kModeChoices);
 }
 
@@ -304,16 +300,10 @@ std::optional<Args> parse(int argc, char** argv) {
       args.pareto_shape = std::atof(value());
     } else if (a == "--shards") {
       args.shards = std::atoi(value());
-      args.sharded = true;
     } else if (a == "--workers") {
       args.shard_workers = harness::resolve_jobs(std::atoi(value()));
-      args.sharded = true;
     } else if (a == "--placement") {
       args.placement = value();
-      args.sharded = true;
-    } else if (a == "--window") {
-      args.shard_window = std::atof(value());
-      args.sharded = true;
     } else if (a == "--mode") {
       args.mode = value();
     } else if (a == "--pools") {
@@ -563,56 +553,15 @@ int run_sweep(const Args& args, const workloads::WorkloadSpec& spec) {
   return rc;
 }
 
-// Sharded serve: S driver/kernel stacks behind the job router, advanced on
-// W worker threads. Event logs are per shard (".<shard>" suffix when S > 1).
-int run_serve_sharded(const Args& args, const hw::ClusterSpec& cs,
-                      conf::Config config,
-                      const serve::TraceOptions& trace_options) {
-  config.set_int("saex.shard.count", args.shards);
-  config.set_int("saex.shard.workers", args.shard_workers);
-  config.set("saex.shard.placement", args.placement);
-  config.set("saex.shard.window", strfmt::format("{}", args.shard_window));
-
-  shard::ShardedServer server(cs, config);
-  const shard::ShardedServeReport report =
-      server.replay(serve::make_trace(trace_options), trace_options);
-
-  std::printf("%s\n", report.render().c_str());
-  if (args.jobs_table) std::printf("\n%s\n", report.render_jobs().c_str());
-
-  for (int s = 0; s < server.topology().shards(); ++s) {
-    const std::string suffix =
-        server.topology().shards() > 1 ? strfmt::format(".{}", s) : "";
-    if (!args.eventlog_path.empty()) {
-      const std::string path = args.eventlog_path + suffix;
-      const bool ok = engine::EventLog::write_file(
-          path, server.context(s).event_log().to_json_lines());
-      std::printf("%s event log -> %s\n", ok ? "wrote" : "FAILED to write",
-                  path.c_str());
-    }
-    if (!args.trace_path.empty()) {
-      const std::string path = args.trace_path + suffix;
-      const bool ok = engine::EventLog::write_file(
-          path, server.context(s).event_log().to_chrome_trace());
-      std::printf("%s chrome trace -> %s (open in chrome://tracing)\n",
-                  ok ? "wrote" : "FAILED to write", path.c_str());
-    }
-  }
-  return 0;
-}
-
+// Trace replay on the ShardedServer: S driver/kernel stacks (1 by default)
+// behind the job router, replayed on W worker threads. Event logs are per
+// shard (".<shard>" suffix when S > 1).
 int run_serve(const Args& args) {
   hw::ClusterSpec cs = args.ssd ? hw::ClusterSpec::das5_ssd(args.nodes)
                                 : hw::ClusterSpec::das5(args.nodes);
   cs.seed = args.seed;
 
-  conf::Config config;
-  config.set("saex.executor.policy", args.policy);
-  config.set_int("saex.static.ioThreads", args.io_threads);
-  config.set_int("spark.default.parallelism",
-                 args.parallelism > 0 ? args.parallelism : args.nodes * 32);
-  config.set_double("saex.sim.taskFailureProb", args.failure_prob);
-  config.set_bool("spark.speculation", args.speculation);
+  conf::Config config = make_config(args, args.policy);
   config.set("saex.scheduler.mode", args.mode);
   config.set("saex.scheduler.pools", args.pools);
   config.set_int("saex.serve.maxConcurrentJobs", args.max_concurrent);
@@ -628,15 +577,15 @@ int run_serve(const Args& args) {
   if (args.quarantine) {
     config.set_bool("saex.resilience.quarantine", true);
   }
-  if (args.flow_batch) config.set_bool("saex.net.flowBatch", true);
-  apply_aqe_flags(config, args);
-  apply_fault_flags(config, args);
   if (args.dynalloc) {
     config.set_bool("spark.dynamicAllocation.enabled", true);
     config.set_int("spark.dynamicAllocation.minExecutors", 1);
     config.set_int("spark.dynamicAllocation.initialExecutors", 1);
     config.set("spark.dynamicAllocation.executorIdleTimeout", "10s");
   }
+  config.set_int("saex.shard.count", args.shards);
+  config.set_int("saex.shard.workers", args.shard_workers);
+  config.set("saex.shard.placement", args.placement);
 
   try {
     serve::TraceOptions trace_options;
@@ -646,30 +595,30 @@ int run_serve(const Args& args) {
     trace_options.pareto_shape = args.pareto_shape;
     trace_options.seed = args.seed;
 
-    if (args.sharded) {
-      return run_serve_sharded(args, cs, std::move(config), trace_options);
-    }
-
-    hw::Cluster cluster(cs);
-    engine::SparkContext ctx(cluster, std::move(config));
-    serve::JobServer server(ctx);
-    const serve::ServeReport report =
+    shard::ShardedServer server(cs, config);
+    const shard::ShardedServeReport report =
         server.replay(serve::make_trace(trace_options), trace_options);
 
     std::printf("%s\n", report.render().c_str());
     if (args.jobs_table) std::printf("\n%s\n", report.render_jobs().c_str());
 
-    if (!args.eventlog_path.empty()) {
-      const bool ok = engine::EventLog::write_file(
-          args.eventlog_path, ctx.event_log().to_json_lines());
-      std::printf("%s event log -> %s\n", ok ? "wrote" : "FAILED to write",
-                  args.eventlog_path.c_str());
-    }
-    if (!args.trace_path.empty()) {
-      const bool ok = engine::EventLog::write_file(
-          args.trace_path, ctx.event_log().to_chrome_trace());
-      std::printf("%s chrome trace -> %s (open in chrome://tracing)\n",
-                  ok ? "wrote" : "FAILED to write", args.trace_path.c_str());
+    for (int s = 0; s < server.topology().shards(); ++s) {
+      const std::string suffix =
+          server.topology().shards() > 1 ? strfmt::format(".{}", s) : "";
+      if (!args.eventlog_path.empty()) {
+        const std::string path = args.eventlog_path + suffix;
+        const bool ok = engine::EventLog::write_file(
+            path, server.context(s).event_log().to_json_lines());
+        std::printf("%s event log -> %s\n", ok ? "wrote" : "FAILED to write",
+                    path.c_str());
+      }
+      if (!args.trace_path.empty()) {
+        const std::string path = args.trace_path + suffix;
+        const bool ok = engine::EventLog::write_file(
+            path, server.context(s).event_log().to_chrome_trace());
+        std::printf("%s chrome trace -> %s (open in chrome://tracing)\n",
+                    ok ? "wrote" : "FAILED to write", path.c_str());
+      }
     }
   } catch (const conf::ConfigError& e) {
     std::fprintf(stderr, "invalid serve configuration: %s\n", e.what());
@@ -714,6 +663,10 @@ int main(int argc, char** argv) {
   if (args.max_retries_set && args.max_retries < 0) {
     std::fprintf(stderr, "--max-retries must be >= 0 (got %d)\n",
                  args.max_retries);
+    return 2;
+  }
+  if (args.nodes < 1) {
+    std::fprintf(stderr, "--nodes must be >= 1 (got %d)\n", args.nodes);
     return 2;
   }
   if (args.profile || !args.profile_json_path.empty()) {
