@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <optional>
 
 namespace saex::conf {
 namespace {
@@ -15,27 +16,38 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
-double parse_number(std::string_view text, std::string_view what) {
+// The whole of `text` as a number, or nullopt.
+std::optional<double> to_number(std::string_view text) {
   double value = 0.0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw ConfigError(saex::strfmt::format("cannot parse {} from '{}'", what, text));
-  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
   return value;
 }
 
-// Splits "<number><suffix>" into parts; suffix may be empty.
-std::pair<double, std::string> split_suffixed(std::string_view text) {
+double parse_number(std::string_view text, std::string_view what) {
+  const std::optional<double> value = to_number(text);
+  if (!value) {
+    throw ConfigError(saex::strfmt::format("cannot parse {} from '{}'", what, text));
+  }
+  return *value;
+}
+
+// Splits "<number><suffix>" into parts; suffix may be empty. A bad number
+// is reported against the whole value (its numeric prefix may be empty).
+std::pair<double, std::string> split_suffixed(std::string_view text,
+                                              std::string_view what) {
   size_t i = 0;
   while (i < text.size() &&
          (std::isdigit(static_cast<unsigned char>(text[i])) || text[i] == '.' ||
           text[i] == '-' || text[i] == '+')) {
     ++i;
   }
-  const double num = parse_number(text.substr(0, i), "number");
-  return {num, to_lower(text.substr(i))};
+  const std::optional<double> num = to_number(text.substr(0, i));
+  if (!num) {
+    throw ConfigError(saex::strfmt::format("cannot parse {} from '{}'", what, text));
+  }
+  return {*num, to_lower(text.substr(i))};
 }
 
 }  // namespace
@@ -89,7 +101,7 @@ size_t Registry::functional_count() const noexcept {
 }
 
 Bytes parse_bytes(std::string_view text) {
-  const auto [num, suffix] = split_suffixed(text);
+  const auto [num, suffix] = split_suffixed(text, "bytes");
   double mult = 1.0;
   if (suffix.empty() || suffix == "b") {
     mult = 1.0;
@@ -108,7 +120,7 @@ Bytes parse_bytes(std::string_view text) {
 }
 
 double parse_duration_seconds(std::string_view text) {
-  const auto [num, suffix] = split_suffixed(text);
+  const auto [num, suffix] = split_suffixed(text, "duration");
   if (suffix.empty() || suffix == "s") return num;
   if (suffix == "ms") return num / 1000.0;
   if (suffix == "us") return num / 1e6;

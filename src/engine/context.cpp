@@ -650,7 +650,8 @@ void SparkContext::on_cache_recovery_done(int cache_id, bool failed) {
 // Per-stage rollups are window-based: cluster-wide counters are snapshotted
 // at submit and diffed at completion, so with overlapping jobs a stage's
 // disk/network bytes include the traffic of whatever else ran during its
-// window. Utilizations are exact (busy-tracker integrals over the window).
+// window. Utilizations are exact: each node's CPU and disk busy integrals are
+// snapshotted at submit too (the trackers keep no history that far back).
 // ---------------------------------------------------------------------------
 
 struct SparkContext::JobRun {
@@ -673,6 +674,7 @@ struct SparkContext::JobRun {
     std::vector<Bytes> disk_read, disk_written;
     std::vector<double> blocked;
     std::vector<Bytes> io_bytes;
+    std::vector<double> cpu_busy, disk_busy;  // busy integrals at start_time
   };
   std::map<int, Baseline> baselines;
 };
@@ -756,6 +758,8 @@ void SparkContext::submit_stage_of(JobRun& run, Stage& stage) {
     base.disk_written.push_back(node.disk().total_bytes_written());
     base.blocked.push_back(exec->io_counters().blocked_seconds);
     base.io_bytes.push_back(exec->io_counters().bytes_total());
+    base.cpu_busy.push_back(node.cpu().busy_tracker().integral_at(now));
+    base.disk_busy.push_back(node.disk().busy_tracker().integral_at(now));
   }
   run.baselines.emplace(stage.uid, std::move(base));
 
@@ -854,10 +858,10 @@ void SparkContext::on_stage_finished(
   for (size_t i = 0; i < executors_.size(); ++i) {
     ExecutorRuntime& exec = *executors_[i];
     const hw::Node& node = cluster_->node(exec.node_id());
-    const double cpu_util =
-        node.cpu().busy_tracker().utilization(base.start_time, stage_end);
-    const double disk_util =
-        node.disk().busy_tracker().utilization(base.start_time, stage_end);
+    const double cpu_util = node.cpu().busy_tracker().utilization_since(
+        base.start_time, base.cpu_busy[i], stage_end);
+    const double disk_util = node.disk().busy_tracker().utilization_since(
+        base.start_time, base.disk_busy[i], stage_end);
     const double blocked =
         exec.io_counters().blocked_seconds - base.blocked[i];
     const double cores = static_cast<double>(node.cpu().cores());
@@ -955,6 +959,7 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     Bytes disk_read, disk_written;
     double blocked;
     Bytes io_bytes;
+    double cpu_busy, disk_busy;  // busy integrals at stage start
   };
 
   for (Stage& stage : plan.stages) {
@@ -993,10 +998,12 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     Bytes net_base = cluster_->network().total_bytes();
     for (auto& exec : executors_) {
       const hw::Node& node = cluster_->node(exec->node_id());
-      base.push_back(Baseline{node.disk().total_bytes_read(),
-                              node.disk().total_bytes_written(),
-                              exec->io_counters().blocked_seconds,
-                              exec->io_counters().bytes_total()});
+      base.push_back(Baseline{
+          node.disk().total_bytes_read(), node.disk().total_bytes_written(),
+          exec->io_counters().blocked_seconds,
+          exec->io_counters().bytes_total(),
+          node.cpu().busy_tracker().integral_at(stage_start),
+          node.disk().busy_tracker().integral_at(stage_start)});
     }
 
     event_log_.record(Event{EventKind::kStageStart, stage_start, job_id,
@@ -1060,10 +1067,10 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     for (size_t i = 0; i < executors_.size(); ++i) {
       ExecutorRuntime& exec = *executors_[i];
       const hw::Node& node = cluster_->node(exec.node_id());
-      const double cpu_util =
-          node.cpu().busy_tracker().utilization(stage_start, stage_end);
-      const double disk_util =
-          node.disk().busy_tracker().utilization(stage_start, stage_end);
+      const double cpu_util = node.cpu().busy_tracker().utilization_since(
+          stage_start, base[i].cpu_busy, stage_end);
+      const double disk_util = node.disk().busy_tracker().utilization_since(
+          stage_start, base[i].disk_busy, stage_end);
       const double blocked =
           exec.io_counters().blocked_seconds - base[i].blocked;
       // mpstat-style iowait: cores idle while I/O is pending; bounded by the

@@ -608,10 +608,9 @@ void ExecutorRuntime::set_pool_size(int threads) {
 adaptive::IoSample ExecutorRuntime::sample() {
   const metrics::IoCounters& c = io_.snapshot();
   const double now = env_.sim->now();
-  const double window = 5.0;
   const double util =
       env_.cluster->node(node_id_).disk().busy_tracker().utilization(
-          std::max(0.0, now - window), std::max(now, 1e-9));
+          std::max(0.0, now - hw::Disk::kUtilWindow), std::max(now, 1e-9));
   return adaptive::IoSample{c.blocked_seconds, c.bytes_total(), util,
                             c.tasks_completed};
 }

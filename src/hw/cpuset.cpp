@@ -10,7 +10,7 @@ CpuSet::CpuSet(sim::Simulation& sim, int cores, double speed_factor)
     : sim_(sim),
       cores_(cores),
       speed_factor_(speed_factor),
-      busy_tracker_(static_cast<double>(cores)) {
+      busy_tracker_(static_cast<double>(cores), /*retain=*/0.0) {
   assert(cores > 0);
 }
 

@@ -2,6 +2,8 @@
 //
 // A compute request occupies one core for its duration; if all cores are
 // busy it queues. The busy tracker feeds the per-stage CPU% rollups (Fig. 1).
+// It keeps no change-point history: the rollups snapshot its integral at
+// stage start and read it again at stage end.
 #pragma once
 
 #include <deque>

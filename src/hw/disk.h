@@ -90,6 +90,11 @@ class Disk {
   Bytes total_bytes_read() const noexcept { return bytes_read_; }
   Bytes total_bytes_written() const noexcept { return bytes_written_; }
 
+  /// Window (sim seconds) of the executor sensor's disk %util reading
+  /// (ExecutorRuntime::sample); the busy tracker retains exactly this much
+  /// history.
+  static constexpr double kUtilWindow = 5.0;
+
   /// Busy tracker: 1 while any transfer is active (iostat %util semantics).
   const metrics::UtilizationTracker& busy_tracker() const noexcept { return busy_; }
   metrics::UtilizationTracker& busy_tracker() noexcept { return busy_; }
@@ -136,7 +141,7 @@ class Disk {
 
   Bytes bytes_read_ = 0;
   Bytes bytes_written_ = 0;
-  metrics::UtilizationTracker busy_{1.0};
+  metrics::UtilizationTracker busy_{1.0, kUtilWindow};
 };
 
 }  // namespace saex::hw

@@ -59,6 +59,30 @@ TEST(ParseDuration, SuffixesAndBare) {
   EXPECT_THROW(parse_duration_seconds("3y"), ConfigError);
 }
 
+// A value with no numeric prefix is reported whole, not as its empty
+// prefix ("cannot parse number from ''").
+TEST(ParseSuffixed, ErrorQuotesTheWholeValue) {
+  const auto message = [](auto parse, std::string_view text) -> std::string {
+    try {
+      parse(text);
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message(parse_bytes, "abc"), "cannot parse bytes from 'abc'");
+  EXPECT_EQ(message(parse_duration_seconds, "abc"),
+            "cannot parse duration from 'abc'");
+  EXPECT_EQ(message(parse_bytes, "1.2.3m"), "cannot parse bytes from '1.2.3m'");
+  Config c;
+  try {
+    c.set("saex.aqe.targetPartitionBytes", "abc");
+    ADD_FAILURE() << "set accepted 'abc'";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'abc'"), std::string::npos) << e.what();
+  }
+}
+
 TEST(ParseBool, Variants) {
   EXPECT_TRUE(parse_bool("true"));
   EXPECT_TRUE(parse_bool("TRUE"));

@@ -336,6 +336,54 @@ TEST(JobServer, ReplayIsDeterministic) {
   EXPECT_EQ(a.total_time, b.total_time);
 }
 
+// ---------- memory ----------
+
+// Busy-time history is bounded by live state, not by simulated history: after
+// a long replay the CPU trackers hold no change points (stage rollups
+// snapshot their integrals) and each disk tracker holds only the executor
+// sensor's window plus the one point that anchors its start.
+TEST(JobServer, LongReplayKeepsOnlyTheSensorWindow) {
+  conf::Config c = serve_config();
+  c.set("saex.scheduler.mode", "FAIR");
+  c.set("saex.scheduler.pools", "interactive:3:16,batch:1:0");
+  c.set("saex.executor.policy", "dynamic");
+  TraceOptions t = small_trace_options(15);
+  t.num_jobs = 300;
+  t.mean_interarrival = 0.5;
+  t.small_input = mib(64);
+  t.big_input = mib(128);
+  t.dim_input = mib(32);
+  ServeRig rig(c, /*nodes=*/16);
+  JobServer server(rig.ctx);
+  const ServeReport report = server.replay(make_trace(t), t);
+  ASSERT_EQ(report.finished, 300);
+
+  double stage_cpu_sum = 0.0;
+  for (const JobRecord& rec : report.jobs) {
+    for (const engine::StageStats& s : rec.report.stages) {
+      stage_cpu_sum += s.cpu_utilization;
+    }
+  }
+  EXPECT_GT(stage_cpu_sum, 0.0);  // the rollups still see the CPU work
+
+  size_t disk_points = 0;
+  for (int n = 0; n < rig.cluster.size(); ++n) {
+    const hw::Node& node = rig.cluster.node(n);
+    EXPECT_EQ(node.cpu().busy_tracker().retained_points(), 0u) << "node " << n;
+    EXPECT_GT(node.cpu().total_busy_seconds(), 0.0) << "node " << n;
+    const metrics::UtilizationTracker& disk = node.disk().busy_tracker();
+    const double horizon = disk.last_update() - hw::Disk::kUtilWindow;
+    for (size_t i = 1; i < disk.retained_points(); ++i) {
+      EXPECT_GT(disk.retained_time(i), horizon) << "node " << n << " point " << i;
+    }
+    if (disk.retained_points() > 0) {
+      EXPECT_LE(disk.retained_time(0), horizon) << "node " << n;
+    }
+    disk_points += disk.retained_points();
+  }
+  EXPECT_GT(disk_points, 0u);
+}
+
 // Same seed must also give the same trace (pure function of options).
 TEST(Trace, DeterministicAndSorted) {
   const TraceOptions t = small_trace_options(29);

@@ -553,14 +553,9 @@ int run_sweep(const Args& args, const workloads::WorkloadSpec& spec) {
   return rc;
 }
 
-// Trace replay on the ShardedServer: S driver/kernel stacks (1 by default)
-// behind the job router, replayed on W worker threads. Event logs are per
-// shard (".<shard>" suffix when S > 1).
-int run_serve(const Args& args) {
-  hw::ClusterSpec cs = args.ssd ? hw::ClusterSpec::das5_ssd(args.nodes)
-                                : hw::ClusterSpec::das5(args.nodes);
-  cs.seed = args.seed;
-
+// make_config plus the serve-only keys. Throws conf::ConfigError on a value
+// Config::set rejects (rc 2 at the caller).
+conf::Config make_serve_config(const Args& args) {
   conf::Config config = make_config(args, args.policy);
   config.set("saex.scheduler.mode", args.mode);
   config.set("saex.scheduler.pools", args.pools);
@@ -586,8 +581,19 @@ int run_serve(const Args& args) {
   config.set_int("saex.shard.count", args.shards);
   config.set_int("saex.shard.workers", args.shard_workers);
   config.set("saex.shard.placement", args.placement);
+  return config;
+}
+
+// Trace replay on the ShardedServer: S driver/kernel stacks (1 by default)
+// behind the job router, replayed on W worker threads. Event logs are per
+// shard (".<shard>" suffix when S > 1).
+int run_serve(const Args& args) {
+  hw::ClusterSpec cs = args.ssd ? hw::ClusterSpec::das5_ssd(args.nodes)
+                                : hw::ClusterSpec::das5(args.nodes);
+  cs.seed = args.seed;
 
   try {
+    const conf::Config config = make_serve_config(args);
     serve::TraceOptions trace_options;
     trace_options.num_jobs = args.serve_jobs;
     trace_options.mean_interarrival = args.arrival_mean;
@@ -725,6 +731,15 @@ int main(int argc, char** argv) {
   if (!spec) {
     std::fprintf(stderr, "unknown workload '%s' (valid: %s; --list shows details)\n",
                  args.workload.c_str(), kWorkloadChoices);
+    return 2;
+  }
+
+  // Config::set validates every flag value that lands in the Config
+  // (--aqe-target, ...); check them before any simulation starts.
+  try {
+    (void)make_config(args, args.policy);
+  } catch (const conf::ConfigError& e) {
+    std::fprintf(stderr, "invalid configuration: %s\n", e.what());
     return 2;
   }
 
