@@ -114,20 +114,28 @@ void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
                       (is_write ? params_.write_cost_factor : 1.0);
   // The fixed setup latency is modeled as a delay before joining the
   // processor-sharing pool (controller/syscall time; device is free).
-  sim_.schedule_after(params_.latency, [this, work, bytes, is_write,
-                                        done = std::move(done)]() mutable {
-    advance(false);  // settle other transfers up to 'now' first
-    transfers_.push_back(Transfer{work, is_write, std::move(done)});
-    if (is_write) {
+  arrivals_.push(params_.latency,
+                 Arrival{Transfer{work, is_write, std::move(done)}, bytes});
+}
+
+void Disk::wake() {
+  if (!arrivals_.due()) {
+    advance(true);
+    return;
+  }
+  advance(false);  // settle and complete at the shares before the arrivals
+  arrivals_.admit_due([this](Arrival&& a) {
+    if (a.transfer.is_write) {
       ++write_streams_;
-      bytes_written_ += bytes;
+      bytes_written_ += a.bytes;
     } else {
       ++read_streams_;
-      bytes_read_ += bytes;
+      bytes_read_ += a.bytes;
     }
-    busy_.set_active(sim_.now(), 1.0);
-    advance(true);
+    transfers_.push_back(std::move(a.transfer));
   });
+  busy_.set_active(sim_.now(), 1.0);
+  advance(true);
 }
 
 void Disk::advance(bool reschedule) {
@@ -167,21 +175,14 @@ void Disk::advance(bool reschedule) {
   transfers_.resize(out);
 
   if (transfers_.empty()) busy_.set_active(now, 0.0);
-  // A settle-only pass leaves the completion event to the caller's next
-  // pass, which moves it — or cancels it if the device has gone idle.
-  if (reschedule && transfers_.empty()) {
-    sim_.cancel(completion_);
-    completion_ = sim::kInvalidEvent;
-  } else if (reschedule) {
-    const double next_rate = current_rate_per_transfer();
-    // Floor the wake-up so time strictly advances even for sub-byte tails.
-    const double wake = std::max(min_work / next_rate, 1e-9);
-    if (!sim_.reschedule_after(completion_, wake)) {
-      completion_ = sim_.schedule_after(wake, [this] {
-        completion_ = sim::kInvalidEvent;
-        advance(true);
-      });
+  // A settle-only pass leaves the wake-up to the caller's next pass.
+  if (reschedule) {
+    sim::Time next = ArrivalQueue<Arrival>::kNever;
+    if (!transfers_.empty()) {
+      // Floor the wake-up so time strictly advances even for sub-byte tails.
+      next = now + std::max(min_work / current_rate_per_transfer(), 1e-9);
     }
+    arrivals_.set_wake(next);
   }
 
   // Callbacks run last: they may submit new transfers reentrantly (a nested

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "hw/arrival_queue.h"
 #include "metrics/io_accounting.h"
 #include "sim/simulation.h"
 
@@ -108,13 +109,20 @@ class Disk {
     bool is_write;
     sim::Callback done;
   };
+  // A submitted transfer inside its setup latency.
+  struct Arrival {
+    Transfer transfer;
+    Bytes bytes;
+  };
 
   // Settles every transfer up to now at the current shares and completes
-  // the finished ones. With `reschedule`, also moves the single completion
-  // event to the next finish time in place, or cancels it when the device
-  // is idle. An arrival settles without it (its transfer is not in the pool
-  // yet) and reschedules once, after the insert.
+  // the finished ones. With `reschedule`, also moves the wake-up to the
+  // earlier of the next finish time and the next arrival, or cancels it
+  // when the device is idle with nothing in flight. A wake-up with arrivals
+  // due settles without it (they are not in the pool yet) and reschedules
+  // once, after admitting them.
   void advance(bool reschedule);
+  void wake();
   double current_rate_per_transfer() const noexcept;
   double effective_streams() const noexcept;
   double capacity_uncached(double kd) const noexcept;
@@ -137,7 +145,8 @@ class Disk {
   // activation moves it out, so a nested advance simply allocates afresh).
   std::vector<sim::Callback> finished_scratch_;
   double last_advance_ = 0.0;
-  sim::EventId completion_ = sim::kInvalidEvent;  // the one pending wake-up
+  // Submitted transfers inside their setup latency, and the one wake-up.
+  ArrivalQueue<Arrival> arrivals_{sim_, [this] { wake(); }};
 
   Bytes bytes_read_ = 0;
   Bytes bytes_written_ = 0;

@@ -80,18 +80,30 @@ void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
     sim_.schedule_after(params_.latency, std::move(done));
     return;
   }
-  sim_.schedule_after(params_.latency, [this, src, dst, bytes, streams, cap,
-                                        done = std::move(done)]() mutable {
-    advance(false);  // settle other flows up to 'now' first
-    flows_.push_back(Flow{src, dst, static_cast<double>(bytes), streams, cap,
-                          std::move(done)});
-    up_count_[static_cast<size_t>(src)] += streams;
-    down_count_[static_cast<size_t>(dst)] += streams;
-    open_inc(src, dst);
-    sent_[static_cast<size_t>(src)] += bytes;
-    total_bytes_ += bytes;
+  arrivals_.push(params_.latency,
+                 Arrival{Flow{src, dst, static_cast<double>(bytes), streams,
+                              cap, std::move(done)},
+                         bytes});
+}
+
+void Network::wake() {
+  if (!arrivals_.due()) {
     advance(true);
+    return;
+  }
+  // Settle and complete first. The completion callbacks may register or
+  // unregister fetches, and the rescheduling pass below must see that.
+  advance(false);
+  arrivals_.admit_due([this](Arrival&& a) {
+    const Flow& f = a.flow;
+    up_count_[static_cast<size_t>(f.src)] += f.streams;
+    down_count_[static_cast<size_t>(f.dst)] += f.streams;
+    open_inc(f.src, f.dst);
+    sent_[static_cast<size_t>(f.src)] += a.bytes;
+    total_bytes_ += a.bytes;
+    flows_.push_back(std::move(a.flow));
   });
+  advance(true);
 }
 
 void Network::advance(bool reschedule) {
@@ -125,25 +137,19 @@ void Network::advance(bool reschedule) {
   }
   flows_.resize(out);
 
-  // A settle-only pass leaves the completion event to the caller's next
-  // pass, which moves it — or cancels it if the network has gone idle.
-  if (reschedule && flows_.empty()) {
-    sim_.cancel(completion_);
-    completion_ = sim::kInvalidEvent;
-  } else if (reschedule) {
-    // Survivor rates reflect the post-completion counts, so this pass must
-    // run after the sweep above.
-    double min_time = std::numeric_limits<double>::infinity();
-    for (const auto& f : flows_) {
-      min_time = std::min(min_time, f.remaining / flow_rate(f));
+  // A settle-only pass leaves the wake-up to the caller's next pass.
+  if (reschedule) {
+    sim::Time next = ArrivalQueue<Arrival>::kNever;
+    if (!flows_.empty()) {
+      // Survivor rates reflect the post-completion counts, so this pass must
+      // run after the sweep above.
+      double min_time = std::numeric_limits<double>::infinity();
+      for (const auto& f : flows_) {
+        min_time = std::min(min_time, f.remaining / flow_rate(f));
+      }
+      next = now + std::max(min_time, 1e-9);
     }
-    const double wake = std::max(min_time, 1e-9);
-    if (!sim_.reschedule_after(completion_, wake)) {
-      completion_ = sim_.schedule_after(wake, [this] {
-        completion_ = sim::kInvalidEvent;
-        advance(true);
-      });
-    }
+    arrivals_.set_wake(next);
   }
 
   for (auto& fn : finished) fn();

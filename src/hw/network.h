@@ -16,7 +16,8 @@
 // scale while the tuned ones do.
 //
 // Like the disk, the model is event-driven: rates are piecewise constant
-// between flow arrivals/departures.
+// between flow arrivals/departures. Flows inside their setup latency wait in
+// the same kind of arrival FIFO, behind the network's one wake-up.
 #pragma once
 
 #include <cassert>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "hw/arrival_queue.h"
 #include "sim/simulation.h"
 
 namespace saex::hw {
@@ -58,7 +60,7 @@ class Network {
 
   /// Flow-batched data plane (saex.net.flowBatch): one aggregated flow
   /// standing in for `streams` parallel chunked fetch streams between the
-  /// same (src, dst) pair. Pays the setup latency ONCE as a scheduled event,
+  /// same (src, dst) pair. Pays the setup latency ONCE, in the arrival FIFO,
   /// then settles through the same progressive-filling loop as every other
   /// flow, but weighted: it claims `streams` fair shares of the
   /// uplink/downlink, and its rate cap is streams x the *chunked goodput*
@@ -129,16 +131,23 @@ class Network {
     double cap;        // this flow's rate cap, bytes/s
     sim::Callback done;
   };
+  // A started flow inside its setup latency.
+  struct Arrival {
+    Flow flow;
+    Bytes bytes;
+  };
 
   void start_flow(NodeId src, NodeId dst, Bytes bytes, int streams, double cap,
                   sim::Callback done);
 
   double flow_rate(const Flow& f) const noexcept;
   // Settles every flow up to now and completes the finished ones; with
-  // `reschedule`, also moves the completion event to the next finish time.
-  // Same protocol as Disk::advance: an arrival settles without it and
-  // reschedules once after the insert; idle cancels the event.
+  // `reschedule`, also moves the wake-up to the earlier of the next finish
+  // time and the next arrival. Same protocol as Disk::advance: a wake-up
+  // with arrivals due settles without it and reschedules once after
+  // admitting them; idle with nothing in flight cancels the wake-up.
   void advance(bool reschedule);
+  void wake();
   static uint64_t open_key(NodeId src, NodeId dst) noexcept {
     return (static_cast<uint64_t>(static_cast<uint32_t>(dst)) << 32) |
            static_cast<uint32_t>(src);
@@ -186,7 +195,8 @@ class Network {
   int64_t flow_transfers_ = 0;
   int64_t dropped_fetches_ = 0;
   double last_advance_ = 0.0;
-  sim::EventId completion_ = sim::kInvalidEvent;  // the one pending wake-up
+  // Started flows inside their setup latency, and the one wake-up.
+  ArrivalQueue<Arrival> arrivals_{sim_, [this] { wake(); }};
 };
 
 }  // namespace saex::hw

@@ -160,6 +160,104 @@ TEST(Disk, CompletionOrderIsFairUnderEqualWork) {
   for (double f : finish) EXPECT_NEAR(f, finish[0], 1e-6);
 }
 
+TEST(DiskArrivals, SameInstantSubmitsJoinInOneWake) {
+  // Eight reads submitted together fall due together: one wake-up admits
+  // all of them, and one more completes them. A kernel event per arrival
+  // would process 9 events here.
+  sim::Simulation sim;
+  const DiskParams hdd = DiskParams::hdd();
+  Disk disk(sim, hdd, "d");
+  const Bytes bytes = mib(8);
+  std::vector<double> finish;
+  for (int i = 0; i < 8; ++i) {
+    disk.submit(bytes, false, [&] { finish.push_back(sim.now()); });
+  }
+  sim.run();
+  ASSERT_EQ(finish.size(), 8u);
+  const double expected =
+      hdd.latency + 8.0 * static_cast<double>(bytes) / disk.capacity_at(8);
+  for (double f : finish) EXPECT_NEAR(f, expected, 1e-12 * expected);
+  EXPECT_EQ(sim.processed(), 2u);
+  EXPECT_EQ(disk.total_bytes_read(), 8 * bytes);
+}
+
+TEST(DiskArrivals, EarlierArrivalMovesTheWakeLaterOneDoesNot) {
+  const DiskParams hdd = DiskParams::hdd();
+  const double lat = hdd.latency;
+  const double w = static_cast<double>(mib(64));
+
+  // Y falls due while X is still in the pool: the wake-up moves to Y's
+  // arrival, then both share the device until X finishes.
+  {
+    sim::Simulation sim;
+    Disk disk(sim, hdd, "d");
+    const double c1 = disk.capacity_at(1);
+    const double c2 = disk.capacity_at(2);
+    double x_done = -1.0;
+    double y_done = -1.0;
+    disk.submit(mib(64), false, [&] { x_done = sim.now(); });
+    const double t1 = 0.1;
+    sim.run_until(t1);
+    ASSERT_EQ(disk.active_transfers(), 1);
+    disk.submit(mib(64), false, [&] { y_done = sim.now(); });
+    EXPECT_EQ(sim.next_time(), t1 + lat);  // moved ahead of X's completion
+    sim.run();
+    // X alone over [lat, t1 + lat), then both at c2/2 each.
+    const double x_left = w - c1 * t1;
+    const double tx = t1 + lat + x_left / (c2 / 2.0);
+    // Y moved x_left at the shared rate; the rest runs alone.
+    const double ty = tx + (w - x_left) / c1;
+    EXPECT_NEAR(x_done, tx, 1e-9 * tx);
+    EXPECT_NEAR(y_done, ty, 1e-9 * ty);
+    EXPECT_EQ(sim.processed(), 4u);  // two arrivals, two completions
+  }
+
+  // Z falls due after X's completion: the wake-up stays put, X finishes as
+  // if alone, and Z then runs alone from its own arrival.
+  {
+    sim::Simulation sim;
+    Disk disk(sim, hdd, "d");
+    const double c1 = disk.capacity_at(1);
+    double x_done = -1.0;
+    double z_done = -1.0;
+    disk.submit(mib(64), false, [&] { x_done = sim.now(); });
+    const double tx = lat + w / c1;
+    const double t1 = tx - lat / 2.0;
+    sim.run_until(t1);
+    const double pending = sim.next_time();
+    EXPECT_NEAR(pending, tx, 1e-9 * tx);
+    disk.submit(mib(64), false, [&] { z_done = sim.now(); });
+    EXPECT_EQ(sim.next_time(), pending);  // not moved to Z's arrival
+    sim.run();
+    EXPECT_NEAR(x_done, tx, 1e-9 * tx);
+    const double tz = t1 + lat + w / c1;
+    EXPECT_NEAR(z_done, tz, 1e-9 * tz);
+    EXPECT_EQ(sim.processed(), 4u);
+  }
+}
+
+TEST(DiskArrivals, SpeedChangeInsideTheLatencyWindowKeepsTheArrival) {
+  // A degrade lands while the only transfer is still inside its setup
+  // latency: the rescheduling pass must keep the wake-up for the arrival,
+  // which joins at its due time and runs at the new speed.
+  sim::Simulation sim;
+  const DiskParams hdd = DiskParams::hdd();
+  Disk disk(sim, hdd, "d");
+  double done_at = -1.0;
+  disk.submit(mib(32), false, [&] { done_at = sim.now(); });
+  sim.run_until(hdd.latency / 2.0);
+  disk.set_speed_factor(0.5);
+  EXPECT_EQ(disk.active_transfers(), 0);
+  EXPECT_EQ(sim.next_time(), hdd.latency);
+  sim.run_until(hdd.latency);
+  EXPECT_EQ(disk.active_transfers(), 1);
+  sim.run();
+  const double expected =
+      hdd.latency + static_cast<double>(mib(32)) / disk.capacity_at(1);
+  EXPECT_NEAR(done_at, expected, 1e-12 * expected);
+  EXPECT_NEAR(disk.capacity_at(1), 0.5 * hdd.base_bw, 1e-6 * hdd.base_bw);
+}
+
 // Parameterized property sweep: for every chunk size and stream count the
 // device never exceeds its configured capacity envelope.
 class DiskPropertyTest

@@ -172,5 +172,72 @@ TEST(Network, StaggeredArrivalsAdjustRates) {
   EXPECT_GT(first_done, 1.2);  // alone it would finish at ~1.0
 }
 
+TEST(NetworkArrivals, SameInstantFlowsJoinInOneWake) {
+  // Four flows into one node started together fall due together: one
+  // wake-up admits all of them, one more completes them (a kernel event per
+  // arrival would process 5 events here).
+  const NetworkParams p = small_net();
+  sim::Simulation sim;
+  Network net(sim, 8, p);
+  const Bytes bytes = static_cast<Bytes>(10e6);
+  std::vector<double> finish;
+  for (int src = 1; src <= 4; ++src) {
+    net.transfer(src, 0, bytes, [&] { finish.push_back(sim.now()); });
+  }
+  sim.run();
+  ASSERT_EQ(finish.size(), 4u);
+  const double share = net.down_capacity_eff(4, 4) / 4.0;
+  const double expected = p.latency + static_cast<double>(bytes) / share;
+  for (double f : finish) EXPECT_NEAR(f, expected, 1e-12 * expected);
+  EXPECT_EQ(sim.processed(), 2u);
+  EXPECT_EQ(net.total_bytes(), 4 * bytes);
+}
+
+TEST(NetworkArrivals, EarlierArrivalMovesTheWakeLaterOneDoesNot) {
+  const NetworkParams p = small_net();
+
+  // Y starts on X's uplink halfway through X: the wake-up moves to Y's
+  // arrival and the two split the uplink from then on.
+  {
+    sim::Simulation sim;
+    Network net(sim, 4, p);
+    double x_done = -1.0;
+    double y_done = -1.0;
+    net.transfer(0, 1, static_cast<Bytes>(100e6), [&] { x_done = sim.now(); });
+    sim.run_until(0.5);
+    net.transfer(0, 2, static_cast<Bytes>(100e6), [&] { y_done = sim.now(); });
+    EXPECT_EQ(sim.next_time(), 0.5 + p.latency);
+    sim.run();
+    // X alone at 100 MB/s over [lat, 0.5 + lat), then 50 MB/s each.
+    const double x_left = 100e6 - p.up_bw * 0.5;
+    const double tx = 0.5 + p.latency + x_left / (p.up_bw / 2.0);
+    const double ty = tx + (100e6 - x_left) / p.up_bw;
+    EXPECT_NEAR(x_done, tx, 1e-9 * tx);
+    EXPECT_NEAR(y_done, ty, 1e-9 * ty);
+    EXPECT_EQ(sim.processed(), 4u);
+  }
+
+  // Z falls due after X completes: the wake-up stays on X's completion,
+  // whose rescheduling pass then moves it to Z's arrival.
+  {
+    sim::Simulation sim;
+    Network net(sim, 4, p);
+    double x_done = -1.0;
+    double z_done = -1.0;
+    net.transfer(0, 1, static_cast<Bytes>(100e6), [&] { x_done = sim.now(); });
+    const double tx = p.latency + 100e6 / p.up_bw;
+    const double t1 = tx - p.latency / 2.0;
+    sim.run_until(t1);
+    const double pending = sim.next_time();
+    net.transfer(0, 2, static_cast<Bytes>(100e6), [&] { z_done = sim.now(); });
+    EXPECT_EQ(sim.next_time(), pending);
+    sim.run();
+    EXPECT_NEAR(x_done, tx, 1e-9 * tx);
+    const double tz = t1 + p.latency + 100e6 / p.up_bw;
+    EXPECT_NEAR(z_done, tz, 1e-9 * tz);
+    EXPECT_EQ(sim.processed(), 4u);
+  }
+}
+
 }  // namespace
 }  // namespace saex::hw

@@ -10,6 +10,8 @@
 //   saexsim --workload terasort --policy dynamic --trace /tmp/run.json
 //   saexsim serve --jobs 50 --mode FAIR --dynalloc       # multi-tenant server
 //   saexsim --list
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +22,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/format.h"
@@ -208,6 +212,23 @@ void usage() {
       kWorkloadChoices, kPolicyChoices, kStoragePolicyChoices, kModeChoices);
 }
 
+// Parses `text`, the value of `flag`, as one whole number of type T. An
+// empty value, trailing characters ("4abc"), a value out of T's range or a
+// non-finite double prints an error naming the flag and exits 2.
+template <typename T>
+T parse_number(const std::string& flag, const char* text) {
+  T out{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  bool ok = ec == std::errc() && ptr == end && ptr != text;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) {
+    std::fprintf(stderr, "invalid number for %s: '%s'\n", flag.c_str(), text);
+    std::exit(2);
+  }
+  return out;
+}
+
 std::optional<Args> parse(int argc, char** argv) {
   Args args;
   int first = 1;
@@ -229,23 +250,23 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (a == "--policy") {
       args.policy = value();
     } else if (a == "--io-threads") {
-      args.io_threads = std::atoi(value());
+      args.io_threads = parse_number<int>(a, value());
     } else if (a == "--nodes") {
-      args.nodes = std::atoi(value());
+      args.nodes = parse_number<int>(a, value());
     } else if (a == "--ssd") {
       args.ssd = true;
     } else if (a == "--seed") {
-      args.seed = std::strtoull(value(), nullptr, 10);
+      args.seed = parse_number<uint64_t>(a, value());
     } else if (a == "--size-gib") {
-      args.size_gib = std::atof(value());
+      args.size_gib = parse_number<double>(a, value());
     } else if (a == "--parallelism") {
-      args.parallelism = std::atoi(value());
+      args.parallelism = parse_number<int>(a, value());
     } else if (a == "--failures") {
-      args.failure_prob = std::atof(value());
+      args.failure_prob = parse_number<double>(a, value());
     } else if (a == "--speculation") {
       args.speculation = true;
     } else if (a == "--storage-mem") {
-      args.storage_mem_gib = std::atof(value());
+      args.storage_mem_gib = parse_number<double>(a, value());
     } else if (a == "--storage-policy") {
       args.storage_policy = value();
     } else if (a == "--flow-batch") {
@@ -256,30 +277,30 @@ std::optional<Args> parse(int argc, char** argv) {
       args.aqe_target = value();
       args.aqe = true;
     } else if (a == "--aqe-skew-factor") {
-      args.aqe_skew_factor = std::atof(value());
+      args.aqe_skew_factor = parse_number<double>(a, value());
       args.aqe = true;
     } else if (a == "--aqe-min-parts") {
-      args.aqe_min_partitions = std::atoi(value());
+      args.aqe_min_partitions = parse_number<int>(a, value());
       args.aqe = true;
     } else if (a == "--aqe-tuner") {
       args.aqe_tuner = true;
       args.aqe = true;
     } else if (a == "--kill-node") {
-      args.kill_node = std::atoi(value());
+      args.kill_node = parse_number<int>(a, value());
     } else if (a == "--kill-time") {
-      args.kill_time = std::atof(value());
+      args.kill_time = parse_number<double>(a, value());
     } else if (a == "--kill-after-tasks") {
-      args.kill_after_tasks = std::atoll(value());
+      args.kill_after_tasks = parse_number<int64_t>(a, value());
     } else if (a == "--slow-node") {
-      args.slow_node = std::atoi(value());
+      args.slow_node = parse_number<int>(a, value());
     } else if (a == "--slow-factor") {
-      args.slow_factor = std::atof(value());
+      args.slow_factor = parse_number<double>(a, value());
     } else if (a == "--slow-time") {
-      args.slow_time = std::atof(value());
+      args.slow_time = parse_number<double>(a, value());
     } else if (a == "--fetch-fail") {
-      args.fetch_fail_prob = std::atof(value());
+      args.fetch_fail_prob = parse_number<double>(a, value());
     } else if (a == "--fetch-fail-node") {
-      args.fetch_fail_node = std::atoi(value());
+      args.fetch_fail_node = parse_number<int>(a, value());
     } else if (a == "--chaos") {
       args.chaos = value();
     } else if (a == "--eventlog") {
@@ -288,20 +309,20 @@ std::optional<Args> parse(int argc, char** argv) {
       args.trace_path = value();
     } else if (a == "--jobs") {
       if (args.serve) {
-        args.serve_jobs = std::atoi(value());
+        args.serve_jobs = parse_number<int>(a, value());
       } else {
-        args.par_jobs = harness::resolve_jobs(std::atoi(value()));
+        args.par_jobs = harness::resolve_jobs(parse_number<int>(a, value()));
       }
     } else if (a == "--arrival-mean") {
-      args.arrival_mean = std::atof(value());
+      args.arrival_mean = parse_number<double>(a, value());
     } else if (a == "--arrival") {
       args.arrival = value();
     } else if (a == "--pareto-shape") {
-      args.pareto_shape = std::atof(value());
+      args.pareto_shape = parse_number<double>(a, value());
     } else if (a == "--shards") {
-      args.shards = std::atoi(value());
+      args.shards = parse_number<int>(a, value());
     } else if (a == "--workers") {
-      args.shard_workers = harness::resolve_jobs(std::atoi(value()));
+      args.shard_workers = harness::resolve_jobs(parse_number<int>(a, value()));
     } else if (a == "--placement") {
       args.placement = value();
     } else if (a == "--mode") {
@@ -309,18 +330,18 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (a == "--pools") {
       args.pools = value();
     } else if (a == "--max-concurrent") {
-      args.max_concurrent = std::atoi(value());
+      args.max_concurrent = parse_number<int>(a, value());
     } else if (a == "--max-queued") {
-      args.max_queued = std::atoi(value());
+      args.max_queued = parse_number<int>(a, value());
     } else if (a == "--max-per-client") {
-      args.max_per_client = std::atoi(value());
+      args.max_per_client = parse_number<int>(a, value());
     } else if (a == "--dynalloc") {
       args.dynalloc = true;
     } else if (a == "--deadline") {
-      args.deadline = std::atof(value());
+      args.deadline = parse_number<double>(a, value());
       args.deadline_set = true;
     } else if (a == "--max-retries") {
-      args.max_retries = std::atoi(value());
+      args.max_retries = parse_number<int>(a, value());
       args.max_retries_set = true;
     } else if (a == "--quarantine") {
       args.quarantine = true;
