@@ -7,19 +7,20 @@
 // its wake-up, set to the earlier of its next completion and the FIFO
 // front; every arrival due at one wake-up joins the pool in one settle.
 //
-// ArrivalQueue owns the FIFO and that wake-up event. The device owns the
-// pool and decides what a wake-up does: with arrivals due, it settles and
-// completes at the old shares, admits them (admit_due), then reschedules
-// through set_wake; otherwise it only settles, completes and reschedules.
+// ArrivalQueue owns the FIFO and that wake-up (a WakeUp). The device owns
+// the pool and decides what a wake-up does: with arrivals due, it settles
+// and completes at the old shares, admits them (admit_due), then
+// reschedules through set_wake; otherwise it only settles, completes and
+// reschedules.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <limits>
 #include <utility>
 #include <vector>
 
+#include "hw/wake_up.h"
 #include "sim/simulation.h"
 
 namespace saex::hw {
@@ -27,12 +28,11 @@ namespace saex::hw {
 template <typename Item>
 class ArrivalQueue {
  public:
-  static constexpr sim::Time kNever =
-      std::numeric_limits<sim::Time>::infinity();
+  static constexpr sim::Time kNever = WakeUp::kNever;
 
   /// `on_wake` runs every time the device's wake-up fires.
   ArrivalQueue(sim::Simulation& sim, std::function<void()> on_wake)
-      : sim_(sim), on_wake_(std::move(on_wake)) {}
+      : sim_(sim), wake_(sim, std::move(on_wake)) {}
   ArrivalQueue(const ArrivalQueue&) = delete;
   ArrivalQueue& operator=(const ArrivalQueue&) = delete;
 
@@ -47,7 +47,7 @@ class ArrivalQueue {
     if (count_ == ring_.size()) grow();
     ring_[(head_ + count_) & (ring_.size() - 1)] = Entry{at, std::move(item)};
     ++count_;
-    if (count_ == 1 && at < wake_at_) move_wake(at);
+    if (count_ == 1 && at < wake_.at()) wake_.move_to(at);
   }
 
   /// True when the front arrival is due at the current simulated time.
@@ -73,11 +73,9 @@ class ArrivalQueue {
         count_ > 0 ? std::min(next_completion, ring_[head_].at)
                    : next_completion;
     if (t == kNever) {
-      sim_.cancel(wake_);
-      wake_ = sim::kInvalidEvent;
-      wake_at_ = kNever;
+      wake_.cancel();
     } else {
-      move_wake(t);
+      wake_.move_to(t);
     }
   }
 
@@ -86,17 +84,6 @@ class ArrivalQueue {
     sim::Time at = 0.0;
     Item item;
   };
-
-  void move_wake(sim::Time t) {
-    if (!sim_.reschedule_at(wake_, t)) {
-      wake_ = sim_.schedule_at(t, [this] {
-        wake_ = sim::kInvalidEvent;
-        wake_at_ = kNever;
-        on_wake_();
-      });
-    }
-    wake_at_ = std::max(t, sim_.now());  // the kernel clamps to now as well
-  }
 
   // Doubles the ring, unrolling the FIFO to start at slot 0.
   void grow() {
@@ -109,15 +96,13 @@ class ArrivalQueue {
   }
 
   sim::Simulation& sim_;
-  std::function<void()> on_wake_;
   // Power-of-two ring buffer: the FIFO is the count_ slots from head_. It
   // grows to the most arrivals ever in flight at once and never shrinks, so
   // a steady stream of submits allocates nothing.
   std::vector<Entry> ring_;
   size_t head_ = 0;
   size_t count_ = 0;
-  sim::EventId wake_ = sim::kInvalidEvent;  // the device's one wake-up
-  sim::Time wake_at_ = kNever;              // its time while pending
+  WakeUp wake_;  // the device's one wake-up
 };
 
 }  // namespace saex::hw

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,27 +37,47 @@ std::string_view outcome_name(JobOutcome o) noexcept {
   return "?";
 }
 
+namespace {
+
+// Splits `text` at every `sep`, keeping empty fields.
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> fields;
+  size_t begin = 0;
+  for (;;) {
+    const size_t end = text.find(sep, begin);
+    fields.push_back(text.substr(begin, end - begin));
+    if (end == std::string::npos) return fields;
+    begin = end + 1;
+  }
+}
+
+// Parses a whole pool number field: "3x" is malformed, not 3.
+bool parse_pool_field(const std::string& field, int& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 std::vector<engine::PoolSpec> parse_pools(const std::string& spec) {
   std::vector<engine::PoolSpec> pools;
-  std::istringstream stream(spec);
-  std::string entry;
-  while (std::getline(stream, entry, ',')) {
+  for (const std::string& entry : split(spec, ',')) {
     if (entry.empty()) continue;
-    engine::PoolSpec pool;
-    std::istringstream fields(entry);
-    std::string name, weight, min_share;
-    std::getline(fields, name, ':');
-    std::getline(fields, weight, ':');
-    std::getline(fields, min_share, ':');
-    if (name.empty()) {
+    const std::vector<std::string> fields = split(entry, ':');
+    if (fields[0].empty()) {
       throw conf::ConfigError(
           strfmt::format("saex.scheduler.pools: empty pool name in '{}'", spec));
     }
-    pool.name = name;
-    try {
-      if (!weight.empty()) pool.weight = std::stoi(weight);
-      if (!min_share.empty()) pool.min_share = std::stoi(min_share);
-    } catch (const std::exception&) {
+    engine::PoolSpec pool;
+    pool.name = fields[0];
+    // A missing or empty weight or minShare field keeps its default.
+    auto read = [&fields](size_t i, int& out) {
+      return i >= fields.size() || fields[i].empty() ||
+             parse_pool_field(fields[i], out);
+    };
+    if (fields.size() > 3 || !read(1, pool.weight) ||
+        !read(2, pool.min_share)) {
       throw conf::ConfigError(strfmt::format(
           "saex.scheduler.pools: malformed entry '{}' (want name:weight:minShare)",
           entry));

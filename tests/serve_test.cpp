@@ -70,6 +70,30 @@ TEST(ParsePools, RejectsMalformedEntries) {
   EXPECT_TRUE(parse_pools("").empty());
 }
 
+TEST(ParsePools, RejectsTrailingCharactersAndExtraFields) {
+  // Each number field parses whole: 3x is malformed, not weight 3.
+  EXPECT_THROW(parse_pools("interactive:3x:16,batch:1:0"), conf::ConfigError);
+  EXPECT_THROW(parse_pools("interactive:3:16 ,batch:1:0"), conf::ConfigError);
+  EXPECT_THROW(parse_pools("interactive:+3:16"), conf::ConfigError);
+  // A fourth field is an error, not dropped; the message names the entry.
+  EXPECT_THROW(parse_pools("interactive:3:16:"), conf::ConfigError);
+  try {
+    parse_pools("interactive:3:16:junk,batch:1:0");
+    FAIL() << "a fourth field must throw";
+  } catch (const conf::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'interactive:3:16:junk'"),
+              std::string::npos)
+        << e.what();
+  }
+  // Empty fields still keep their defaults.
+  const auto pools = parse_pools("a::4,b:2:");
+  ASSERT_EQ(pools.size(), 2u);
+  EXPECT_EQ(pools[0].weight, 1);
+  EXPECT_EQ(pools[0].min_share, 4);
+  EXPECT_EQ(pools[1].weight, 2);
+  EXPECT_EQ(pools[1].min_share, 0);
+}
+
 TEST(JobServerOptions, ReadsConfig) {
   conf::Config c = serve_config();
   c.set("saex.scheduler.mode", "fair");

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Exact work-count gate for the repository benchmark.
+"""Exact work-count gate for the repository benchmark and the smoke benches.
 
 Usage: check_counts.py <workload> <trace.txt> [counts.json]
+       check_counts.py --smoke <smoke.json> [smoke_counts.json]
        check_counts.py --self-check
 
 <trace.txt> is the stdout of
@@ -10,10 +11,19 @@ Usage: check_counts.py <workload> <trace.txt> [counts.json]
 
 whose last line is one JSON object. Every count that counts.json (default:
 perfbench_counts.json next to this script) records for <workload> must equal
-the run's value exactly. These counts are deterministic functions of the
-code and the seed: events, device calls, bytes moved, tasks. A change that
-moves one on purpose updates the snapshot in the same commit and says why;
-any other move is a regression or a determinism bug.
+the run's value exactly.
+
+<smoke.json> is the file a bench writes with `--smoke --json <smoke.json>`
+(see .github/workflows/ci.yml). Every row's `events` must equal the count
+smoke_counts.json (default: next to this script) records for that bench and
+row, and every row must be recorded. The BENCH_*.json events/s budgets
+cannot see a count that moves, because a run with fewer events also takes
+less time.
+
+These counts are deterministic functions of the code and the seed: events,
+device calls, bytes moved, tasks. A change that moves one on purpose updates
+the snapshot in the same commit and says why; any other move is a regression
+or a determinism bug.
 
 `--self-check` runs the checker's own unit tests (wired into ctest).
 
@@ -25,7 +35,9 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_SNAPSHOT = Path(__file__).resolve().parent / "perfbench_counts.json"
+HERE = Path(__file__).resolve().parent
+DEFAULT_SNAPSHOT = HERE / "perfbench_counts.json"
+DEFAULT_SMOKE_SNAPSHOT = HERE / "smoke_counts.json"
 
 
 def last_json_line(text):
@@ -35,22 +47,45 @@ def last_json_line(text):
     return json.loads(lines[-1])
 
 
+def compare_counts(label, expected, got):
+    """Returns one failure line per count in `expected` that `got` (name ->
+    value) lacks or holds a different value for."""
+    failures = []
+    for name, want in expected.items():
+        if name not in got:
+            failures.append(f"{label} {name}: missing (want {want})")
+            continue
+        if got[name] != want:
+            delta = (f"{100.0 * (got[name] - want) / want:+.2f}%" if want
+                     else "n/a")
+            failures.append(f"{label} {name}: {got[name]} != snapshot {want} "
+                            f"({delta})")
+    return failures
+
+
 def compare(workload, result, snapshot):
-    """Returns one failure line per count that differs or is missing."""
+    """perfbench mode: one failure line per count that differs or is
+    missing. Metrics the snapshot does not record are not checked."""
     expected = snapshot["workloads"].get(workload)
     if expected is None:
         return [f"{workload}: no counts recorded in the snapshot"]
-    metrics = result.get("metrics", {})
-    failures = []
-    for name, want in expected.items():
-        if name not in metrics:
-            failures.append(f"{workload} {name}: missing (want {want})")
-            continue
-        got = metrics[name]["value"]
-        if got != want:
-            delta = f"{100.0 * (got - want) / want:+.2f}%" if want else "n/a"
-            failures.append(f"{workload} {name}: {got} != snapshot {want} "
-                            f"({delta})")
+    got = {name: m["value"] for name, m in result.get("metrics", {}).items()}
+    return compare_counts(workload, expected, got)
+
+
+def compare_smoke(doc, snapshot):
+    """Smoke mode: one failure line per row whose event count differs from
+    the snapshot, is missing, or is not recorded."""
+    bench = doc.get("bench", "?")
+    expected = snapshot["benches"].get(bench)
+    if expected is None:
+        return [f"{bench}: no counts recorded in the snapshot"]
+    got = {row["name"]: row["events"] for row in doc.get("benchmarks", [])}
+    failures = compare_counts(f"{bench} events", expected, got)
+    for name in got:
+        if name not in expected:
+            failures.append(f"{bench} events {name}: {got[name]} not recorded "
+                            "in the snapshot")
     return failures
 
 
@@ -74,30 +109,74 @@ def self_check():
     if compare("unknown", result(a=10, b=0), snapshot) == []:
         print("FAIL an unrecorded workload must fail")
         ok = False
+
+    smoke_snapshot = {"benches": {"k": {"r1": 100, "r2": 7}}}
+
+    def smoke(bench="k", **events):
+        return {"bench": bench,
+                "benchmarks": [{"name": n, "wall_seconds": 0.1, "events": e,
+                                "events_per_sec": e / 0.1}
+                               for n, e in events.items()]}
+
+    smoke_cases = [
+        ("equal smoke events pass", smoke(r1=100, r2=7), 0),
+        ("a moved smoke count fails", smoke(r1=99, r2=7), 1),
+        ("a missing smoke row fails", smoke(r1=100), 1),
+        ("an unrecorded smoke row fails", smoke(r1=100, r2=7, r3=1), 1),
+        ("an unrecorded bench fails", smoke("other", r1=100, r2=7), 1),
+    ]
+    for label, doc, want_failures in smoke_cases:
+        got = len(compare_smoke(doc, smoke_snapshot))
+        if got != want_failures:
+            print(f"FAIL {label}: {got} failures, want {want_failures}")
+            ok = False
     print("check_counts self-check:", "ok" if ok else "FAILED")
     return 0 if ok else 1
 
 
-def main():
-    if len(sys.argv) == 2 and sys.argv[1] == "--self-check":
-        return self_check()
-    if len(sys.argv) not in (3, 4):
-        print(__doc__, file=sys.stderr)
-        return 2
-    workload, trace_path = sys.argv[1], sys.argv[2]
-    snapshot_path = Path(sys.argv[3]) if len(sys.argv) == 4 else DEFAULT_SNAPSHOT
+def load(path, parse=json.loads):
     try:
-        result = last_json_line(Path(trace_path).read_text())
-        snapshot = json.loads(snapshot_path.read_text())
+        return parse(Path(path).read_text())
     except (OSError, ValueError) as e:
         print(f"check_counts: bad input: {e}", file=sys.stderr)
-        return 2
-    failures = compare(workload, result, snapshot)
+        return None
+
+
+def report(label, failures, checked, what):
     for line in failures:
         print(line)
-    checked = len(snapshot["workloads"].get(workload, {}))
-    print(f"{workload}: {checked} counts checked, {len(failures)} moved")
+    print(f"{label}: {checked} {what} checked, {len(failures)} moved")
     return 1 if failures else 0
+
+
+def run_workload(workload, trace_path, snapshot_path=DEFAULT_SNAPSHOT):
+    result = load(trace_path, last_json_line)
+    snapshot = load(snapshot_path)
+    if result is None or snapshot is None:
+        return 2
+    return report(workload, compare(workload, result, snapshot),
+                  len(snapshot["workloads"].get(workload, {})), "counts")
+
+
+def run_smoke(smoke_path, snapshot_path=DEFAULT_SMOKE_SNAPSHOT):
+    doc = load(smoke_path)
+    snapshot = load(snapshot_path)
+    if doc is None or snapshot is None:
+        return 2
+    return report(doc.get("bench", "?"), compare_smoke(doc, snapshot),
+                  len(doc.get("benchmarks", [])), "rows")
+
+
+def main():
+    args = sys.argv[1:]
+    if args == ["--self-check"]:
+        return self_check()
+    if args[:1] == ["--smoke"] and len(args) in (2, 3):
+        return run_smoke(*args[1:])
+    if len(args) in (2, 3) and not args[0].startswith("--"):
+        return run_workload(*args)
+    print(__doc__, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":
