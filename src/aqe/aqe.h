@@ -20,8 +20,8 @@
 //     deterministically to the original partition's bytes.
 //
 // The identity plan is represented by an EMPTY slice list: with AQE off (or
-// when re-planning changes nothing) the Stage is untouched and the engine
-// takes the legacy fetch path verbatim — bitwise-identical schedules.
+// when re-planning changes nothing) the Stage is untouched and every task
+// fetches its own partition {p, p, 0, 1} — bitwise-identical schedules.
 #pragma once
 
 #include <vector>

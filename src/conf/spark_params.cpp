@@ -304,7 +304,7 @@ void define_adaptive_extension(Registry& r) {
   r.define({"saex.executor.policy", c, V::kString, "default",
             "Thread-pool policy: default | static | dynamic."});
   r.define({"saex.static.ioThreads", c, V::kInt, "8",
-            "Static solution: thread count used in I/O-tagged stages."});
+            "Static solution: thread count used in I/O-tagged stages (>= 1)."});
   r.define({"saex.dynamic.minThreads", c, V::kInt, "2",
             "Hill climber lower bound c_min (paper: 2)."});
   r.define({"saex.dynamic.maxThreads", c, V::kInt, "0",
@@ -340,11 +340,11 @@ void define_adaptive_extension(Registry& r) {
             "'interactive:3:32,batch:1:0'). Unlisted pools get weight 1, "
             "minShare 0."});
   r.define({"saex.serve.maxConcurrentJobs", c, V::kInt, "8",
-            "Admission control: jobs running at once; excess submissions "
-            "queue."});
+            "Admission control: jobs running at once (>= 1); excess "
+            "submissions queue."});
   r.define({"saex.serve.maxQueuedJobs", c, V::kInt, "64",
-            "Admission control: queue capacity; submissions beyond it are "
-            "rejected with a typed result (backpressure)."});
+            "Admission control: queue capacity (>= 0); submissions beyond it "
+            "are rejected with a typed result (backpressure)."});
   r.define({"saex.serve.maxJobsPerClient", c, V::kInt, "0",
             "Admission control: per-client cap on queued+running jobs "
             "(0 = unlimited)."});
@@ -408,7 +408,7 @@ void define_adaptive_extension(Registry& r) {
             "-1 disables."});
   r.define({"saex.fault.slowFactor", c, V::kDouble, "0.3",
             "Disk speed factor applied to the slow node (fraction of its "
-            "configured bandwidth)."});
+            "configured bandwidth, > 0)."});
   r.define({"saex.fault.slowTime", c, V::kDurationSeconds, "0s",
             "Simulated time at which the slow node's disk degrades."});
   r.define({"saex.fault.fetchFailProb", c, V::kDouble, "0",

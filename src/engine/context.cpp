@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -16,6 +17,10 @@ SparkContext::PolicyFactory policy_factory_from_config(
   const std::string policy = config.get_string("saex.executor.policy");
   const int io_threads = static_cast<int>(config.get_int("saex.static.ioThreads"));
   if (policy == "static") {
+    if (io_threads < 1) {
+      throw conf::ConfigError(strfmt::format(
+          "saex.static.ioThreads must be >= 1 (got {})", io_threads));
+    }
     return [io_threads](adaptive::Sensor&, adaptive::PoolEffector& pool,
                         adaptive::SchedulerNotifier notifier, int vcores) {
       return std::make_unique<adaptive::StaticIoPolicy>(
@@ -72,20 +77,17 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   // Per-node storage budget: an explicit saex.storage.memory override wins;
   // otherwise derive it from the (previously dormant) spark.memory.* /
   // spark.storage.* knobs, honoring the legacy-mode switch.
-  Bytes storage_budget = config_.get_bytes("saex.storage.memory");
-  if (storage_budget == 0) {
+  storage::BlockManager::Options bm_options;
+  bm_options.memory_budget = config_.get_bytes("saex.storage.memory");
+  if (bm_options.memory_budget == 0) {
     const double mem =
         static_cast<double>(cluster.spec().memory_per_node);
-    storage_budget = static_cast<Bytes>(
+    bm_options.memory_budget = static_cast<Bytes>(
         config_.get_bool("spark.memory.useLegacyMode")
             ? mem * config_.get_double("spark.storage.memoryFraction")
             : mem * config_.get_double("spark.memory.fraction") *
                   config_.get_double("spark.memory.storageFraction"));
   }
-  env.storage_budget = storage_budget;
-
-  storage::BlockManager::Options bm_options;
-  bm_options.memory_budget = storage_budget;
   bm_options.policy = config_.get_string("saex.storage.policy");
   bm_options.spill_on_evict = config_.get_bool("saex.storage.spillOnEvict");
   if (!storage::is_valid_eviction_policy(bm_options.policy)) {
@@ -224,17 +226,8 @@ std::vector<TaskSpec> SparkContext::make_tasks(const Stage& stage) const {
         Bytes total = 0;
         std::vector<Bytes> per_node(static_cast<size_t>(cluster_->size()), 0);
         for (const int sid : stage.in_shuffle_ids) {
-          // Empty reduce_slices = identity tiling → legacy fetch path
-          // (bitwise identical plans with AQE off).
-          const std::vector<Bytes> plan =
-              stage.reduce_slices.empty()
-                  ? shuffles_->fetch_plan(sid, p, stage.num_tasks)
-                  : shuffles_->fetch_plan_slice(
-                        sid, stage.reduce_slices[static_cast<size_t>(p)].first,
-                        stage.reduce_slices[static_cast<size_t>(p)].last,
-                        stage.reduce_slices[static_cast<size_t>(p)].split_index,
-                        stage.reduce_slices[static_cast<size_t>(p)].num_splits,
-                        stage.reduce_partitions);
+          const std::vector<Bytes> plan = shuffles_->fetch_plan(
+              sid, stage.reduce_slice(p), stage.sliced_partitions());
           for (size_t n = 0; n < plan.size(); ++n) {
             total += plan[n];
             per_node[n] += plan[n];
@@ -638,6 +631,192 @@ void SparkContext::on_cache_recovery_done(int cache_id, bool failed) {
 }
 
 // ---------------------------------------------------------------------------
+// Job and stage lifecycle, shared by both drivers.
+//
+// Per-stage rollups are window-based: cluster-wide counters are snapshotted
+// when the stage is submitted and diffed when its task set drains, so with
+// overlapping jobs a stage's disk/network bytes include the traffic of
+// whatever else ran during its window. Utilizations are exact: each node's
+// CPU and disk busy integrals are snapshotted at submit too (the trackers
+// keep no history that far back). Task percentiles count only the stage's
+// own task set, never a lineage-recovery set running beside it.
+// ---------------------------------------------------------------------------
+
+struct SparkContext::StageBaseline {
+  int app_ordinal = 0;
+  double start_time = 0.0;
+  Bytes net_base = 0;
+  std::vector<Bytes> disk_read, disk_written;
+  std::vector<double> blocked;
+  std::vector<Bytes> io_bytes;
+  std::vector<double> cpu_busy, disk_busy;  // busy integrals at start_time
+};
+
+struct SparkContext::JobRun {
+  int job_id = 0;
+  std::string pool;
+  JobPlan plan;
+  bool per_executor = false;
+  std::map<int, StageBaseline> open_stages;  // stage uid -> submit snapshot
+  // submit_job's runnable set.
+  std::map<int, int> pending_parents;  // stage uid -> unfinished parents
+  std::set<int> submitted;             // stage uids handed to the scheduler
+  std::map<int, uint64_t> live_sets;   // stage uid -> in-flight task-set id
+  int in_flight = 0;
+  size_t stages_done = 0;
+  JobReport report;
+  std::function<void(JobReport)> on_done;
+};
+
+std::unique_ptr<SparkContext::JobRun> SparkContext::open_job(
+    const Rdd& action, std::string app_name, std::string pool,
+    bool per_executor) {
+  // The DAG scheduler persists across jobs: cached RDDs and shuffle outputs
+  // materialized by earlier jobs are reused, not recomputed.
+  auto run = std::make_unique<JobRun>();
+  run->plan = dag_->build(action);
+  for (const auto& [cache_id, info] : dag_->caches()) {
+    if (!caches_->has(cache_id)) caches_->init(cache_id, info.partitions);
+  }
+  run->job_id = job_counter_++;
+  run->pool = std::move(pool);
+  run->per_executor = per_executor;
+  JobReport& report = run->report;
+  report.app_name = std::move(app_name);
+  report.policy_name = policy_name_;
+  report.job_id = run->job_id;
+  report.pool = run->pool;
+  report.submit_time = cluster_->sim().now();
+  for (const Stage& stage : run->plan.stages) {
+    if (stage.source == StageSource::kDfs && report.input_bytes == 0) {
+      report.input_bytes = stage.input_bytes;
+    }
+  }
+  event_log_.record(Event{EventKind::kJobStart, report.submit_time,
+                          run->job_id, -1, -1, -1, 0, report.app_name});
+  return run;
+}
+
+void SparkContext::open_stage(JobRun& run, const Stage& stage,
+                              int app_ordinal) {
+  const double now = cluster_->sim().now();
+  StageBaseline& base = run.open_stages[stage.uid];
+  base.app_ordinal = app_ordinal;
+  base.start_time = now;
+  base.net_base = cluster_->network().total_bytes();
+  for (auto& exec : executors_) {
+    const hw::Node& node = cluster_->node(exec->node_id());
+    base.disk_read.push_back(node.disk().total_bytes_read());
+    base.disk_written.push_back(node.disk().total_bytes_written());
+    base.blocked.push_back(exec->io_counters().blocked_seconds);
+    base.io_bytes.push_back(exec->io_counters().bytes_total());
+    base.cpu_busy.push_back(node.cpu().busy_tracker().integral_at(now));
+    base.disk_busy.push_back(node.disk().busy_tracker().integral_at(now));
+  }
+  event_log_.record(Event{EventKind::kStageStart, now, run.job_id, app_ordinal,
+                          -1, -1, stage.num_tasks, stage.name});
+  record_shuffle_producer(stage);
+}
+
+void SparkContext::close_stage(JobRun& run, const Stage& stage,
+                               const TaskScheduler::TaskSetResult& result) {
+  const double stage_end = cluster_->sim().now();
+  const StageBaseline& base = run.open_stages.at(stage.uid);
+  event_log_.record(Event{EventKind::kStageEnd, stage_end, run.job_id,
+                          base.app_ordinal, -1, -1, 0, stage.name});
+
+  JobReport& report = run.report;
+  if (result.first_launch_time >= 0.0 &&
+      (report.first_launch_time < 0.0 ||
+       result.first_launch_time < report.first_launch_time)) {
+    report.first_launch_time = result.first_launch_time;
+  }
+  if (result.failed) {
+    report.failed = true;
+    SAEX_WARN("job {} stage {} aborted; failing the job", run.job_id,
+              stage.ordinal);
+  } else if (stage.sink == StageSink::kDfsWrite &&
+             !dfs_->exists(stage.out_path)) {
+    // Register the produced output file so downstream stages can read it.
+    dfs_->create_output(stage.out_path, stage.output_bytes(), 0,
+                        stage.out_replication);
+  }
+
+  StageStats stats;
+  stats.ordinal = stage.ordinal;
+  stats.name = stage.name;
+  stats.io_tagged = stage.io_tagged;
+  stats.num_tasks = stage.num_tasks;
+  stats.start_time = base.start_time;
+  stats.end_time = stage_end;
+  stats.input_bytes = stage.input_bytes;
+  stats.net_bytes = cluster_->network().total_bytes() - base.net_base;
+
+  const double dur = std::max(stage_end - base.start_time, 1e-9);
+  double cpu_sum = 0.0, disk_sum = 0.0, iowait_sum = 0.0;
+  for (size_t i = 0; i < executors_.size(); ++i) {
+    ExecutorRuntime& exec = *executors_[i];
+    const hw::Node& node = cluster_->node(exec.node_id());
+    const double cpu_util = node.cpu().busy_tracker().utilization_since(
+        base.start_time, base.cpu_busy[i], stage_end);
+    const double disk_util = node.disk().busy_tracker().utilization_since(
+        base.start_time, base.disk_busy[i], stage_end);
+    const double blocked =
+        exec.io_counters().blocked_seconds - base.blocked[i];
+    // mpstat-style iowait: cores idle while I/O is pending; bounded by the
+    // idle fraction.
+    const double cores = static_cast<double>(node.cpu().cores());
+    const double iowait =
+        std::min(blocked / (cores * dur), std::max(0.0, 1.0 - cpu_util));
+    cpu_sum += cpu_util;
+    disk_sum += disk_util;
+    iowait_sum += iowait;
+    stats.disk_read += node.disk().total_bytes_read() - base.disk_read[i];
+    stats.disk_written +=
+        node.disk().total_bytes_written() - base.disk_written[i];
+    stats.threads_total += exec.pool_size();
+    if (run.per_executor) {
+      stats.executors.push_back(ExecutorStageStats{
+          exec.node_id(), exec.pool_size(), blocked,
+          exec.io_counters().bytes_total() - base.io_bytes[i]});
+    }
+  }
+  const double n = static_cast<double>(executors_.size());
+  stats.cpu_utilization = cpu_sum / n;
+  stats.disk_utilization = disk_sum / n;
+  stats.iowait_fraction = iowait_sum / n;
+
+  metrics::Histogram durations(0.01, 1.15);
+  for (const double d : result.durations) {
+    durations.add(d);
+    stats.task_seconds += d;
+  }
+  stats.task_p50 = durations.quantile(0.5);
+  stats.task_p95 = durations.quantile(0.95);
+  stats.task_max = durations.max();
+  report.stages.push_back(std::move(stats));
+  run.open_stages.erase(stage.uid);
+}
+
+JobReport SparkContext::close_job(JobRun& run) {
+  sim::Simulation& sim = cluster_->sim();
+  JobReport& report = run.report;
+  report.finish_time = sim.now();
+  report.total_runtime = report.finish_time - report.submit_time;
+  report.events_processed = sim.processed();
+  std::sort(report.stages.begin(), report.stages.end(),
+            [](const StageStats& a, const StageStats& b) {
+              return a.ordinal < b.ordinal;
+            });
+  for (const StageStats& s : report.stages) {
+    report.total_disk_bytes += s.disk_read + s.disk_written;
+  }
+  event_log_.record(Event{EventKind::kJobEnd, report.finish_time, run.job_id,
+                          -1, -1, -1, 0, report.app_name});
+  return std::move(report);
+}
+
+// ---------------------------------------------------------------------------
 // Concurrent (event-driven) job submission — the saex::serve path.
 //
 // Instead of run_job()'s sequential stage loop, a JobRun tracks how many
@@ -646,59 +825,15 @@ void SparkContext::on_cache_recovery_done(int cache_id, bool failed) {
 // stage-completion event unlocks its children. Stages of different jobs (and
 // independent stages of one job) are therefore in flight together, arbitrated
 // by the scheduler's FIFO/FAIR ordering.
-//
-// Per-stage rollups are window-based: cluster-wide counters are snapshotted
-// at submit and diffed at completion, so with overlapping jobs a stage's
-// disk/network bytes include the traffic of whatever else ran during its
-// window. Utilizations are exact: each node's CPU and disk busy integrals are
-// snapshotted at submit too (the trackers keep no history that far back).
 // ---------------------------------------------------------------------------
-
-struct SparkContext::JobRun {
-  int job_id = 0;
-  std::string pool;
-  JobPlan plan;
-  std::map<int, int> pending_parents;  // stage uid -> unfinished parents
-  std::map<int, int> event_ordinal;    // stage uid -> application ordinal
-  std::set<int> submitted;             // stage uids handed to the scheduler
-  std::map<int, uint64_t> live_sets;   // stage uid -> in-flight task-set id
-  int in_flight = 0;
-  size_t stages_done = 0;
-  JobReport report;
-  std::function<void(JobReport)> on_done;
-
-  // Per-stage baselines snapshotted at submit (keyed by stage uid).
-  struct Baseline {
-    double start_time = 0.0;
-    Bytes net_base = 0;
-    std::vector<Bytes> disk_read, disk_written;
-    std::vector<double> blocked;
-    std::vector<Bytes> io_bytes;
-    std::vector<double> cpu_busy, disk_busy;  // busy integrals at start_time
-  };
-  std::map<int, Baseline> baselines;
-};
 
 int SparkContext::submit_job(const Rdd& action, std::string app_name,
                              std::string pool,
                              std::function<void(JobReport)> on_done) {
-  JobPlan plan = dag_->build(action);
-  for (const auto& [cache_id, info] : dag_->caches()) {
-    if (!caches_->has(cache_id)) caches_->init(cache_id, info.partitions);
-  }
-
-  const int job_id = job_counter_++;
-  auto run = std::make_unique<JobRun>();
-  run->job_id = job_id;
-  run->pool = std::move(pool);
-  run->plan = std::move(plan);
+  std::unique_ptr<JobRun> run = open_job(action, std::move(app_name),
+                                         std::move(pool),
+                                         /*per_executor=*/false);
   run->on_done = std::move(on_done);
-  run->report.app_name = std::move(app_name);
-  run->report.policy_name = policy_name_;
-  run->report.job_id = job_id;
-  run->report.pool = run->pool;
-  run->report.submit_time = cluster_->sim().now();
-
   // Count each stage's unfinished parents *within this plan*; parents built
   // by earlier jobs (reused shuffle/cache outputs) are already materialized.
   for (const Stage& stage : run->plan.stages) {
@@ -707,15 +842,8 @@ int SparkContext::submit_job(const Rdd& action, std::string app_name,
       if (run->plan.stage_by_uid(parent) != nullptr) ++pending;
     }
     run->pending_parents[stage.uid] = pending;
-    if (stage.source == StageSource::kDfs &&
-        run->report.input_bytes == 0) {
-      run->report.input_bytes = stage.input_bytes;
-    }
   }
-
-  event_log_.record(Event{EventKind::kJobStart, run->report.submit_time,
-                          job_id, -1, -1, -1, 0, run->report.app_name});
-
+  const int job_id = run->job_id;
   JobRun& ref = *run;
   jobs_.emplace(job_id, std::move(run));
   submit_ready_stages(ref);
@@ -742,30 +870,9 @@ void SparkContext::submit_ready_stages(JobRun& run) {
 
 void SparkContext::submit_stage_of(JobRun& run, Stage& stage) {
   // Re-plan before anything observes the stage shape (the kStageStart event
-  // below logs num_tasks; make_tasks sizes the task set).
+  // logs num_tasks; make_tasks sizes the task set).
   maybe_replan_stage(stage);
-  sim::Simulation& sim = cluster_->sim();
-  const double now = sim.now();
-  const int app_ordinal = app_stage_counter_++;
-  run.event_ordinal[stage.uid] = app_ordinal;
-
-  JobRun::Baseline base;
-  base.start_time = now;
-  base.net_base = cluster_->network().total_bytes();
-  for (auto& exec : executors_) {
-    const hw::Node& node = cluster_->node(exec->node_id());
-    base.disk_read.push_back(node.disk().total_bytes_read());
-    base.disk_written.push_back(node.disk().total_bytes_written());
-    base.blocked.push_back(exec->io_counters().blocked_seconds);
-    base.io_bytes.push_back(exec->io_counters().bytes_total());
-    base.cpu_busy.push_back(node.cpu().busy_tracker().integral_at(now));
-    base.disk_busy.push_back(node.disk().busy_tracker().integral_at(now));
-  }
-  run.baselines.emplace(stage.uid, std::move(base));
-
-  event_log_.record(Event{EventKind::kStageStart, now, run.job_id,
-                          app_ordinal, -1, -1, stage.num_tasks, stage.name});
-  record_shuffle_producer(stage);
+  open_stage(run, stage, app_stage_counter_++);
   ++run.in_flight;
   const int uid = stage.uid;
   const int job_id = run.job_id;
@@ -814,89 +921,9 @@ bool SparkContext::cancel_job(int job_id) {
 
 void SparkContext::on_stage_finished(
     JobRun& run, Stage& stage, const TaskScheduler::TaskSetResult& result) {
-  sim::Simulation& sim = cluster_->sim();
-  const double stage_end = sim.now();
   --run.in_flight;
   ++run.stages_done;
-
-  const int app_ordinal = run.event_ordinal.at(stage.uid);
-  event_log_.record(Event{EventKind::kStageEnd, stage_end, run.job_id,
-                          app_ordinal, -1, -1, 0, stage.name});
-
-  if (result.first_launch_time >= 0.0 &&
-      (run.report.first_launch_time < 0.0 ||
-       result.first_launch_time < run.report.first_launch_time)) {
-    run.report.first_launch_time = result.first_launch_time;
-  }
-
-  if (result.failed) {
-    run.report.failed = true;
-    SAEX_WARN("job {} stage {} aborted; failing the job", run.job_id,
-              stage.ordinal);
-  } else {
-    // Register the produced output file so downstream stages can read it.
-    if (stage.sink == StageSink::kDfsWrite && !dfs_->exists(stage.out_path)) {
-      dfs_->create_output(stage.out_path, stage.output_bytes(), 0,
-                          stage.out_replication);
-    }
-  }
-
-  // Window-based stage rollup (see the submit_job comment block).
-  const JobRun::Baseline& base = run.baselines.at(stage.uid);
-  StageStats stats;
-  stats.ordinal = stage.ordinal;
-  stats.name = stage.name;
-  stats.io_tagged = stage.io_tagged;
-  stats.num_tasks = stage.num_tasks;
-  stats.start_time = base.start_time;
-  stats.end_time = stage_end;
-  stats.input_bytes = stage.input_bytes;
-  stats.net_bytes = cluster_->network().total_bytes() - base.net_base;
-
-  const double dur = std::max(stage_end - base.start_time, 1e-9);
-  double cpu_sum = 0.0, disk_sum = 0.0, iowait_sum = 0.0;
-  for (size_t i = 0; i < executors_.size(); ++i) {
-    ExecutorRuntime& exec = *executors_[i];
-    const hw::Node& node = cluster_->node(exec.node_id());
-    const double cpu_util = node.cpu().busy_tracker().utilization_since(
-        base.start_time, base.cpu_busy[i], stage_end);
-    const double disk_util = node.disk().busy_tracker().utilization_since(
-        base.start_time, base.disk_busy[i], stage_end);
-    const double blocked =
-        exec.io_counters().blocked_seconds - base.blocked[i];
-    const double cores = static_cast<double>(node.cpu().cores());
-    const double iowait =
-        std::min(blocked / (cores * dur), std::max(0.0, 1.0 - cpu_util));
-    cpu_sum += cpu_util;
-    disk_sum += disk_util;
-    iowait_sum += iowait;
-    stats.disk_read += node.disk().total_bytes_read() - base.disk_read[i];
-    stats.disk_written +=
-        node.disk().total_bytes_written() - base.disk_written[i];
-
-    // Unlike run_job (the figure path), the concurrent path keeps only the
-    // cluster-wide rollups: JobServer retains every finished JobReport, so a
-    // per-executor row here is O(cluster × stages) live memory *per job* —
-    // ~1 MB/job on a 10k-node cluster, which OOMs a 100k-job serve_trace_xl
-    // replay. Nothing on the serve path reads StageStats::executors.
-    stats.threads_total += exec.pool_size();
-  }
-  const double n = static_cast<double>(executors_.size());
-  stats.cpu_utilization = cpu_sum / n;
-  stats.disk_utilization = disk_sum / n;
-  stats.iowait_fraction = iowait_sum / n;
-
-  metrics::Histogram durations(0.01, 1.15);
-  for (const double d : result.durations) {
-    durations.add(d);
-    stats.task_seconds += d;
-  }
-  stats.task_p50 = durations.quantile(0.5);
-  stats.task_p95 = durations.quantile(0.95);
-  stats.task_max = durations.max();
-  run.report.stages.push_back(std::move(stats));
-  run.baselines.erase(stage.uid);
-
+  close_stage(run, stage, result);
   // Unlock children and keep the runnable set saturated.
   if (!run.report.failed) {
     for (Stage& child : run.plan.stages) {
@@ -914,55 +941,21 @@ void SparkContext::maybe_finish_job(JobRun& run) {
       !run.report.failed && run.stages_done == run.plan.stages.size();
   const bool aborted = run.report.failed && run.in_flight == 0;
   if (!all_done && !aborted) return;
-
-  sim::Simulation& sim = cluster_->sim();
-  run.report.finish_time = sim.now();
-  run.report.total_runtime = run.report.finish_time - run.report.submit_time;
-  run.report.events_processed = sim.processed();
-  std::sort(run.report.stages.begin(), run.report.stages.end(),
-            [](const StageStats& a, const StageStats& b) {
-              return a.ordinal < b.ordinal;
-            });
-  for (const StageStats& s : run.report.stages) {
-    run.report.total_disk_bytes += s.disk_read + s.disk_written;
-  }
-  event_log_.record(Event{EventKind::kJobEnd, sim.now(), run.job_id, -1, -1,
-                          -1, 0, run.report.app_name});
-
-  JobReport report = std::move(run.report);
+  JobReport report = close_job(run);
   auto on_done = std::move(run.on_done);
   jobs_.erase(report.job_id);  // `run` is dangling from here on
   if (on_done) on_done(std::move(report));
 }
 
+// The paper's batch driver: stages run one at a time in plan order, and
+// every executor's policy restarts its MAPE-K climb at each stage (§5).
 JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
-  // The DAG scheduler persists across jobs: cached RDDs and shuffle outputs
-  // materialized by earlier jobs are reused, not recomputed.
-  JobPlan plan = dag_->build(action);
-
-  for (const auto& [cache_id, info] : dag_->caches()) {
-    if (!caches_->has(cache_id)) caches_->init(cache_id, info.partitions);
-  }
-
+  // The run never enters jobs_: on_recovery_done's submit_ready_stages
+  // would otherwise submit its stages concurrently.
+  const std::unique_ptr<JobRun> run = open_job(
+      action, std::move(app_name), "default", /*per_executor=*/true);
   sim::Simulation& sim = cluster_->sim();
-  const int job_id = job_counter_++;
-
-  JobReport report;
-  report.app_name = std::move(app_name);
-  report.policy_name = policy_name_;
-  const double job_start = sim.now();
-  event_log_.record(Event{EventKind::kJobStart, job_start, job_id, -1, -1, -1,
-                          0, report.app_name});
-
-  // Per-node snapshot baselines.
-  struct Baseline {
-    Bytes disk_read, disk_written;
-    double blocked;
-    Bytes io_bytes;
-    double cpu_busy, disk_busy;  // busy integrals at stage start
-  };
-
-  for (Stage& stage : plan.stages) {
+  for (Stage& stage : run->plan.stages) {
     // A mid-stage executor kill may have left lineage recovery in flight;
     // a consumer stage must not plan its fetches until the rebuild lands.
     // Likewise a cached input with eviction-dropped partitions is rebuilt
@@ -985,7 +978,7 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     // is application-wide (continues across jobs) so per-stage policies see
     // the same numbering the paper's figures use.
     const adaptive::StageContext sctx{
-        static_cast<int64_t>(job_id) * 1000 + stage.ordinal,
+        static_cast<int64_t>(run->job_id) * 1000 + stage.ordinal,
         app_stage_counter_++, stage.io_tagged};
     for (auto& exec : executors_) {
       exec->policy().on_stage_start(sctx, stage_start);
@@ -993,33 +986,23 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     // AQE tuner's pool-size seed overrides the policy's opening width; the
     // policy's MAPE-K loop keeps adapting from the seed within the stage.
     apply_tuner_pool_hint(stage);
+    // Offer the stage against the sizes just set, not the ones the §5.4
+    // notifications will deliver a message latency later.
+    scheduler_->sync_pool_sizes();
 
-    std::vector<Baseline> base;
-    Bytes net_base = cluster_->network().total_bytes();
-    for (auto& exec : executors_) {
-      const hw::Node& node = cluster_->node(exec->node_id());
-      base.push_back(Baseline{
-          node.disk().total_bytes_read(), node.disk().total_bytes_written(),
-          exec->io_counters().blocked_seconds,
-          exec->io_counters().bytes_total(),
-          node.cpu().busy_tracker().integral_at(stage_start),
-          node.disk().busy_tracker().integral_at(stage_start)});
-    }
-
-    event_log_.record(Event{EventKind::kStageStart, stage_start, job_id,
-                            sctx.stage_ordinal, -1, -1, stage.num_tasks,
-                            stage.name});
-    record_shuffle_producer(stage);
-    bool done = false;
+    open_stage(*run, stage, sctx.stage_ordinal);
     std::vector<TaskSpec> tasks = make_tasks(stage);
     std::vector<Bytes> task_bytes;
     if (tuner_ != nullptr) {
       task_bytes.reserve(tasks.size());
       for (const TaskSpec& t : tasks) task_bytes.push_back(t.input_bytes);
     }
-    scheduler_->run_stage(stage, std::move(tasks), [&done] { done = true; });
+    std::optional<TaskScheduler::TaskSetResult> result;
+    scheduler_->submit_stage(
+        stage, std::move(tasks), run->job_id, run->pool,
+        [&result](const TaskScheduler::TaskSetResult& r) { result = r; });
     uint64_t steps = 0;
-    while (!done) {
+    while (!result) {
       if (!sim.step()) {
         throw std::runtime_error(strfmt::format(
             "stage {} deadlocked: no pending events but tasks incomplete",
@@ -1032,99 +1015,23 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     }
     const double stage_end = sim.now();
     for (auto& exec : executors_) exec->policy().on_stage_end(stage_end);
-    tuner_observe_stage(stage, scheduler_->completed_durations(), task_bytes,
+    tuner_observe_stage(stage, result->durations, task_bytes,
                         stage_end - stage_start);
-    event_log_.record(Event{EventKind::kStageEnd, stage_end, job_id,
-                            sctx.stage_ordinal, -1, -1, 0, stage.name});
-
-    if (scheduler_->stage_failed()) {
+    close_stage(*run, stage, *result);
+    if (result->failed) {
       throw StageAbortedError(
           stage.ordinal,
           strfmt::format(
               "stage {} aborted: a task exceeded spark.task.maxFailures",
               stage.ordinal));
     }
-
-    // Register the produced output file so downstream stages could read it.
-    if (stage.sink == StageSink::kDfsWrite && !dfs_->exists(stage.out_path)) {
-      dfs_->create_output(stage.out_path, stage.output_bytes(), 0,
-                          stage.out_replication);
-    }
-
-    // Roll up stage metrics.
-    StageStats stats;
-    stats.ordinal = stage.ordinal;
-    stats.name = stage.name;
-    stats.io_tagged = stage.io_tagged;
-    stats.num_tasks = stage.num_tasks;
-    stats.start_time = stage_start;
-    stats.end_time = stage_end;
-    stats.input_bytes = stage.input_bytes;
-    stats.net_bytes = cluster_->network().total_bytes() - net_base;
-
-    const double dur = std::max(stage_end - stage_start, 1e-9);
-    double cpu_sum = 0.0, disk_sum = 0.0, iowait_sum = 0.0;
-    for (size_t i = 0; i < executors_.size(); ++i) {
-      ExecutorRuntime& exec = *executors_[i];
-      const hw::Node& node = cluster_->node(exec.node_id());
-      const double cpu_util = node.cpu().busy_tracker().utilization_since(
-          stage_start, base[i].cpu_busy, stage_end);
-      const double disk_util = node.disk().busy_tracker().utilization_since(
-          stage_start, base[i].disk_busy, stage_end);
-      const double blocked =
-          exec.io_counters().blocked_seconds - base[i].blocked;
-      // mpstat-style iowait: cores idle while I/O is pending; bounded by the
-      // idle fraction.
-      const double cores = static_cast<double>(node.cpu().cores());
-      const double iowait =
-          std::min(blocked / (cores * dur), std::max(0.0, 1.0 - cpu_util));
-
-      cpu_sum += cpu_util;
-      disk_sum += disk_util;
-      iowait_sum += iowait;
-      stats.disk_read += node.disk().total_bytes_read() - base[i].disk_read;
-      stats.disk_written +=
-          node.disk().total_bytes_written() - base[i].disk_written;
-
-      ExecutorStageStats es;
-      es.node = exec.node_id();
-      es.threads_settled = exec.pool_size();
-      es.blocked_seconds = blocked;
-      es.io_bytes = exec.io_counters().bytes_total() - base[i].io_bytes;
-      stats.threads_total += es.threads_settled;
-      stats.executors.push_back(es);
-    }
-    const double n = static_cast<double>(executors_.size());
-    stats.cpu_utilization = cpu_sum / n;
-    stats.disk_utilization = disk_sum / n;
-    stats.iowait_fraction = iowait_sum / n;
-
-    metrics::Histogram durations(0.01, 1.15);
-    for (const double d : scheduler_->completed_durations()) durations.add(d);
-    stats.task_p50 = durations.quantile(0.5);
-    stats.task_p95 = durations.quantile(0.95);
-    stats.task_max = durations.max();
-
-    if (stage.source == StageSource::kDfs && report.input_bytes == 0) {
-      report.input_bytes = stage.input_bytes;
-    }
-    report.stages.push_back(std::move(stats));
-
     SAEX_INFO("stage {} '{}' finished in {} (threads {}/{})", stage.ordinal,
               stage.name, format_duration(stage_end - stage_start),
-              report.stages.back().threads_total,
-              static_cast<int>(n) *
+              run->report.stages.back().threads_total,
+              num_executors() *
                   static_cast<int>(config_.get_int("spark.executor.cores")));
   }
-
-  event_log_.record(Event{EventKind::kJobEnd, sim.now(), job_id, -1, -1, -1,
-                          0, report.app_name});
-  report.total_runtime = sim.now() - job_start;
-  report.events_processed = sim.processed();
-  for (const StageStats& s : report.stages) {
-    report.total_disk_bytes += s.disk_read + s.disk_written;
-  }
-  return report;
+  return close_job(*run);
 }
 
 }  // namespace saex::engine

@@ -4,7 +4,9 @@
 // node (as in the paper's deployment: one executor per machine using all 32
 // virtual cores), the driver-side TaskScheduler, and the thread-policy
 // wiring. run_job() builds the stage DAG and executes stages sequentially,
-// returning the measured JobReport.
+// returning the measured JobReport; submit_job() runs them as a concurrent
+// runnable set. Both drivers share one job and stage lifecycle
+// (open_job/open_stage/close_stage/close_job); only the loop differs.
 //
 //   hw::Cluster cluster(hw::ClusterSpec::das5(4));
 //   engine::SparkContext ctx(cluster, conf::Config{});
@@ -163,6 +165,7 @@ class SparkContext {
   }
 
  private:
+  struct StageBaseline;
   struct JobRun;
 
   void install_policies();
@@ -179,6 +182,18 @@ class SparkContext {
                            const std::vector<Bytes>& task_bytes,
                            double makespan);
   void apply_tuner_pool_hint(const Stage& stage);
+
+  // Job and stage bookkeeping shared by run_job and submit_job. Only
+  // `per_executor` runs (run_job's figures) get StageStats::executors: the
+  // serve path retains every report, and per-node rows would grow its live
+  // memory with cluster size (SCALING.md).
+  std::unique_ptr<JobRun> open_job(const Rdd& action, std::string app_name,
+                                   std::string pool, bool per_executor);
+  void open_stage(JobRun& run, const Stage& stage, int app_ordinal);
+  void close_stage(JobRun& run, const Stage& stage,
+                   const TaskScheduler::TaskSetResult& result);
+  JobReport close_job(JobRun& run);
+
   void submit_ready_stages(JobRun& run);
   void submit_stage_of(JobRun& run, Stage& stage);
   void on_stage_finished(JobRun& run, Stage& stage,

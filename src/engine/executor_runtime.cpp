@@ -547,7 +547,7 @@ struct ExecutorRuntime::TaskRun {
       // driver's cancellation must not double-count the partition's output.
       const bool committed = exec->env_.shuffles->register_map_output(
           out_shuffle_id, exec->node_id_, spec.partition, shuffle_written);
-      if (committed && storage != nullptr) {
+      if (committed) {
         // Track the map output file in the node's block accounting (disk
         // tier only; shuffle blocks are never memory-resident here).
         storage->node(exec->node_id_)
@@ -562,13 +562,11 @@ struct ExecutorRuntime::TaskRun {
       part.mem_bytes = cache_mem_written;
       part.spilled_bytes = cache_spilled;
       part.dropped = false;
-      if (storage != nullptr) {
-        const storage::BlockId bid{storage::BlockKind::kCachePartition,
-                                   cache_out_id, spec.partition};
-        auto& bm = storage->node(exec->node_id_);
-        bm.add_disk(bid, cache_spilled);
-        bm.commit(bid);  // unpin: the block is now fair game for eviction
-      }
+      const storage::BlockId bid{storage::BlockKind::kCachePartition,
+                                 cache_out_id, spec.partition};
+      auto& bm = storage->node(exec->node_id_);
+      bm.add_disk(bid, cache_spilled);
+      bm.commit(bid);  // unpin: the block is now fair game for eviction
     }
     exec->finish_task(this, TaskOutcome{});
   }
@@ -590,7 +588,8 @@ ExecutorRuntime::ExecutorRuntime(EngineEnv env, int node_id, int virtual_cores)
       virtual_cores_(virtual_cores),
       pool_target_(virtual_cores),
       failure_rng_(Rng(cluster_seed_of(env, node_id)).fork("task-failures")) {
-  assert(env_.sim && env_.cluster && env_.dfs && env_.shuffles && env_.caches);
+  assert(env_.sim && env_.cluster && env_.dfs && env_.shuffles &&
+         env_.caches && env_.storage);
   pool_history_.record(0.0, static_cast<double>(pool_target_));
 }
 
@@ -640,10 +639,7 @@ void ExecutorRuntime::kill() {
   // The dead process's block manager loses everything it held (cached
   // partitions, spilled runs, shuffle files — the directory-side loss is
   // applied by the driver via ShuffleManager::on_node_lost).
-  if (env_.storage != nullptr) {
-    env_.storage->node(node_id_).drop_all();
-    storage_used_ = 0;
-  }
+  env_.storage->node(node_id_).drop_all();
   // Snapshot first: a drained abort removes the run from active_.
   std::vector<TaskRun*> runs;
   runs.reserve(active_.size());
@@ -671,17 +667,6 @@ void ExecutorRuntime::revive() {
 
 Bytes ExecutorRuntime::reserve_storage(int cache_id, int partition,
                                        Bytes bytes) {
-  if (env_.storage == nullptr) {
-    // Legacy path (unit rigs construct EngineEnv without a StorageManager):
-    // grant up to the remaining budget, the write's own overflow spills.
-    const Bytes budget = env_.storage_budget;
-    const Bytes granted =
-        budget > 0 ? std::min(bytes, std::max<Bytes>(0, budget - storage_used_))
-                   : bytes;
-    storage_used_ += granted;
-    return granted;
-  }
-
   storage::BlockManager& bm = env_.storage->node(node_id_);
   const storage::BlockManager::Reservation res = bm.reserve(
       storage::BlockId{storage::BlockKind::kCachePartition, cache_id,
@@ -710,7 +695,6 @@ Bytes ExecutorRuntime::reserve_storage(int cache_id, int partition,
       part.dropped = true;
     }
   }
-  storage_used_ = bm.mem_used();
   return res.granted;
 }
 
@@ -802,19 +786,9 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
         flow_blocks.resize(static_cast<size_t>(env_.cluster->size()));
       }
       for (const int sid : stage.in_shuffle_ids) {
-        // Empty reduce_slices = identity tiling → legacy fetch path
-        // (bitwise identical plans with AQE off).
-        const size_t sp = static_cast<size_t>(spec.partition);
-        const std::vector<Bytes> plan =
-            stage.reduce_slices.empty()
-                ? env_.shuffles->fetch_plan(sid, spec.partition,
-                                            stage.num_tasks)
-                : env_.shuffles->fetch_plan_slice(
-                      sid, stage.reduce_slices[sp].first,
-                      stage.reduce_slices[sp].last,
-                      stage.reduce_slices[sp].split_index,
-                      stage.reduce_slices[sp].num_splits,
-                      stage.reduce_partitions);
+        const std::vector<Bytes> plan = env_.shuffles->fetch_plan(
+            sid, stage.reduce_slice(spec.partition),
+            stage.sliced_partitions());
         // Local share first, then remote nodes in rotating order so fetch
         // load spreads evenly.
         for (const FetchShare& share : rotate_fetch_plan(plan, node_id_)) {
@@ -867,7 +841,7 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
         raw->fail_kind = TaskFailure::kFetchFailed;
         raw->fail_fetch_src = part.node;
         raw->fail_fetch_sid = -1;
-        if (env_.storage != nullptr && part.node >= 0) {
+        if (part.node >= 0) {
           env_.storage->node(part.node).touch(
               storage::BlockId{storage::BlockKind::kCachePartition,
                                stage.in_cache_id, spec.partition},
@@ -875,7 +849,7 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
         }
         break;  // no segments: the empty-segments branch drains the abort
       }
-      if (env_.storage != nullptr && part.node >= 0) {
+      if (part.node >= 0) {
         // Hit/miss accounting on the owning node: a hit is served entirely
         // from memory, a spilled tail forces a disk read.
         env_.storage->node(part.node).touch(

@@ -71,12 +71,8 @@ struct EngineEnv {
   ShuffleManager* shuffles = nullptr;
   CacheRegistry* caches = nullptr;
   Bytes io_chunk = mib(4);  // granularity of blocking I/O requests
-  // Per-node storage budget for cached RDDs (spark.memory.fraction ×
-  // spark.memory.storageFraction × node memory); overflow spills to disk.
-  // Used directly only when `storage` is null (legacy path, unit rigs).
-  Bytes storage_budget = 0;
-  // Per-node BlockManagers (budget + eviction policy + hit/miss counters).
-  // Null falls back to the legacy storage_budget arithmetic above.
+  // Per-node BlockManagers (cached-RDD budget + eviction policy + hit/miss
+  // counters); overflow past the budget spills to disk. Required.
   storage::StorageManager* storage = nullptr;
   // Fraction of local shuffle reads served by the OS page cache (the map
   // output was just written); the rest hits the disk.
@@ -174,12 +170,14 @@ class ExecutorRuntime final : public adaptive::PoolEffector,
 
   /// Reserves cache-storage memory for one chunk of `(cache_id, partition)`;
   /// returns the granted amount (the rest must spill to disk through the
-  /// caller's write channel). When a BlockManager is attached, the eviction
-  /// policy may free committed blocks to make room — victims move to disk
-  /// (a background write charged to this node's device) or are dropped for
-  /// lineage recompute, and the CacheRegistry is updated either way.
+  /// caller's write channel). The node's eviction policy may free committed
+  /// blocks to make room — victims move to disk (a background write charged
+  /// to this node's device) or are dropped for lineage recompute, and the
+  /// CacheRegistry is updated either way.
   Bytes reserve_storage(int cache_id, int partition, Bytes bytes);
-  Bytes storage_used() const noexcept { return storage_used_; }
+  Bytes storage_used() const noexcept {
+    return env_.storage->node(node_id_).mem_used();
+  }
 
   const metrics::IoCounters& io_counters() const noexcept {
     return io_.snapshot();
@@ -203,7 +201,6 @@ class ExecutorRuntime final : public adaptive::PoolEffector,
   int pool_target_;
   int running_ = 0;
   bool alive_ = true;
-  Bytes storage_used_ = 0;
   std::unique_ptr<adaptive::ThreadPolicy> policy_;
   metrics::IoAccounting io_;
   metrics::RateSeries io_series_{1.0};

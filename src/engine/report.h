@@ -34,14 +34,14 @@ struct StageStats {
   double iowait_fraction = 0.0;   // mpstat-style iowait (Fig. 1 color)
 
   int threads_total = 0;  // Σ executors' settled threads (Fig. 8 labels)
-  // Σ successful task durations — the stage's slot-seconds (set on the
-  // concurrent submit_job path; run_job leaves it 0).
+  // Σ successful task durations — the stage's slot-seconds.
   double task_seconds = 0.0;
-  // Task duration distribution (successful attempts).
+  // Task duration distribution (successful attempts of the stage's own task
+  // set; lineage-recovery tasks running beside it are not counted).
   double task_p50 = 0.0;
   double task_p95 = 0.0;
   double task_max = 0.0;
-  std::vector<ExecutorStageStats> executors;
+  std::vector<ExecutorStageStats> executors;  // run_job only
 
   double duration() const noexcept { return end_time - start_time; }
 };
@@ -57,8 +57,8 @@ struct JobReport {
   uint64_t events_processed = 0;
   std::vector<StageStats> stages;
 
-  // Concurrent-submission bookkeeping (SparkContext::submit_job — the
-  // saex::serve path). run_job() leaves these at their defaults.
+  // Job bookkeeping, set by both drivers (run_job's pool is "default").
+  // render() and to_csv() print none of it.
   int job_id = -1;
   std::string pool;
   bool failed = false;          // a stage aborted (task out of attempts)

@@ -94,27 +94,11 @@ Bytes ShuffleManager::cum_share(const ShuffleState& s, Bytes total, int upto,
                             s.cum_w[static_cast<size_t>(upto)]);
 }
 
-std::vector<Bytes> ShuffleManager::fetch_plan(int shuffle_id, int partition,
+std::vector<Bytes> ShuffleManager::fetch_plan(int shuffle_id,
+                                              const ReduceSlice& slice,
                                               int num_partitions) const {
   SAEX_PROF_SCOPE(kShuffle);
-  assert(partition >= 0 && partition < num_partitions);
-  std::vector<Bytes> plan(static_cast<size_t>(num_nodes_), 0);
-  if (!has_shuffle(shuffle_id)) return plan;
-  const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
-  for (int n = 0; n < num_nodes_; ++n) {
-    const Bytes total = s.per_node[static_cast<size_t>(n)];
-    plan[static_cast<size_t>(n)] =
-        cum_share(s, total, partition + 1, num_partitions) -
-        cum_share(s, total, partition, num_partitions);
-  }
-  return plan;
-}
-
-std::vector<Bytes> ShuffleManager::fetch_plan_slice(int shuffle_id, int first,
-                                                    int last, int split_index,
-                                                    int num_splits,
-                                                    int num_partitions) const {
-  SAEX_PROF_SCOPE(kShuffle);
+  const auto [first, last, split_index, num_splits] = slice;
   assert(first >= 0 && first <= last && last < num_partitions);
   assert(num_splits >= 1 && split_index >= 0 && split_index < num_splits);
   assert(num_splits == 1 || first == last);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "engine/stage.h"
 
 namespace saex::engine {
 
@@ -60,20 +61,14 @@ class ShuffleManager {
   void set_reduce_skew(int shuffle_id, double alpha);
   double reduce_skew(int shuffle_id) const noexcept;
 
-  /// Bytes reduce partition `partition` (of `num_partitions`) must fetch
-  /// from each node. Deterministic: remainder bytes go to low partitions.
-  std::vector<Bytes> fetch_plan(int shuffle_id, int partition,
+  /// The bytes a reduce task covering `slice` of the shuffle's
+  /// `num_partitions` logical reduce partitions must fetch from each node:
+  /// partitions [first, last], or sub-split `split_index` of `num_splits`
+  /// when first == last. Stage::reduce_slice gives every task its slice;
+  /// the identity tiling is {p, p, 0, 1}. Deterministic: with uniform
+  /// weights, remainder bytes go to low partitions.
+  std::vector<Bytes> fetch_plan(int shuffle_id, const ReduceSlice& slice,
                                 int num_partitions) const;
-
-  /// Slice-aware fetch plan for an AQE-re-tiled reduce stage: the bytes a
-  /// task covering original partitions [first, last] — sub-split
-  /// `split_index` of `num_splits` when first == last — must fetch from each
-  /// node. `num_partitions` is the stage's LOGICAL reduce partition count
-  /// (the pre-AQE R). With first == last and num_splits == 1 this is exactly
-  /// fetch_plan(first).
-  std::vector<Bytes> fetch_plan_slice(int shuffle_id, int first, int last,
-                                      int split_index, int num_splits,
-                                      int num_partitions) const;
 
   /// Per-reduce-partition fetch totals (summed over nodes) — the map-output
   /// statistics the AQE planner re-plans from. O(nodes * R), no commit-array

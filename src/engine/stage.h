@@ -16,7 +16,7 @@ enum class StageSink { kShuffleWrite, kDfsWrite, kDriver };
 /// coalescing), or — when first == last and num_splits > 1 — sub-range
 /// `split_index` of a skew-split hot partition. The identity tiling (one
 /// slice per partition, no splits) is represented by an EMPTY slice list on
-/// the Stage, which keeps the legacy fetch path bitwise intact.
+/// the Stage; Stage::reduce_slice gives its slices as {p, p, 0, 1}.
 struct ReduceSlice {
   int first = 0;
   int last = 0;
@@ -52,7 +52,7 @@ struct Stage {
   // it survives a re-plan that changes num_tasks), and the physical task
   // tiling chosen by the runtime re-planner. Empty slices = identity tiling
   // (one task per logical partition — the only shape that exists with AQE
-  // off, and the legacy fetch-plan path is taken verbatim).
+  // off).
   int reduce_partitions = 0;
   std::vector<ReduceSlice> reduce_slices;
   // Zipf exponent of the produced shuffle's reduce-partition weights
@@ -77,6 +77,14 @@ struct Stage {
 
   Bytes output_bytes() const noexcept {
     return static_cast<Bytes>(static_cast<double>(input_bytes) * output_ratio);
+  }
+  /// Task `p`'s slice of the consumed shuffle, out of sliced_partitions().
+  ReduceSlice reduce_slice(int p) const {
+    return reduce_slices.empty() ? ReduceSlice{p, p, 0, 1}
+                                 : reduce_slices[static_cast<size_t>(p)];
+  }
+  int sliced_partitions() const noexcept {
+    return reduce_slices.empty() ? num_tasks : reduce_partitions;
   }
 };
 

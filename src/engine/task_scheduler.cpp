@@ -318,28 +318,6 @@ uint64_t TaskScheduler::submit_stage(const Stage& stage,
   return id;
 }
 
-void TaskScheduler::run_stage(const Stage& stage, std::vector<TaskSpec> tasks,
-                              std::function<void()> on_done) {
-  // Refresh advertised sizes: stage-start policies resized synchronously
-  // before the stage was submitted. With recovery sets in flight (lineage
-  // resubmission after an executor loss) the assigned counts are live and
-  // must not be zeroed.
-  for (size_t e = 0; e < execs_.size(); ++e) {
-    ExecState& es = execs_[e];
-    es.advertised = es.exec->pool_size();
-    if (sets_.empty()) es.assigned = 0;
-    update_free_bit(e);
-  }
-  completed_durations_.clear();
-  stage_failed_ = false;
-  auto done = std::move(on_done);
-  submit_stage(stage, std::move(tasks), /*job_id=*/0, "default",
-               [this, done = std::move(done)](const TaskSetResult& result) {
-                 stage_failed_ = result.failed;
-                 if (done) done();
-               });
-}
-
 // Stragglers are detected by polling (spark.speculation.interval), not only
 // at task completions — at the end of a wave there may be no completions
 // left to trigger the check.
@@ -783,9 +761,7 @@ void TaskScheduler::on_task_finished(uint64_t set_id, const TaskSpec& spec,
   if (outcome.success) {
     st.done = true;
     if (m_finished_) m_finished_.increment();
-    const double duration = sim_.now() - st.launch_time;
-    set.result.durations.push_back(duration);
-    completed_durations_.push_back(duration);
+    set.result.durations.push_back(sim_.now() - st.launch_time);
     assert(set.remaining > 0);
     --set.remaining;
     // Kill losing speculative copies so the stage does not wait for them.
@@ -878,6 +854,13 @@ void TaskScheduler::on_executor_resized(int node_id, int new_size) {
     if (m_resizes_) m_resizes_.increment();
   }
   try_assign();
+}
+
+void TaskScheduler::sync_pool_sizes() {
+  for (size_t e = 0; e < execs_.size(); ++e) {
+    execs_[e].advertised = execs_[e].exec->pool_size();
+    update_free_bit(e);
+  }
 }
 
 adaptive::SchedulerNotifier TaskScheduler::make_notifier(int node_id) {

@@ -14,8 +14,9 @@
 // mode: FIFO (by job, then submission) or FAIR (named pools with weight and
 // minShare, Spark's FairSchedulingAlgorithm). Executors can be deactivated /
 // reactivated at runtime (dynamic allocation): inactive executors receive no
-// offers but finish what they are running. The single-stage run_stage() API
-// is retained for the sequential driver path and the existing tests.
+// offers but finish what they are running. Both SparkContext drivers submit
+// through submit_stage(): the batch run_job one stage at a time, the serve
+// path a runnable set.
 #pragma once
 
 #include <cstdint>
@@ -218,30 +219,19 @@ class TaskScheduler {
   int64_t dispatch_overcommits() const noexcept { return dispatch_overcommits_; }
   int64_t tasks_dispatched() const noexcept { return tasks_dispatched_; }
   int64_t tasks_finished() const noexcept { return tasks_finished_; }
-
-  // --- single-stage legacy API --------------------------------------------
-
-  /// Runs one stage to completion; requires that no other task set is in
-  /// flight. Policies must have been notified of the stage start already
-  /// (their initial pool sizes are read here). Tasks that fail are retried
-  /// up to max_task_failures times; exhausting the budget aborts the stage
-  /// (stage_failed() returns true when on_done fires).
-  void run_stage(const Stage& stage, std::vector<TaskSpec> tasks,
-                 std::function<void()> on_done);
-
-  /// True when the last run_stage() ended because a task ran out of attempts.
-  bool stage_failed() const noexcept { return stage_failed_; }
   int speculative_launches() const noexcept { return speculative_launches_; }
   /// Executors currently blacklisted for any in-flight task set.
   int blacklisted_executors() const noexcept;
-  /// Successful task durations of the last finished (or a current) set.
-  const std::vector<double>& completed_durations() const noexcept {
-    return completed_durations_;
-  }
 
   /// The §5.4 protocol extension: executor → driver resize notification.
   /// Public for tests; normally invoked via make_notifier().
   void on_executor_resized(int node_id, int new_size);
+
+  /// Takes every executor's current pool size as its advertised size at
+  /// once, without waiting for the resize notifications. The batch driver
+  /// calls it after its policies resized the pools at stage start. Offers
+  /// nothing itself: the next submit_stage does.
+  void sync_pool_sizes();
 
   /// Builds the SchedulerNotifier an executor's policy calls on resize; it
   /// delivers on_executor_resized after the message latency.
@@ -386,11 +376,7 @@ class TaskScheduler {
   metrics::CounterHandle m_speculative_;
   metrics::CounterHandle m_resizes_;
 
-  // Legacy single-stage view (last run_stage / last finished set).
-  std::vector<double> completed_durations_;
-  bool stage_failed_ = false;
   int speculative_launches_ = 0;
-
   int64_t dispatch_overcommits_ = 0;
   int64_t tasks_dispatched_ = 0;
   int64_t tasks_finished_ = 0;

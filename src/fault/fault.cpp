@@ -104,6 +104,11 @@ FaultSpec FaultSpec::from_config(const conf::Config& config) {
   s.kill_after_tasks = config.get_int("saex.fault.killAfterTasks");
   s.slow_node = static_cast<int>(config.get_int("saex.fault.slowNode"));
   s.slow_factor = config.get_double("saex.fault.slowFactor");
+  if (!(s.slow_factor > 0.0)) {
+    // A zero or negative disk speed never finishes a transfer.
+    throw conf::ConfigError(strfmt::format(
+        "saex.fault.slowFactor must be > 0 (got {})", s.slow_factor));
+  }
   s.slow_time = config.get_duration_seconds("saex.fault.slowTime");
   s.fetch_fail_prob = config.get_double("saex.fault.fetchFailProb");
   s.fetch_fail_node = static_cast<int>(config.get_int("saex.fault.fetchFailNode"));

@@ -100,6 +100,12 @@ JobServerOptions JobServerOptions::from_config(const conf::Config& config) {
       static_cast<int>(config.get_int("saex.serve.maxQueuedJobs"));
   o.max_jobs_per_client =
       static_cast<int>(config.get_int("saex.serve.maxJobsPerClient"));
+  if (o.max_concurrent_jobs < 1 || o.max_queued_jobs < 0) {
+    throw conf::ConfigError(strfmt::format(
+        "saex.serve.maxConcurrentJobs must be >= 1 and maxQueuedJobs >= 0 "
+        "(got {} and {})",
+        o.max_concurrent_jobs, o.max_queued_jobs));
+  }
 
   std::string mode = config.get_string("saex.scheduler.mode");
   std::transform(mode.begin(), mode.end(), mode.begin(),

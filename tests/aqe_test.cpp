@@ -39,12 +39,25 @@ Bytes plan_total(const std::vector<Bytes>& plan) {
   return std::accumulate(plan.begin(), plan.end(), Bytes{0});
 }
 
+// Fetch plan of slice {first, last, j, k} of R = 8 logical partitions.
+std::vector<Bytes> plan8(const ShuffleManager& sm, int first, int last,
+                         int j = 0, int k = 1) {
+  return sm.fetch_plan(0, ReduceSlice{first, last, j, k}, 8);
+}
+
+// With uniform weights the identity slice {p, p, 0, 1} is the closed-form
+// base+remainder split of every node's output: total/R each, one extra byte
+// for the partitions below total%R.
 TEST(AqeFetchPlan, TrivialSliceMatchesLegacyPlan) {
-  for (const double skew : {0.0, 1.2}) {
-    const ShuffleManager sm = make_manager(4, 13, skew);
-    for (int p = 0; p < 8; ++p) {
-      EXPECT_EQ(sm.fetch_plan_slice(0, p, p, 0, 1, 8), sm.fetch_plan(0, p, 8))
-          << "skew " << skew << " partition " << p;
+  const ShuffleManager sm = make_manager(4, 13);
+  for (int p = 0; p < 8; ++p) {
+    const std::vector<Bytes> plan = plan8(sm, p, p);
+    ASSERT_EQ(plan.size(), 4u);
+    for (int n = 0; n < 4; ++n) {
+      const Bytes total = sm.node_output(0, n);
+      EXPECT_EQ(plan[static_cast<size_t>(n)],
+                total / 8 + (p < total % 8 ? 1 : 0))
+          << "partition " << p << " node " << n;
     }
   }
 }
@@ -52,10 +65,10 @@ TEST(AqeFetchPlan, TrivialSliceMatchesLegacyPlan) {
 TEST(AqeFetchPlan, RangeSliceSumsItsPartitions) {
   for (const double skew : {0.0, 1.2}) {
     const ShuffleManager sm = make_manager(4, 13, skew);
-    const std::vector<Bytes> merged = sm.fetch_plan_slice(0, 2, 5, 0, 1, 8);
+    const std::vector<Bytes> merged = plan8(sm, 2, 5);
     std::vector<Bytes> expect(4, 0);
     for (int p = 2; p <= 5; ++p) {
-      const std::vector<Bytes> one = sm.fetch_plan(0, p, 8);
+      const std::vector<Bytes> one = plan8(sm, p, p);
       for (size_t n = 0; n < one.size(); ++n) expect[n] += one[n];
     }
     EXPECT_EQ(merged, expect) << "skew " << skew;
@@ -65,10 +78,10 @@ TEST(AqeFetchPlan, RangeSliceSumsItsPartitions) {
 TEST(AqeFetchPlan, SubSplitsReassembleTheirPartitionExactly) {
   for (const double skew : {0.0, 1.2}) {
     const ShuffleManager sm = make_manager(4, 13, skew);
-    const std::vector<Bytes> whole = sm.fetch_plan(0, 3, 8);
+    const std::vector<Bytes> whole = plan8(sm, 3, 3);
     std::vector<Bytes> sum(4, 0);
     for (int j = 0; j < 5; ++j) {
-      const std::vector<Bytes> part = sm.fetch_plan_slice(0, 3, 3, j, 5, 8);
+      const std::vector<Bytes> part = plan8(sm, 3, 3, j, 5);
       for (size_t n = 0; n < part.size(); ++n) sum[n] += part[n];
     }
     EXPECT_EQ(sum, whole) << "skew " << skew;
@@ -78,10 +91,10 @@ TEST(AqeFetchPlan, SubSplitsReassembleTheirPartitionExactly) {
 TEST(AqeFetchPlan, FullTilingConservesTotalOutput) {
   const ShuffleManager sm = make_manager(4, 16, 1.2);
   // [0,2] merged, 3 split x3, [4,7] merged — a full tiling of R = 8.
-  Bytes covered = plan_total(sm.fetch_plan_slice(0, 0, 2, 0, 1, 8)) +
-                  plan_total(sm.fetch_plan_slice(0, 4, 7, 0, 1, 8));
+  Bytes covered = plan_total(plan8(sm, 0, 2)) +
+                  plan_total(plan8(sm, 4, 7));
   for (int j = 0; j < 3; ++j) {
-    covered += plan_total(sm.fetch_plan_slice(0, 3, 3, j, 3, 8));
+    covered += plan_total(plan8(sm, 3, 3, j, 3));
   }
   EXPECT_EQ(covered, sm.total_output(0));
 }
@@ -93,7 +106,7 @@ TEST(AqeFetchPlan, ReducePartitionBytesMatchesPerPartitionPlans) {
     ASSERT_EQ(stats.size(), 8u);
     for (int p = 0; p < 8; ++p) {
       EXPECT_EQ(stats[static_cast<size_t>(p)],
-                plan_total(sm.fetch_plan(0, p, 8)))
+                plan_total(plan8(sm, p, p)))
           << "skew " << skew << " partition " << p;
     }
   }

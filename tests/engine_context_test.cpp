@@ -1,6 +1,8 @@
 // SparkContext end-to-end: job execution, reports, policies, determinism.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "engine/context.h"
 
 namespace saex::engine {
@@ -157,6 +159,16 @@ TEST(SparkContext, UnknownPolicyThrows) {
   EXPECT_THROW(SparkContext(cluster, std::move(config)), conf::ConfigError);
 }
 
+// apply_size clamps a pool to one thread, but the driver would be told 0.
+TEST(SparkContext, StaticPolicyRejectsZeroIoThreads) {
+  conf::Config config;
+  config.set("saex.executor.policy", "static");
+  config.set_int("saex.static.ioThreads", 0);
+  EXPECT_THROW(policy_factory_from_config(config), conf::ConfigError);
+  hw::Cluster cluster(hw::ClusterSpec::das5(2));
+  EXPECT_THROW(SparkContext(cluster, std::move(config)), conf::ConfigError);
+}
+
 TEST(SparkContext, MultiJobStageOrdinalsContinue) {
   conf::Config config = small_config();
   config.set("saex.executor.policy", "static");
@@ -190,6 +202,143 @@ TEST(SparkContext, IowaitBoundedByIdleFraction) {
     EXPECT_GE(s.iowait_fraction, 0.0);
     EXPECT_LE(s.iowait_fraction + s.cpu_utilization, 1.0 + 1e-9);
   }
+}
+
+// ---------- one job and stage lifecycle for both drivers ----------
+
+// Every field both drivers fill, doubles compared exactly. Per-executor rows
+// are the batch driver's alone, so they are checked by the callers.
+void expect_same_report(const JobReport& batch, const JobReport& serve) {
+  EXPECT_EQ(batch.app_name, serve.app_name);
+  EXPECT_EQ(batch.policy_name, serve.policy_name);
+  EXPECT_EQ(batch.total_runtime, serve.total_runtime);
+  EXPECT_EQ(batch.input_bytes, serve.input_bytes);
+  EXPECT_EQ(batch.total_disk_bytes, serve.total_disk_bytes);
+  EXPECT_EQ(batch.events_processed, serve.events_processed);
+  EXPECT_EQ(batch.job_id, serve.job_id);
+  EXPECT_EQ(batch.pool, serve.pool);
+  EXPECT_EQ(batch.failed, serve.failed);
+  EXPECT_EQ(batch.cancelled, serve.cancelled);
+  EXPECT_EQ(batch.submit_time, serve.submit_time);
+  EXPECT_EQ(batch.first_launch_time, serve.first_launch_time);
+  EXPECT_EQ(batch.finish_time, serve.finish_time);
+  ASSERT_EQ(batch.stages.size(), serve.stages.size());
+  for (size_t i = 0; i < batch.stages.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "stage " << i);
+    const StageStats& b = batch.stages[i];
+    const StageStats& s = serve.stages[i];
+    EXPECT_EQ(b.ordinal, s.ordinal);
+    EXPECT_EQ(b.name, s.name);
+    EXPECT_EQ(b.io_tagged, s.io_tagged);
+    EXPECT_EQ(b.num_tasks, s.num_tasks);
+    EXPECT_EQ(b.start_time, s.start_time);
+    EXPECT_EQ(b.end_time, s.end_time);
+    EXPECT_EQ(b.input_bytes, s.input_bytes);
+    EXPECT_EQ(b.disk_read, s.disk_read);
+    EXPECT_EQ(b.disk_written, s.disk_written);
+    EXPECT_EQ(b.net_bytes, s.net_bytes);
+    EXPECT_EQ(b.cpu_utilization, s.cpu_utilization);
+    EXPECT_EQ(b.disk_utilization, s.disk_utilization);
+    EXPECT_EQ(b.iowait_fraction, s.iowait_fraction);
+    EXPECT_EQ(b.threads_total, s.threads_total);
+    EXPECT_EQ(b.task_seconds, s.task_seconds);
+    EXPECT_EQ(b.task_p50, s.task_p50);
+    EXPECT_EQ(b.task_p95, s.task_p95);
+    EXPECT_EQ(b.task_max, s.task_max);
+    EXPECT_EQ(b.executors.size(), 4u);
+    EXPECT_TRUE(s.executors.empty());
+  }
+  EXPECT_EQ(batch.render(), serve.render());
+  EXPECT_EQ(batch.to_csv(), serve.to_csv());
+}
+
+// DFS read -> reduce_by_key into 8 partitions -> CPU-bound reduce -> save.
+Rdd linear_job(SparkContext& ctx, Bytes input) {
+  ctx.dfs().load_input("/in", input, 4);
+  return ctx.text_file("/in")
+      .reduce_by_key("g", {0.01, 1.0}, 1.0, 8, ShuffleTraits{0.0, 1.0})
+      .map("reduce", {2.0, 0.1})
+      .save_as_text_file("/out");
+}
+
+struct BothDrivers {
+  JobReport batch, serve;
+  int64_t resubmitted = 0;  // partitions lineage recovery rebuilt (serve)
+};
+
+// The same job through run_job and through submit_job plus a sim loop, on
+// two identical contexts.
+BothDrivers run_both_drivers(const conf::Config& config, Bytes input) {
+  BothDrivers out;
+  {
+    ContextRig rig(config);
+    out.batch = rig.ctx.run_job(linear_job(rig.ctx, input), "linear");
+  }
+  ContextRig rig(config);
+  bool done = false;
+  rig.ctx.submit_job(linear_job(rig.ctx, input), "linear", "default",
+                     [&](JobReport r) {
+                       out.serve = std::move(r);
+                       done = true;
+                     });
+  while (!done && rig.cluster.sim().step()) {
+  }
+  EXPECT_TRUE(done);
+  for (const Event& e : rig.ctx.event_log().events()) {
+    if (e.kind == EventKind::kStageResubmitted) out.resubmitted += e.value;
+  }
+  return out;
+}
+
+TEST(SparkContext, BothDriversReportTheSameLinearJob) {
+  const BothDrivers r = run_both_drivers(small_config(), gib(2));
+  ASSERT_EQ(r.batch.stages.size(), 2u);
+  EXPECT_EQ(r.batch.job_id, 0);
+  EXPECT_EQ(r.batch.pool, "default");
+  EXPECT_GT(r.batch.stages[1].task_seconds, 0.0);
+  expect_same_report(r.batch, r.serve);
+}
+
+// The node killed mid-reduce holds more map partitions than there are reduce
+// tasks: the batch stage's percentiles must still count only its own tasks,
+// never the lineage-recovery set that runs beside them.
+TEST(SparkContext, BothDriversReportTheSameJobAcrossAnExecutorKill) {
+  conf::Config config = small_config();
+  config.set_bool("saex.fault.enabled", true);
+  config.set_int("saex.fault.killNode", 1);
+  config.set("saex.fault.killTime", "500s");
+  const BothDrivers r = run_both_drivers(config, gib(8));
+  EXPECT_GT(r.resubmitted, 8);
+  ASSERT_EQ(r.batch.stages.size(), 2u);
+  EXPECT_FALSE(r.batch.failed);
+  expect_same_report(r.batch, r.serve);
+}
+
+TEST(SparkContext, SpeculativeLaunchesNameTheirJob) {
+  hw::ClusterSpec spec = hw::ClusterSpec::das5(4);
+  spec.seed = 1234;
+  spec.slow_disk_prob = 0.25;  // one slow disk: its tasks straggle
+  spec.slow_disk_factor = 0.25;
+  hw::Cluster cluster(spec);
+  conf::Config config = small_config();
+  config.set_bool("spark.speculation", true);
+  config.set_double("spark.speculation.multiplier", 1.4);
+  config.set_double("spark.speculation.quantile", 0.5);
+  SparkContext ctx(cluster, config);
+  ctx.dfs().load_input("/in", gib(8), 4);
+  for (int job = 0; job < 2; ++job) {
+    (void)ctx.run_job(ctx.text_file("/in").count(), "spec");
+  }
+  int job = -1;
+  std::map<int, int> launches;  // job id -> speculative launches
+  for (const Event& e : ctx.event_log().events()) {
+    if (e.kind == EventKind::kJobStart) job = e.job;
+    if (e.kind != EventKind::kSpeculativeLaunch) continue;
+    EXPECT_EQ(e.job, job);
+    ++launches[e.job];
+  }
+  EXPECT_GT(launches[0], 0);
+  EXPECT_GT(launches[1], 0);
 }
 
 }  // namespace

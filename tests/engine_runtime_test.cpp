@@ -25,7 +25,7 @@ TEST(ShuffleManager, FetchPlanConservesBytes) {
   const int R = 7;
   std::vector<Bytes> totals(4, 0);
   for (int r = 0; r < R; ++r) {
-    const auto plan = sm.fetch_plan(0, r, R);
+    const auto plan = sm.fetch_plan(0, ReduceSlice{r, r, 0, 1}, R);
     for (int n = 0; n < 4; ++n) totals[static_cast<size_t>(n)] += plan[static_cast<size_t>(n)];
   }
   EXPECT_EQ(totals[0], 1000);
@@ -46,7 +46,7 @@ TEST(ShuffleManager, AccumulatesMultipleMapTasks) {
 
 TEST(ShuffleManager, UnknownShuffleGivesEmptyPlan) {
   ShuffleManager sm(3);
-  const auto plan = sm.fetch_plan(9, 0, 4);
+  const auto plan = sm.fetch_plan(9, ReduceSlice{0, 0, 0, 1}, 4);
   for (const Bytes b : plan) EXPECT_EQ(b, 0);
   EXPECT_EQ(sm.total_output(9), 0);
 }
@@ -175,16 +175,20 @@ TEST(ShuffleManager, ShuffleStaysKnownAfterLosingEveryCommit) {
 // ---------- ExecutorRuntime ----------
 
 struct Rig {
+  // `storage` is the per-node cache budget (0 = unbounded) of policy-none
+  // BlockManagers: no eviction, overflow spills.
   explicit Rig(int nodes = 2, Bytes storage = 0)
       : cluster(hw::ClusterSpec::das5(nodes)),
         dfs(cluster, {}),
-        shuffles(nodes) {
+        shuffles(nodes),
+        blocks(nodes, storage::BlockManager::Options{storage, "none", true},
+               nullptr) {
     env.sim = &cluster.sim();
     env.cluster = &cluster;
     env.dfs = &dfs;
     env.shuffles = &shuffles;
     env.caches = &caches;
-    env.storage_budget = storage;
+    env.storage = &blocks;
     for (int i = 0; i < nodes; ++i) {
       execs.push_back(std::make_unique<ExecutorRuntime>(env, i, 32));
     }
@@ -196,6 +200,7 @@ struct Rig {
   dfs::Dfs dfs;
   ShuffleManager shuffles;
   CacheRegistry caches;
+  storage::StorageManager blocks;
   EngineEnv env;
   std::vector<std::unique_ptr<ExecutorRuntime>> execs;
 };
@@ -407,6 +412,13 @@ struct SchedulerRig : Rig {
     return tasks;
   }
 
+  void submit(const Stage& s, std::vector<TaskSpec> tasks, bool& done) {
+    scheduler->submit_stage(s, std::move(tasks), /*job_id=*/0, "default",
+                            [&done](const TaskScheduler::TaskSetResult&) {
+                              done = true;
+                            });
+  }
+
   std::unique_ptr<TaskScheduler> scheduler;
   Stage stage;
 };
@@ -414,7 +426,7 @@ struct SchedulerRig : Rig {
 TEST(TaskScheduler, RunsAllTasksToCompletion) {
   SchedulerRig rig;
   bool done = false;
-  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&] { done = true; });
+  rig.submit(rig.stage, rig.make_tasks(64), done);
   rig.cluster.sim().run();
   EXPECT_TRUE(done);
   uint64_t completed = 0;
@@ -425,7 +437,7 @@ TEST(TaskScheduler, RunsAllTasksToCompletion) {
 TEST(TaskScheduler, EmptyStageCompletesImmediately) {
   SchedulerRig rig;
   bool done = false;
-  rig.scheduler->run_stage(rig.stage, {}, [&] { done = true; });
+  rig.submit(rig.stage, {}, done);
   rig.cluster.sim().run();
   EXPECT_TRUE(done);
 }
@@ -436,7 +448,7 @@ TEST(TaskScheduler, RespectsAdvertisedPoolSize) {
   for (int n = 0; n < 4; ++n) rig.scheduler->on_executor_resized(n, 2);
 
   bool done = false;
-  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&] { done = true; });
+  rig.submit(rig.stage, rig.make_tasks(64), done);
   // Sample concurrency as the simulation progresses.
   int peak = 0;
   while (!done && rig.cluster.sim().step()) {
@@ -452,7 +464,7 @@ TEST(TaskScheduler, ResizeMidStageChangesConcurrency) {
   for (int n = 0; n < 4; ++n) rig.scheduler->on_executor_resized(n, 1);
 
   bool done = false;
-  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&] { done = true; });
+  rig.submit(rig.stage, rig.make_tasks(64), done);
 
   // Grow executor 0's pool mid-stage through the §5.4 protocol.
   rig.cluster.sim().schedule_at(1.0, [&] {
@@ -493,7 +505,7 @@ TEST(TaskScheduler, PrefersLocalTasks) {
     tasks.push_back(t);
   }
   bool done = false;
-  rig.scheduler->run_stage(stage, std::move(tasks), [&] { done = true; });
+  rig.submit(stage, std::move(tasks), done);
   rig.cluster.sim().run();
   EXPECT_TRUE(done);
   // With locality-first assignment and equal pools, no network traffic.

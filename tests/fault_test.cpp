@@ -52,6 +52,18 @@ TEST(FaultSpec, ReadsEveryKey) {
   EXPECT_DOUBLE_EQ(spec.fetch_fail_prob, 0.02);
 }
 
+// A zero disk speed deadlocks the job; a negative one never finishes.
+TEST(FaultSpec, RejectsNonPositiveSlowFactor) {
+  for (const double factor : {0.0, -1.0}) {
+    conf::Config c;
+    c.set_bool("saex.fault.enabled", true);
+    c.set_int("saex.fault.slowNode", 1);
+    c.set_double("saex.fault.slowFactor", factor);
+    EXPECT_THROW(fault::FaultSpec::from_config(c), conf::ConfigError)
+        << "slowFactor " << factor;
+  }
+}
+
 TEST(FaultSpec, DisabledIsInert) {
   const fault::FaultSpec spec = fault::FaultSpec::from_config(conf::Config{});
   EXPECT_FALSE(spec.enabled);

@@ -108,6 +108,18 @@ TEST(JobServerOptions, ReadsConfig) {
   EXPECT_THROW(JobServerOptions::from_config(c), conf::ConfigError);
 }
 
+// No concurrent slot would admit every job and run none.
+TEST(JobServerOptions, RejectsNoSlotsAndNegativeQueue) {
+  conf::Config c = serve_config();
+  c.set_int("saex.serve.maxConcurrentJobs", 0);
+  EXPECT_THROW(JobServerOptions::from_config(c), conf::ConfigError);
+  c.set_int("saex.serve.maxConcurrentJobs", 1);
+  c.set_int("saex.serve.maxQueuedJobs", -1);
+  EXPECT_THROW(JobServerOptions::from_config(c), conf::ConfigError);
+  c.set_int("saex.serve.maxQueuedJobs", 0);
+  EXPECT_EQ(JobServerOptions::from_config(c).max_queued_jobs, 0);
+}
+
 // ---------- admission control ----------
 
 JobServer::Builder tiny_job(int id) {

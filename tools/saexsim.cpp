@@ -18,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -494,7 +495,15 @@ RunResult simulate_once(const Args& args, const workloads::WorkloadSpec& spec,
   config.set_int("saex.static.ioThreads", io_threads);
 
   RunResult res;
-  engine::SparkContext ctx(cluster, std::move(config));
+  std::unique_ptr<engine::SparkContext> owned;
+  try {
+    owned = std::make_unique<engine::SparkContext>(cluster, std::move(config));
+  } catch (const conf::ConfigError& e) {
+    // A value the context rejects (saex.aqe.skewFactor 0, ...): rc 2.
+    return RunResult{2, strfmt::format("invalid configuration: {}\n",
+                                       e.what())};
+  }
+  engine::SparkContext& ctx = *owned;
   engine::JobReport report;
   bool first = true;
   for (const engine::Rdd& action : spec.build(ctx)) {
@@ -565,6 +574,10 @@ int run_sweep(const Args& args, const workloads::WorkloadSpec& spec) {
   }
   std::vector<RunResult> results =
       harness::run_ordered(std::move(tasks), args.par_jobs);
+  if (results.front().rc == 2) {
+    std::fputs(results.front().text.c_str(), stderr);
+    return 2;
+  }
   int rc = 0;
   for (size_t i = 0; i < threads.size(); ++i) {
     std::printf("==== static, %d threads on I/O stages ====\n", threads[i]);
