@@ -351,12 +351,18 @@ void SparkContext::apply_tuner_pool_hint(const Stage& stage) {
 //
 // Killing an executor loses everything its *process* held: registered
 // shuffle map outputs and cached RDD partitions. DFS blocks live in the
-// datanode and survive. Lost shuffle partitions are recomputed by
-// resubmitting the producing stage for exactly those partitions (Spark's
-// lineage resubmission); task sets that fetch from a recovering shuffle are
-// parked (held) and resume when the rebuild lands. Lost cached partitions
-// have no lineage here, so tasks reading them exhaust their retry budget and
-// the job fails with a typed abort.
+// datanode and survive. Two kinds of lost input are rebuilt along one path
+// (resubmit / on_rebuilt): shuffle map outputs lost with an executor, and
+// cache partitions dropped by eviction (saex.storage.spillOnEvict=false).
+// The producing stage is resubmitted for exactly the lost partitions
+// (Spark's lineage resubmission) while the task sets reading them stay
+// parked (held) until the rebuild lands. Shuffle readers are parked at loss
+// time, cache readers when they trip over a dropped partition. Cached
+// partitions lost with their executor are not rebuilt: their readers are
+// charged, exhaust the retry budget, and the job fails with a typed abort.
+// The cache recompute is one level deep: a producer whose own cached input
+// was dropped as well is not recursively recovered (as in Spark, deep miss
+// chains surface as retries).
 // ---------------------------------------------------------------------------
 
 void SparkContext::kill_executor(int node_id) {
@@ -378,7 +384,14 @@ void SparkContext::kill_executor(int node_id) {
   executors_[static_cast<size_t>(node_id)]->kill();
   const std::map<int, std::vector<int>> lost = shuffles_->on_node_lost(node_id);
   for (const auto& [shuffle_id, partitions] : lost) {
-    recover_shuffle(shuffle_id, partitions);
+    // Park every running reader *now*, not on its first fetch failure: once
+    // on_node_lost dropped the dead node's commits, a newly launched reader
+    // would plan its fetches from the surviving partial outputs and silently
+    // read incomplete data (Spark's MetadataFetchFailed case).
+    for (const uint64_t id : scheduler_->hold_sets_reading(shuffle_id)) {
+      shuffle_lineage_.parked[shuffle_id].push_back(id);
+    }
+    resubmit(shuffle_lineage_, shuffle_id, partitions);
   }
 }
 
@@ -400,18 +413,17 @@ void SparkContext::revive_executor(int node_id) {
   scheduler_->revive_executor(node_id);
 }
 
-void SparkContext::record_shuffle_producer(const Stage& stage) {
+void SparkContext::record_producers(const Stage& stage) {
   if (stage.sink == StageSink::kShuffleWrite && stage.out_shuffle_id >= 0) {
     // Reduce-partition weights (ShuffleTraits::skew) must be registered
     // before any consumer plans its fetches; the producer is always
     // submitted — and hence recorded — first.
     shuffles_->set_reduce_skew(stage.out_shuffle_id, stage.out_skew);
-    shuffle_producers_.insert_or_assign(stage.out_shuffle_id, stage);
+    shuffle_lineage_.producers.insert_or_assign(stage.out_shuffle_id, stage);
   }
-  // Cache lineage: remember who materializes each cache so partitions
-  // dropped by eviction can be recomputed instead of aborting the job.
+  // Caches too: partitions dropped by eviction are rebuilt from lineage.
   if (stage.cache_out_id >= 0) {
-    cache_producers_.insert_or_assign(stage.cache_out_id, stage);
+    cache_lineage_.producers.insert_or_assign(stage.cache_out_id, stage);
   }
 }
 
@@ -422,16 +434,12 @@ FetchFailureAction SparkContext::on_fetch_failure(uint64_t set_id,
   if (shuffle_id < 0) {
     // Cached data. A partition dropped by eviction (owner still alive) has
     // lineage: park the set and recompute it. A partition lost with its
-    // executor keeps the PR 2 semantics — charged, so the retry budget
-    // bounds the job.
+    // executor is charged, so the retry budget bounds the job.
     if (cache_id >= 0 && caches_->has(cache_id) &&
-        cache_producers_.count(cache_id) > 0 &&
+        cache_lineage_.producers.count(cache_id) > 0 &&
         caches_->partition(cache_id, partition).dropped) {
-      cache_held_sets_[cache_id].push_back(set_id);
-      const auto it = recovering_caches_.find(cache_id);
-      if (it == recovering_caches_.end() || it->second == 0) {
-        recover_cache(cache_id, dropped_cache_partitions(cache_id));
-      }
+      cache_lineage_.parked[cache_id].push_back(set_id);
+      rebuild_dropped_cache(cache_id);
       return FetchFailureAction::kHold;
     }
     return FetchFailureAction::kCharge;
@@ -443,10 +451,9 @@ FetchFailureAction SparkContext::on_fetch_failure(uint64_t set_id,
     // Transient seeded drop: the data is still there, charge and retry.
     return FetchFailureAction::kCharge;
   }
-  const auto it = recovering_.find(shuffle_id);
-  if (it != recovering_.end() && it->second > 0) {
-    // Rebuild in flight: park the set; on_recovery_done releases it.
-    held_sets_[shuffle_id].push_back(set_id);
+  if (shuffle_lineage_.rebuilding.count(shuffle_id) > 0) {
+    // Rebuild in flight: park the set; on_rebuilt releases it.
+    shuffle_lineage_.parked[shuffle_id].push_back(set_id);
     return FetchFailureAction::kHold;
   }
   // Recovery already finished (or the kill hook raced this status update):
@@ -454,30 +461,20 @@ FetchFailureAction SparkContext::on_fetch_failure(uint64_t set_id,
   return FetchFailureAction::kRetry;
 }
 
-void SparkContext::recover_shuffle(int shuffle_id,
-                                   const std::vector<int>& partitions) {
-  const auto it = shuffle_producers_.find(shuffle_id);
-  if (it == shuffle_producers_.end()) {
-    SAEX_WARN("shuffle {} lost {} partitions but has no recorded producer",
-              shuffle_id, partitions.size());
-    return;
-  }
+void SparkContext::resubmit(Lineage& lineage, int id,
+                            const std::vector<int>& partitions) {
+  // Every lost partition was committed by a stage open_stage recorded.
+  const auto it = lineage.producers.find(id);
+  assert(it != lineage.producers.end() && "lost input has no producer");
   const Stage& producer = it->second;
-  ++recovering_[shuffle_id];
-  SAEX_WARN("resubmitting stage {} '{}' for {} lost partitions of shuffle {}",
-            producer.ordinal, producer.name, partitions.size(), shuffle_id);
+  ++lineage.rebuilding[id];
+  SAEX_WARN("resubmitting stage {} '{}' for {} lost partitions of {} {}",
+            producer.ordinal, producer.name, partitions.size(), lineage.kind,
+            id);
   event_log_.record(Event{EventKind::kStageResubmitted, cluster_->sim().now(),
                           -1, producer.ordinal, -1, -1,
                           static_cast<int64_t>(partitions.size()),
                           producer.name});
-
-  // Park every running consumer *now*, not on its first fetch failure: once
-  // on_node_lost dropped the dead node's commits, a newly launched reader
-  // would plan its fetches from the surviving partial outputs and silently
-  // read incomplete data (Spark's MetadataFetchFailed case).
-  for (const uint64_t id : scheduler_->hold_sets_reading(shuffle_id)) {
-    held_sets_[shuffle_id].push_back(id);
-  }
 
   std::vector<TaskSpec> all = make_tasks(producer);
   std::vector<TaskSpec> tasks;
@@ -489,145 +486,65 @@ void SparkContext::recover_shuffle(int shuffle_id,
   // starved by the very work that waits on it.
   scheduler_->submit_stage(
       producer, std::move(tasks), /*job_id=*/-1, "default",
-      [this, shuffle_id](const TaskScheduler::TaskSetResult& result) {
-        on_recovery_done(shuffle_id, result.failed);
+      [this, &lineage, id](const TaskScheduler::TaskSetResult& result) {
+        on_rebuilt(lineage, id, result.failed);
       });
 }
 
-void SparkContext::on_recovery_done(int shuffle_id, bool failed) {
-  const auto it = recovering_.find(shuffle_id);
-  assert(it != recovering_.end() && "recovery finished for unknown shuffle");
+void SparkContext::on_rebuilt(Lineage& lineage, int id, bool failed) {
+  const auto it = lineage.rebuilding.find(id);
+  assert(it != lineage.rebuilding.end() && "rebuild finished for unknown id");
   if (--it->second > 0) return;
-  recovering_.erase(it);
+  lineage.rebuilding.erase(it);
 
-  std::vector<uint64_t> held;
-  if (const auto h = held_sets_.find(shuffle_id); h != held_sets_.end()) {
-    held = std::move(h->second);
-    held_sets_.erase(h);
+  std::vector<uint64_t> parked;
+  if (const auto p = lineage.parked.find(id); p != lineage.parked.end()) {
+    parked = std::move(p->second);
+    lineage.parked.erase(p);
   }
+  std::sort(parked.begin(), parked.end());
+  parked.erase(std::unique(parked.begin(), parked.end()), parked.end());
   if (failed) {
-    SAEX_WARN("lineage recovery of shuffle {} failed; aborting dependents",
-              shuffle_id);
-    for (const uint64_t id : held) scheduler_->abort_set(id);
-  } else {
-    for (const uint64_t id : held) {
-      // A set reading two recovering shuffles (a join) stays parked until the
-      // last of them has been rebuilt.
-      bool still_held = false;
-      for (const auto& [sid, ids] : held_sets_) {
-        for (const uint64_t other : ids) {
-          if (other == id) {
-            still_held = true;
-            break;
-          }
-        }
-        if (still_held) break;
+    SAEX_WARN("lineage recovery of {} {} failed; aborting dependents",
+              lineage.kind, id);
+    for (const uint64_t set_id : parked) scheduler_->abort_set(set_id);
+    return;
+  }
+  for (const uint64_t set_id : parked) {
+    // A set reading two rebuilding shuffles (a join) stays parked until the
+    // last of them lands. A set reads shuffles or one cache, never both, so
+    // only this kind's parked sets can still hold it.
+    bool still_parked = false;
+    for (const auto& [other, sets] : lineage.parked) {
+      if (std::find(sets.begin(), sets.end(), set_id) != sets.end()) {
+        still_parked = true;
+        break;
       }
-      if (!still_held) scheduler_->hold_set(id, false);
     }
-    // Stages deferred because their input shuffle was rebuilding can go now.
-    for (auto& [job_id, run] : jobs_) submit_ready_stages(*run);
+    if (!still_parked) scheduler_->hold_set(set_id, false);
   }
+  // Stages deferred while their input was rebuilding can go now.
+  for (auto& [job_id, run] : jobs_) submit_ready_stages(*run);
 }
 
-bool SparkContext::input_recovering(const Stage& stage) const {
+bool SparkContext::input_rebuilding(const Stage& stage) const {
   for (const int sid : stage.in_shuffle_ids) {
-    if (recovering_.count(sid) > 0) return true;
+    if (shuffle_lineage_.rebuilding.count(sid) > 0) return true;
   }
-  return false;
+  return cache_lineage_.rebuilding.count(stage.in_cache_id) > 0;
 }
 
-// ---------------------------------------------------------------------------
-// Evicted-block recompute: cache partitions dropped by the BlockManager
-// (saex.storage.spillOnEvict=false) are rebuilt by resubmitting the
-// producing stage for exactly the dropped partitions, mirroring the shuffle
-// lineage path. Consumer sets that trip over a dropped partition are parked
-// (kHold) and released when the rebuild lands. The recompute is one level
-// deep: a producer whose own cached input was dropped as well is not
-// recursively recovered (as in Spark, deep miss chains surface as retries).
-// ---------------------------------------------------------------------------
-
-std::vector<int> SparkContext::dropped_cache_partitions(int cache_id) const {
+void SparkContext::rebuild_dropped_cache(int cache_id) {
+  if (cache_lineage_.rebuilding.count(cache_id) > 0) return;
+  const auto info = dag_->caches().find(cache_id);
+  if (info == dag_->caches().end()) return;
   std::vector<int> dropped;
-  const auto it = dag_->caches().find(cache_id);
-  if (it == dag_->caches().end()) return dropped;
-  for (int p = 0; p < it->second.partitions; ++p) {
+  for (int p = 0; p < info->second.partitions; ++p) {
     if (caches_->partition(cache_id, p).dropped) dropped.push_back(p);
   }
-  return dropped;
-}
-
-bool SparkContext::cache_recovering(const Stage& stage) const {
-  return stage.source == StageSource::kCached &&
-         recovering_caches_.count(stage.in_cache_id) > 0;
-}
-
-void SparkContext::maybe_recover_cache(const Stage& stage) {
-  if (stage.source != StageSource::kCached) return;
-  if (recovering_caches_.count(stage.in_cache_id) > 0) return;
-  const std::vector<int> dropped =
-      dropped_cache_partitions(stage.in_cache_id);
   if (dropped.empty()) return;
-  recover_cache(stage.in_cache_id, dropped);
-}
-
-void SparkContext::recover_cache(int cache_id,
-                                 const std::vector<int>& partitions) {
-  if (partitions.empty()) return;
-  const auto it = cache_producers_.find(cache_id);
-  if (it == cache_producers_.end()) {
-    SAEX_WARN("cache {} dropped {} partitions but has no recorded producer",
-              cache_id, partitions.size());
-    return;
-  }
-  const Stage& producer = it->second;
-  ++recovering_caches_[cache_id];
-  if (m_recomputes_) m_recomputes_.add(static_cast<double>(partitions.size()));
-  SAEX_WARN(
-      "resubmitting stage {} '{}' for {} evicted partitions of cache {}",
-      producer.ordinal, producer.name, partitions.size(), cache_id);
-  event_log_.record(Event{EventKind::kStageResubmitted, cluster_->sim().now(),
-                          -1, producer.ordinal, -1, -1,
-                          static_cast<int64_t>(partitions.size()),
-                          producer.name});
-
-  std::vector<TaskSpec> all = make_tasks(producer);
-  std::vector<TaskSpec> tasks;
-  tasks.reserve(partitions.size());
-  for (const int p : partitions) {
-    tasks.push_back(all[static_cast<size_t>(p)]);
-  }
-  // job_id -1: the rebuild outranks the work waiting on it under FIFO.
-  scheduler_->submit_stage(
-      producer, std::move(tasks), /*job_id=*/-1, "default",
-      [this, cache_id](const TaskScheduler::TaskSetResult& result) {
-        on_cache_recovery_done(cache_id, result.failed);
-      });
-}
-
-void SparkContext::on_cache_recovery_done(int cache_id, bool failed) {
-  const auto it = recovering_caches_.find(cache_id);
-  assert(it != recovering_caches_.end() &&
-         "recovery finished for unknown cache");
-  if (--it->second > 0) return;
-  recovering_caches_.erase(it);
-
-  std::vector<uint64_t> held;
-  if (const auto h = cache_held_sets_.find(cache_id);
-      h != cache_held_sets_.end()) {
-    held = std::move(h->second);
-    cache_held_sets_.erase(h);
-  }
-  std::sort(held.begin(), held.end());
-  held.erase(std::unique(held.begin(), held.end()), held.end());
-  if (failed) {
-    SAEX_WARN("recompute of cache {} failed; aborting dependents", cache_id);
-    for (const uint64_t id : held) scheduler_->abort_set(id);
-    return;
-  }
-  for (const uint64_t id : held) scheduler_->hold_set(id, false);
-  // Stages deferred because their cached input was rebuilding can go now.
-  for (auto& [job_id, run] : jobs_) submit_ready_stages(*run);
+  if (m_recomputes_) m_recomputes_.add(static_cast<double>(dropped.size()));
+  resubmit(cache_lineage_, cache_id, dropped);
 }
 
 // ---------------------------------------------------------------------------
@@ -715,7 +632,7 @@ void SparkContext::open_stage(JobRun& run, const Stage& stage,
   }
   event_log_.record(Event{EventKind::kStageStart, now, run.job_id, app_ordinal,
                           -1, -1, stage.num_tasks, stage.name});
-  record_shuffle_producer(stage);
+  record_producers(stage);
 }
 
 void SparkContext::close_stage(JobRun& run, const Stage& stage,
@@ -857,12 +774,11 @@ void SparkContext::submit_ready_stages(JobRun& run) {
         run.submitted.count(stage.uid) > 0) {
       continue;
     }
-    // A stage fetching from a shuffle under lineage recovery would only
-    // fail and park; defer it until on_recovery_done resubmits. Same for a
-    // cached input whose dropped partitions are being recomputed.
-    if (input_recovering(stage)) continue;
-    maybe_recover_cache(stage);
-    if (cache_recovering(stage)) continue;
+    // A stage whose input is being rebuilt would only fail and park; defer
+    // it until on_rebuilt resubmits. A cached input's dropped partitions
+    // are rebuilt before the reader launches.
+    rebuild_dropped_cache(stage.in_cache_id);
+    if (input_rebuilding(stage)) continue;
     run.submitted.insert(stage.uid);
     submit_stage_of(run, stage);
   }
@@ -950,7 +866,7 @@ void SparkContext::maybe_finish_job(JobRun& run) {
 // The paper's batch driver: stages run one at a time in plan order, and
 // every executor's policy restarts its MAPE-K climb at each stage (§5).
 JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
-  // The run never enters jobs_: on_recovery_done's submit_ready_stages
+  // The run never enters jobs_: on_rebuilt's submit_ready_stages
   // would otherwise submit its stages concurrently.
   const std::unique_ptr<JobRun> run = open_job(
       action, std::move(app_name), "default", /*per_executor=*/true);
@@ -960,8 +876,8 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     // a consumer stage must not plan its fetches until the rebuild lands.
     // Likewise a cached input with eviction-dropped partitions is rebuilt
     // before the reader launches (rather than parking every task on a miss).
-    maybe_recover_cache(stage);
-    while (input_recovering(stage) || cache_recovering(stage)) {
+    rebuild_dropped_cache(stage.in_cache_id);
+    while (input_rebuilding(stage)) {
       if (!sim.step()) {
         throw std::runtime_error(strfmt::format(
             "stage {} deadlocked waiting for lineage recovery",

@@ -150,7 +150,7 @@ class SparkContext {
   fault::FaultPlan* fault_plan() noexcept { return fault_plan_.get(); }
   /// Shuffles whose lost partitions are being recomputed right now.
   int recovering_shuffles() const noexcept {
-    return static_cast<int>(recovering_.size());
+    return static_cast<int>(shuffle_lineage_.rebuilding.size());
   }
 
   // --- storage layer -------------------------------------------------------
@@ -161,12 +161,23 @@ class SparkContext {
   const storage::StorageManager& storage() const noexcept { return *storage_; }
   /// Caches whose dropped partitions are being recomputed right now.
   int recovering_caches() const noexcept {
-    return static_cast<int>(recovering_caches_.size());
+    return static_cast<int>(cache_lineage_.rebuilding.size());
   }
 
  private:
   struct StageBaseline;
   struct JobRun;
+
+  // Lineage recovery state for one kind of lost input, keyed by shuffle or
+  // cache id: shuffle map outputs lost with an executor, and cache
+  // partitions dropped by eviction (saex.storage.spillOnEvict=false).
+  struct Lineage {
+    explicit Lineage(const char* kind) : kind(kind) {}
+    const char* kind;                             // "shuffle" or "cache"
+    std::map<int, Stage> producers;               // id -> producing stage
+    std::map<int, int> rebuilding;                // id -> rebuilds in flight
+    std::map<int, std::vector<uint64_t>> parked;  // id -> sets waiting on it
+  };
 
   void install_policies();
   std::vector<TaskSpec> make_tasks(const Stage& stage) const;
@@ -203,20 +214,17 @@ class SparkContext {
   FetchFailureAction on_fetch_failure(uint64_t set_id, int shuffle_id,
                                       int src_node, int cache_id,
                                       int partition);
-  void record_shuffle_producer(const Stage& stage);
-  void recover_shuffle(int shuffle_id, const std::vector<int>& partitions);
-  void on_recovery_done(int shuffle_id, bool failed);
-  bool input_recovering(const Stage& stage) const;
-
-  // Lineage recompute for cache partitions dropped by eviction
-  // (saex.storage.spillOnEvict=false). Mirrors the shuffle recovery path:
-  // the producing stage is resubmitted for exactly the dropped partitions
-  // at job_id -1 while consumer sets are parked.
-  std::vector<int> dropped_cache_partitions(int cache_id) const;
-  void maybe_recover_cache(const Stage& stage);
-  bool cache_recovering(const Stage& stage) const;
-  void recover_cache(int cache_id, const std::vector<int>& partitions);
-  void on_cache_recovery_done(int cache_id, bool failed);
+  void record_producers(const Stage& stage);
+  // Resubmits the producer of `id` for exactly `partitions` at job_id -1;
+  // on_rebuilt releases the sets parked on it once the last rebuild lands.
+  void resubmit(Lineage& lineage, int id, const std::vector<int>& partitions);
+  void on_rebuilt(Lineage& lineage, int id, bool failed);
+  // True while an input of `stage` is being rebuilt: its tasks would only
+  // fail and park, so both drivers hold the stage back.
+  bool input_rebuilding(const Stage& stage) const;
+  // Starts the recompute of cache `cache_id`'s dropped partitions unless
+  // one is in flight. No-op for -1 (a stage with no cached input).
+  void rebuild_dropped_cache(int cache_id);
 
   hw::Cluster* cluster_;
   conf::Config config_;
@@ -240,14 +248,9 @@ class SparkContext {
   std::unique_ptr<fault::FaultState> fault_state_;
   std::unique_ptr<fault::FaultPlan> fault_plan_;
   NodeFaultHook node_fault_hook_;
-  std::map<int, Stage> shuffle_producers_;  // shuffle id -> producing stage
-  std::map<int, int> recovering_;           // shuffle id -> in-flight recoveries
-  std::map<int, std::vector<uint64_t>> held_sets_;  // parked on recovery
+  Lineage shuffle_lineage_{"shuffle"};
+  Lineage cache_lineage_{"cache"};
 
-  // Cache lineage (evicted-block recompute).
-  std::map<int, Stage> cache_producers_;    // cache id -> producing stage
-  std::map<int, int> recovering_caches_;    // cache id -> in-flight recoveries
-  std::map<int, std::vector<uint64_t>> cache_held_sets_;
   bool shuffle_locality_ = false;  // saex.storage.shuffleLocality
   metrics::CounterHandle m_recomputes_;
 

@@ -196,20 +196,7 @@ struct ExecutorRuntime::TaskRun {
                            seg_left == seg.bytes &&
                            fs.drop_fetch(seg.src_node, exec->node_id_);
       if (source_dead || dropped) {
-        exec->env_.cluster->network().record_dropped_fetch(seg.src_node,
-                                                           exec->node_id_);
-        fail_kind = TaskFailure::kFetchFailed;
-        fail_fetch_src = seg.src_node;
-        fail_fetch_sid = seg.shuffle_id;
-        aborting = true;
-        // The failure surfaces after the fetch round-trip latency, riding
-        // the read channel so the normal drain logic applies.
-        ++reads_outstanding;
-        sim().schedule_after(exec->env_.cluster->network().params().latency,
-                             [this] {
-                               --reads_outstanding;
-                               maybe_finish_abort();
-                             });
+        fail_fetch(seg.src_node, seg.shuffle_id);
         return;
       }
     }
@@ -257,6 +244,23 @@ struct ExecutorRuntime::TaskRun {
     }
   }
 
+  // Aborts the attempt on a failed fetch from `src` (shuffle_id -1: cached
+  // data). The failure surfaces after the fetch round-trip latency, riding
+  // the read channel so the normal drain logic applies.
+  void fail_fetch(int src, int shuffle_id) {
+    hw::Network& net = exec->env_.cluster->network();
+    net.record_dropped_fetch(src, exec->node_id_);
+    fail_kind = TaskFailure::kFetchFailed;
+    fail_fetch_src = src;
+    fail_fetch_sid = shuffle_id;
+    aborting = true;
+    ++reads_outstanding;
+    sim().schedule_after(net.params().latency, [this] {
+      --reads_outstanding;
+      maybe_finish_abort();
+    });
+  }
+
   // ---- flow-batched fetch (saex.net.flowBatch) ----
 
   // Moves a whole flow segment — every shuffle block this task pulls from
@@ -279,16 +283,7 @@ struct ExecutorRuntime::TaskRun {
         }
       }
       if (failed) {
-        net.record_dropped_fetch(src, exec->node_id_);
-        fail_kind = TaskFailure::kFetchFailed;
-        fail_fetch_src = src;
-        fail_fetch_sid = seg.flow_blocks.front().first;
-        aborting = true;
-        ++reads_outstanding;
-        sim().schedule_after(net.params().latency, [this] {
-          --reads_outstanding;
-          maybe_finish_abort();
-        });
+        fail_fetch(src, seg.flow_blocks.front().first);
         return;
       }
     }

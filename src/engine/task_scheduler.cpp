@@ -117,24 +117,12 @@ const PoolSpec& TaskScheduler::pool_spec(
   return kFallback;
 }
 
-int TaskScheduler::pool_running(const std::string& name) const noexcept {
+int TaskScheduler::running_in_pool(const std::string& pool) const noexcept {
   int running = 0;
   for (const auto& set : sets_) {
-    if (set->pool == name) running += set->running;
+    if (set->pool == pool) running += set->running;
   }
   return running;
-}
-
-int TaskScheduler::running_in_pool(const std::string& pool) const noexcept {
-  return pool_running(pool);
-}
-
-int TaskScheduler::pending_task_count() const noexcept {
-  int pending = 0;
-  for (const auto& set : sets_) {
-    pending += static_cast<int>(set->pending.size());
-  }
-  return pending;
 }
 
 void TaskScheduler::set_executor_active(int node_id, bool active) {
@@ -179,10 +167,8 @@ void TaskScheduler::set_executor_quarantined(int node_id, bool quarantined) {
 }
 
 bool TaskScheduler::executor_quarantined(int node_id) const {
-  for (const ExecState& es : execs_) {
-    if (es.exec->node_id() == node_id) return es.quarantined;
-  }
-  return false;
+  const int e = exec_index_of(node_id);
+  return e >= 0 && execs_[static_cast<size_t>(e)].quarantined;
 }
 
 int TaskScheduler::quarantined_executor_count() const noexcept {
@@ -192,10 +178,8 @@ int TaskScheduler::quarantined_executor_count() const noexcept {
 }
 
 bool TaskScheduler::executor_dead(int node_id) const {
-  for (const ExecState& es : execs_) {
-    if (es.exec->node_id() == node_id) return es.dead;
-  }
-  return false;
+  const int e = exec_index_of(node_id);
+  return e >= 0 && execs_[static_cast<size_t>(e)].dead;
 }
 
 int TaskScheduler::dead_executor_count() const noexcept {
@@ -214,12 +198,15 @@ void TaskScheduler::hold_set(uint64_t id, bool held) {
 void TaskScheduler::abort_set(uint64_t id) {
   TaskSet* set = find_set(id);
   if (set == nullptr) return;
-  set->failed = true;
-  set->remaining = 0;
-  for (TaskState& st : set->state) st.done = true;
-  pending_clear(*set);
-  // In-flight copies still drain; on_done fires once running hits zero.
+  fail_set(*set);
   maybe_finish_set(*set);
+}
+
+void TaskScheduler::fail_set(TaskSet& set) noexcept {
+  set.failed = true;
+  set.remaining = 0;
+  for (TaskState& st : set.state) st.done = true;
+  pending_clear(set);
 }
 
 std::vector<uint64_t> TaskScheduler::hold_sets_reading(int shuffle_id) {
@@ -239,10 +226,8 @@ std::vector<uint64_t> TaskScheduler::hold_sets_reading(int shuffle_id) {
 }
 
 bool TaskScheduler::executor_active(int node_id) const {
-  for (const ExecState& es : execs_) {
-    if (es.exec->node_id() == node_id) return es.active;
-  }
-  return false;
+  const int e = exec_index_of(node_id);
+  return e >= 0 && execs_[static_cast<size_t>(e)].active;
 }
 
 int TaskScheduler::active_executor_count() const noexcept {
@@ -263,7 +248,11 @@ void TaskScheduler::erase_set(uint64_t id) noexcept {
   const auto it = std::lower_bound(
       sets_.begin(), sets_.end(), id,
       [](const std::unique_ptr<TaskSet>& s, uint64_t v) { return s->id < v; });
-  if (it != sets_.end() && (*it)->id == id) sets_.erase(it);
+  if (it != sets_.end() && (*it)->id == id) {
+    // pending_total_ counts only live sets' pending tasks.
+    assert((*it)->pending.empty());
+    sets_.erase(it);
+  }
 }
 
 uint64_t TaskScheduler::submit_stage(const Stage& stage,
@@ -818,13 +807,7 @@ void TaskScheduler::on_task_finished(uint64_t set_id, const TaskSpec& spec,
              st.running_copies == 0) {
     SAEX_WARN("task {} of stage {} failed {} times; aborting stage",
               spec.partition, set.stage.ordinal, st.attempts);
-    set.failed = true;
-    // Drain: remaining copies of other tasks finish, then on_done fires.
-    set.remaining = 0;
-    for (TaskState& other : set.state) {
-      if (!other.done) other.done = true;
-    }
-    pending_clear(set);
+    fail_set(set);
   }
   // else: attempt failed with budget left — the task is pending again
   // (running_copies just returned to 0) and try_assign re-launches it.
@@ -873,17 +856,13 @@ adaptive::SchedulerNotifier TaskScheduler::make_notifier(int node_id) {
 }
 
 int TaskScheduler::advertised_size(int node_id) const {
-  for (const ExecState& es : execs_) {
-    if (es.exec->node_id() == node_id) return es.advertised;
-  }
-  return -1;
+  const int e = exec_index_of(node_id);
+  return e < 0 ? -1 : execs_[static_cast<size_t>(e)].advertised;
 }
 
 int TaskScheduler::assigned_count(int node_id) const {
-  for (const ExecState& es : execs_) {
-    if (es.exec->node_id() == node_id) return es.assigned;
-  }
-  return -1;
+  const int e = exec_index_of(node_id);
+  return e < 0 ? -1 : execs_[static_cast<size_t>(e)].assigned;
 }
 
 }  // namespace saex::engine

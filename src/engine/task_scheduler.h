@@ -40,9 +40,9 @@ enum class SchedulingMode { kFifo, kFair };
 
 /// What the driver decides a fetch failure means (Spark's DAGScheduler
 /// handling of FetchFailed): charge it like an ordinary failure (transient
-/// drop, or unrecoverable cached data), retry for free, or retry for free
-/// *after* parking the whole set while lineage recovery rebuilds the lost
-/// map outputs.
+/// drop, or cached data lost with its executor), retry for free, or retry
+/// for free *after* parking the whole set while lineage recovery rebuilds
+/// the lost map outputs or dropped cache partitions.
 enum class FetchFailureAction { kCharge, kRetry, kHold };
 
 /// A FAIR scheduler pool (Spark's fairscheduler.xml entry): a task set in a
@@ -149,7 +149,9 @@ class TaskScheduler {
 
   /// Tasks not yet running (pending across all in-flight sets) — the
   /// dynamic-allocation backlog signal.
-  int pending_task_count() const noexcept;
+  int pending_task_count() const noexcept {
+    return static_cast<int>(pending_total_);
+  }
   int active_task_sets() const noexcept { return static_cast<int>(sets_.size()); }
   /// Currently running (dispatched) task copies in `pool`.
   int running_in_pool(const std::string& pool) const noexcept;
@@ -193,7 +195,7 @@ class TaskScheduler {
 
   /// Parks / unparks a task set: a held set keeps its running copies but
   /// receives no new offers — used while lineage recovery rebuilds the
-  /// shuffle outputs its tasks fetch.
+  /// shuffle outputs or cache partitions its tasks read.
   void hold_set(uint64_t id, bool held);
   /// Aborts a task set: pending tasks are dropped, in-flight copies drain,
   /// then on_done fires with result.failed = true.
@@ -333,11 +335,13 @@ class TaskScheduler {
                 bool speculative);
   void on_task_finished(uint64_t set_id, const TaskSpec& spec, size_t exec_idx,
                         const TaskOutcome& outcome);
+  // Marks `set` failed: pending tasks dropped, every task done; running
+  // copies still drain before maybe_finish_set fires on_done.
+  void fail_set(TaskSet& set) noexcept;
   void maybe_finish_set(TaskSet& set);
   void erase_set(uint64_t id) noexcept;
   void schedule_speculation_check();
   const PoolSpec& pool_spec(const std::string& name) const noexcept;
-  int pool_running(const std::string& name) const noexcept;
 
   sim::Simulation& sim_;
   std::vector<ExecState> execs_;

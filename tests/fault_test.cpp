@@ -4,7 +4,9 @@
 // the multi-tenant server surviving an executor loss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/format.h"
 #include "engine/context.h"
@@ -194,6 +196,58 @@ TEST(LineageRecovery, CachedDataLossAbortsWithTypedError) {
   } catch (const StageAbortedError& e) {
     EXPECT_GE(e.stage_ordinal(), 0);
   }
+}
+
+// One kill loses map outputs of both sides of a running join, so the join's
+// task set is parked on two rebuilds at once. It must stay parked until the
+// slower rebuild lands too: a task launched in between would plan its
+// fetches from the half-rebuilt shuffle.
+TEST(LineageRecovery, JoinParkedOnTwoRebuildsWaitsForBoth) {
+  hw::Cluster cluster(hw::ClusterSpec::das5(4));
+  conf::Config c = base_config();
+  c.set_bool("saex.fault.enabled", true);
+  c.set_int("saex.fault.killNode", 1);
+  c.set("saex.fault.killTime", "150s");
+  SparkContext ctx(cluster, c);
+  ctx.dfs().load_input("/l", gib(2), 4);
+  ctx.dfs().load_input("/r", mib(512), 4, mib(128));
+  const engine::Rdd l = ctx.text_file("/l").map("parseL", {0.02, 1.0});
+  const engine::Rdd r = ctx.text_file("/r").map("parseR", {1.0, 1.0});
+  bool done = false;
+  JobReport report;
+  ctx.submit_job(l.join(r, "join", {0.5, 0.5}, 1.0, 16).collect(), "join",
+                 "default", [&](JobReport rep) {
+                   report = std::move(rep);
+                   done = true;
+                 });
+
+  // Plan ordinals: the two map sides are 0 and 1, the join stage is 2.
+  constexpr int kJoinStage = 2;
+  sim::Simulation& sim = cluster.sim();
+  size_t seen = 0;
+  double kill_time = -1.0;
+  int peak_rebuilds = 0, starts_after_kill = 0, starts_during_rebuild = 0;
+  while (!done && sim.step()) {
+    peak_rebuilds = std::max(peak_rebuilds, ctx.recovering_shuffles());
+    const std::vector<engine::Event>& events = ctx.event_log().events();
+    for (; seen < events.size(); ++seen) {
+      const engine::Event& e = events[seen];
+      if (e.kind == EventKind::kExecutorLost) kill_time = e.time;
+      if (e.kind != EventKind::kTaskStart || e.stage != kJoinStage ||
+          kill_time < 0.0) {
+        continue;
+      }
+      ++starts_after_kill;
+      if (ctx.recovering_shuffles() > 0) ++starts_during_rebuild;
+    }
+  }
+
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(report.failed);
+  EXPECT_EQ(peak_rebuilds, 2);  // both join inputs rebuilt at once
+  EXPECT_GT(starts_after_kill, 0);
+  EXPECT_EQ(starts_during_rebuild, 0);
+  EXPECT_EQ(ctx.recovering_shuffles(), 0);
 }
 
 TEST(LineageRecovery, OutOfRangeKillTargetIsIgnored) {

@@ -402,6 +402,51 @@ TEST(StorageEngine, RecomputeSurvivesExecutorKill) {
   EXPECT_GT(ctx.metrics().counter_value("storage/recomputes"), 0.0);
 }
 
+// A running reader trips over partitions that another job's cache writes
+// dropped (spillOnEvict=false) after the reader was submitted: the trip
+// parks its task set, the producing stage rebuilds every dropped partition
+// once, and both jobs finish.
+TEST(StorageEngine, ReaderTrippingOverADroppedPartitionIsParkedAndRebuilt) {
+  for (const int cores : {1, 2, 4, 8}) {
+    hw::Cluster cluster(hw::ClusterSpec::das5(4));
+    conf::Config c = storage_config("lru", mib(48), /*spill_on_evict=*/false);
+    c.set("saex.executor.policy", "default");
+    c.set_int("spark.executor.cores", cores);
+    engine::SparkContext ctx(cluster, std::move(c));
+    ctx.dfs().load_input("/A/in", mib(128), 4, mib(2));
+    ctx.dfs().load_input("/C/in", mib(512), 4, mib(8));
+    const engine::Rdd a =
+        ctx.text_file("/A/in").map("parseA", {0.05, 1.0}).cache();
+    const engine::Rdd cached_c =
+        ctx.text_file("/C/in").map("parseC", {0.01, 1.0}).cache();
+    ctx.run_job(a.count(), "warm-a");
+
+    int finished = 0, failed = 0;
+    const auto on_done = [&](engine::JobReport r) {
+      ++finished;
+      if (r.failed) ++failed;
+    };
+    ctx.submit_job(cached_c.count(), "fill-c", "default", on_done);
+    ctx.submit_job(a.map("scanA", {2.0, 0.001}).collect(), "scan-a",
+                   "default", on_done);
+    while (finished < 2 && cluster.sim().step()) {
+    }
+
+    int trips = 0;
+    for (const engine::Event& e :
+         ctx.event_log().of_kind(engine::EventKind::kFetchFailed)) {
+      if (e.value < 0) ++trips;  // no shuffle id: a cached-partition miss
+    }
+    EXPECT_EQ(finished, 2) << cores << " cores";
+    EXPECT_EQ(failed, 0) << cores << " cores";
+    EXPECT_GT(trips, 0) << cores << " cores";
+    // All 64 partitions of A were dropped and rebuilt exactly once.
+    EXPECT_EQ(ctx.metrics().counter_value("storage/recomputes"), 64.0)
+        << cores << " cores";
+    EXPECT_EQ(ctx.recovering_caches(), 0) << cores << " cores";
+  }
+}
+
 TEST(StorageEngine, ShuffleLocalityPreferenceIsDeterministic) {
   auto run = [] {
     hw::Cluster cluster(hw::ClusterSpec::das5(4));
