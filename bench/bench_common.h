@@ -66,8 +66,12 @@ inline engine::JobReport run_workload(const workloads::WorkloadSpec& spec,
         spec, cluster, std::move(config),
         [map](adaptive::Sensor&, adaptive::PoolEffector& pool,
               adaptive::SchedulerNotifier notifier, int vcores) {
-          return std::make_unique<adaptive::PerStagePolicy>(
-              pool, std::move(notifier), map, vcores);
+          return std::make_unique<adaptive::FixedPolicy>(
+              "per-stage", pool, std::move(notifier),
+              [map, vcores](const adaptive::StageContext& stage) {
+                const auto it = map.find(stage.stage_ordinal);
+                return it == map.end() ? vcores : it->second;
+              });
         });
   }
   config.set("saex.executor.policy", opt.policy);

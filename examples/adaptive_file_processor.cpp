@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   std::printf("stage 'checksum-all-files' starting (c_min=%d, c_max=%d)\n",
               config.min_threads, config.max_threads);
   const double t0 = wall();
-  controller.on_stage_start(/*stage_key=*/1, t0);
+  controller.on_stage_start({/*stage_uid=*/1, 0, /*io_tagged=*/true}, t0);
 
   std::atomic<uint64_t> total_hash{0};
   for (const fs::path& p : files) {

@@ -1,8 +1,9 @@
 #include "adaptive/controller.h"
 
+#include "common/format.h"
 #include "common/log.h"
-#include "prof/profiler.h"
 #include "conf/config.h"
+#include "prof/profiler.h"
 
 namespace saex::adaptive {
 
@@ -12,6 +13,12 @@ ControllerConfig ControllerConfig::from_config(const conf::Config& config,
   c.min_threads = static_cast<int>(config.get_int("saex.dynamic.minThreads"));
   c.max_threads = static_cast<int>(config.get_int("saex.dynamic.maxThreads"));
   if (c.max_threads <= 0) c.max_threads = virtual_cores;
+  if (c.min_threads < 1 || c.min_threads > c.max_threads) {
+    throw conf::ConfigError(strfmt::format(
+        "saex.dynamic.minThreads must be >= 1 and <= saex.dynamic.maxThreads "
+        "(got {} and {})",
+        c.min_threads, c.max_threads));
+  }
   c.tolerance_lower = config.get_double("saex.dynamic.toleranceLower");
   c.tolerance_upper = config.get_double("saex.dynamic.toleranceUpper");
   c.min_throughput_bps =
@@ -20,12 +27,27 @@ ControllerConfig ControllerConfig::from_config(const conf::Config& config,
   c.rollback = config.get_bool("saex.dynamic.rollback");
   c.descending = config.get_bool("saex.dynamic.descending");
   const std::string metric = config.get_string("saex.dynamic.metric");
-  c.metric = metric == "epoll"      ? Metric::kEpollOnly
-             : metric == "diskutil" ? Metric::kDiskUtil
-                                    : Metric::kZeta;
+  if (metric == "zeta") {
+    c.metric = Metric::kZeta;
+  } else if (metric == "epoll") {
+    c.metric = Metric::kEpollOnly;
+  } else if (metric == "diskutil") {
+    c.metric = Metric::kDiskUtil;
+  } else {
+    throw conf::ConfigError(strfmt::format(
+        "unknown saex.dynamic.metric '{}' (want zeta | epoll | diskutil)",
+        metric));
+  }
   const std::string mode = config.get_string("saex.dynamic.intervalMode");
-  c.interval_mode =
-      mode == "fixed" ? IntervalMode::kFixedTime : IntervalMode::kCompletions;
+  if (mode == "completions") {
+    c.interval_mode = IntervalMode::kCompletions;
+  } else if (mode == "fixed") {
+    c.interval_mode = IntervalMode::kFixedTime;
+  } else {
+    throw conf::ConfigError(strfmt::format(
+        "unknown saex.dynamic.intervalMode '{}' (want completions | fixed)",
+        mode));
+  }
   c.fixed_interval_seconds =
       config.get_duration_seconds("saex.dynamic.fixedIntervalSeconds");
   return c;
@@ -36,47 +58,37 @@ AdaptiveController::AdaptiveController(ControllerConfig config, Sensor& sensor,
                                        SchedulerNotifier notifier)
     : monitor_(sensor),
       analyzer_(config),
-      plan_executor_(pool, std::move(notifier)),
-      pool_(&pool) {}
+      pool_(&pool),
+      notifier_(std::move(notifier)) {}
 
-void AdaptiveController::on_stage_start(int64_t stage_key, double now) {
+void AdaptiveController::on_stage_start(const StageContext& stage, double now) {
   if (stage_open_) on_stage_end(now);
 
-  stage_key_ = stage_key;
+  stage_key_ = stage.stage_uid;
   stage_open_ = true;
   frozen_ = false;
   previous_.reset();
   rolled_back_ = false;
   reached_bound_ = false;
   completions_in_interval_ = 0;
-  last_tick_ = now;
 
   const int first = analyzer_.first_threads();
-  Plan p;
-  p.set_size = first;
-  p.resize = pool_->pool_size() != first;
-  p.notify_scheduler = p.resize;
-  p.freeze = false;
-  plan_executor_.apply(p);
+  resize_pool(*pool_, notifier_, pool_->pool_size(), first);
   monitor_.begin_interval(now, first);
 }
 
 void AdaptiveController::on_task_complete(double now) {
   if (!stage_open_ || frozen_) return;
-  if (analyzer_.config().interval_mode != IntervalMode::kCompletions) return;
   ++completions_in_interval_;
-  // Paper §5.1: interval I_j ends once j tasks completed at pool size j.
-  if (completions_in_interval_ >= monitor_.interval_threads()) {
-    close_interval_and_decide(now);
-  }
-}
-
-void AdaptiveController::on_tick(double now) {
-  if (!stage_open_ || frozen_) return;
-  if (analyzer_.config().interval_mode != IntervalMode::kFixedTime) return;
-  if (now - last_tick_ + 1e-9 < analyzer_.config().fixed_interval_seconds) return;
-  last_tick_ = now;
-  close_interval_and_decide(now);
+  const ControllerConfig& c = analyzer_.config();
+  // Paper §5.1: interval I_j ends once j tasks completed at pool size j; the
+  // fixed-time ablation ends it at the first completion one period after it
+  // opened.
+  const bool due =
+      c.interval_mode == IntervalMode::kCompletions
+          ? completions_in_interval_ >= monitor_.interval_threads()
+          : now - monitor_.interval_start() + 1e-9 >= c.fixed_interval_seconds;
+  if (due) close_interval_and_decide(now);
 }
 
 void AdaptiveController::close_interval_and_decide(double now) {
@@ -90,13 +102,14 @@ void AdaptiveController::close_interval_and_decide(double now) {
              report.throughput() / 1e6, report.congestion_index(),
              decision.reason);
 
-  const Plan plan = planner_.plan(decision, report.threads);
-  plan_executor_.apply(plan);
+  // The decision is relative to the size the interval ran at, even if
+  // something else (the AQE tuner's seed) resized the pool since.
+  resize_pool(*pool_, notifier_, report.threads, decision.target_threads);
 
-  if (plan.open_new_interval) {
+  if (decision.action == Decision::Action::kContinueClimb) {
     previous_ = report;
     completions_in_interval_ = 0;
-    monitor_.begin_interval(now, plan.set_size);
+    monitor_.begin_interval(now, decision.target_threads);
   } else {
     frozen_ = true;
     settle(decision.action == Decision::Action::kRollback,

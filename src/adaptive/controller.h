@@ -1,47 +1,43 @@
 // The MAPE-K feedback loop tying Monitor→Analyze→Plan→Execute together over
-// a shared knowledge base (paper §5, Kephart & Chess blueprint).
+// a shared knowledge base (paper §5, Kephart & Chess blueprint). It is the
+// `dynamic` ThreadPolicy.
 //
 // Event-driven: the owning executor reports stage starts and task
 // completions; in completions mode an interval I_j closes after j
-// completions at pool size j, in fixed-time mode (ablation) after a wall
-// clock period. After a rollback or reaching the bound the loop freezes
-// until the next stage.
+// completions at pool size j, in fixed-time mode (ablation) at the first
+// completion a fixed period after it opened. After a rollback or reaching
+// the bound the loop freezes until the next stage.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
 #include "adaptive/analyzer.h"
-#include "adaptive/executor.h"
 #include "adaptive/knowledge.h"
 #include "adaptive/monitor.h"
-#include "adaptive/planner.h"
 #include "adaptive/types.h"
 
 namespace saex::adaptive {
 
-class AdaptiveController {
+class AdaptiveController final : public ThreadPolicy {
  public:
   AdaptiveController(ControllerConfig config, Sensor& sensor,
                      PoolEffector& pool, SchedulerNotifier notifier);
 
   /// Resets tuning for a new stage: pool -> c_min (c_max when descending),
-  /// first interval opens.
-  void on_stage_start(int64_t stage_key, double now);
+  /// first interval opens. The knowledge base keys the stage by its uid.
+  void on_stage_start(const StageContext& stage, double now) override;
 
-  /// Completions-mode interval accounting.
-  void on_task_complete(double now);
-
-  /// Fixed-time-mode interval accounting; no-op in completions mode.
-  void on_tick(double now);
+  /// Counts a completion and closes the interval once it is due.
+  void on_task_complete(double now) override;
 
   /// Finalizes the stage record (also called implicitly by the next
   /// on_stage_start).
-  void on_stage_end(double now);
+  void on_stage_end(double now) override;
+
+  std::string name() const override { return "dynamic"; }
 
   bool frozen() const noexcept { return frozen_; }
-  int64_t current_stage() const noexcept { return stage_key_; }
-  const ControllerConfig& config() const noexcept { return analyzer_.config(); }
   const KnowledgeBase& knowledge() const noexcept { return knowledge_; }
 
  private:
@@ -50,16 +46,14 @@ class AdaptiveController {
 
   Monitor monitor_;
   Analyzer analyzer_;
-  Planner planner_;
-  PlanExecutor plan_executor_;
   PoolEffector* pool_;
+  SchedulerNotifier notifier_;
   KnowledgeBase knowledge_;
 
   int64_t stage_key_ = -1;
   bool stage_open_ = false;
   bool frozen_ = true;
   int completions_in_interval_ = 0;
-  double last_tick_ = 0.0;
   std::optional<IntervalReport> previous_;
   bool rolled_back_ = false;
   bool reached_bound_ = false;

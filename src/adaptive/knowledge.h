@@ -1,8 +1,8 @@
 // [K]nowledge base — the record the MAPE loop reads and writes.
 //
 // Stores, per stage, every measured interval and the final settled decision.
-// Benches read it back to regenerate Fig. 6 (per-executor choices) and
-// Fig. 7 (ε/µ/ζ per explored size); tests assert convergence through it.
+// Tests assert convergence through it and the real-thread example prints it;
+// nothing reads it back to seed a later stage.
 #pragma once
 
 #include <cstdint>

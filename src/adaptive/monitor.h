@@ -59,6 +59,7 @@ class Monitor {
 
   bool interval_open() const noexcept { return open_; }
   int interval_threads() const noexcept { return threads_; }
+  double interval_start() const noexcept { return start_time_; }
 
   /// Closes the interval and returns the filtered measurements.
   IntervalReport end_interval(double now);

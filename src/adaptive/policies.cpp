@@ -3,51 +3,16 @@
 #include <algorithm>
 
 namespace saex::adaptive {
-namespace {
 
-void apply_size(PoolEffector& pool, const SchedulerNotifier& notifier,
-                int threads) {
-  if (pool.pool_size() == threads) return;
-  pool.set_pool_size(threads);
-  if (notifier) notifier(threads);
-}
-
-}  // namespace
-
-DefaultPolicy::DefaultPolicy(PoolEffector& pool, SchedulerNotifier notifier,
-                             int default_threads)
-    : pool_(&pool),
+FixedPolicy::FixedPolicy(std::string name, PoolEffector& pool,
+                         SchedulerNotifier notifier, SizeOf size_of)
+    : name_(std::move(name)),
+      pool_(&pool),
       notifier_(std::move(notifier)),
-      default_threads_(default_threads) {}
+      size_of_(std::move(size_of)) {}
 
-void DefaultPolicy::on_stage_start(const StageContext& /*stage*/,
-                                   double /*now*/) {
-  apply_size(*pool_, notifier_, default_threads_);
-}
-
-StaticIoPolicy::StaticIoPolicy(PoolEffector& pool, SchedulerNotifier notifier,
-                               int io_threads, int default_threads)
-    : pool_(&pool),
-      notifier_(std::move(notifier)),
-      io_threads_(io_threads),
-      default_threads_(default_threads) {}
-
-void StaticIoPolicy::on_stage_start(const StageContext& stage, double /*now*/) {
-  apply_size(*pool_, notifier_, stage.io_tagged ? io_threads_ : default_threads_);
-}
-
-PerStagePolicy::PerStagePolicy(PoolEffector& pool, SchedulerNotifier notifier,
-                               std::map<int, int> threads_by_ordinal,
-                               int default_threads)
-    : pool_(&pool),
-      notifier_(std::move(notifier)),
-      threads_by_ordinal_(std::move(threads_by_ordinal)),
-      default_threads_(default_threads) {}
-
-void PerStagePolicy::on_stage_start(const StageContext& stage, double /*now*/) {
-  const auto it = threads_by_ordinal_.find(stage.stage_ordinal);
-  apply_size(*pool_, notifier_,
-             it == threads_by_ordinal_.end() ? default_threads_ : it->second);
+void FixedPolicy::on_stage_start(const StageContext& stage, double /*now*/) {
+  resize_pool(*pool_, notifier_, pool_->pool_size(), size_of_(stage));
 }
 
 AimdPolicy::AimdPolicy(ControllerConfig config, Sensor& sensor,
@@ -58,8 +23,8 @@ AimdPolicy::AimdPolicy(ControllerConfig config, Sensor& sensor,
       notifier_(std::move(notifier)) {}
 
 void AimdPolicy::apply(int threads) {
-  threads = std::clamp(threads, config_.min_threads, config_.max_threads);
-  apply_size(*pool_, notifier_, threads);
+  resize_pool(*pool_, notifier_, pool_->pool_size(),
+              std::clamp(threads, config_.min_threads, config_.max_threads));
 }
 
 void AimdPolicy::on_stage_start(const StageContext& /*stage*/, double now) {
@@ -89,21 +54,5 @@ void AimdPolicy::on_task_complete(double now) {
   prev_throughput_ = mu;
   monitor_.begin_interval(now, pool_->pool_size());
 }
-
-DynamicPolicy::DynamicPolicy(ControllerConfig config, Sensor& sensor,
-                             PoolEffector& pool, SchedulerNotifier notifier)
-    : controller_(config, sensor, pool, std::move(notifier)) {}
-
-void DynamicPolicy::on_stage_start(const StageContext& stage, double now) {
-  controller_.on_stage_start(stage.stage_uid, now);
-}
-
-void DynamicPolicy::on_task_complete(double now) {
-  controller_.on_task_complete(now);
-}
-
-void DynamicPolicy::on_tick(double now) { controller_.on_tick(now); }
-
-void DynamicPolicy::on_stage_end(double now) { controller_.on_stage_end(now); }
 
 }  // namespace saex::adaptive

@@ -1,85 +1,40 @@
 // Thread-pool sizing policies the engine's executors are parameterized by.
 //
-//  * DefaultPolicy   — Spark's behaviour: pool size = virtual cores, always.
-//  * StaticIoPolicy  — the paper's §4 static solution: a user-supplied size
-//                      for I/O-tagged stages, default elsewhere.
-//  * PerStagePolicy  — explicit size per stage ordinal; used to realize the
-//                      "static BestFit" baseline and the sweep benches.
-//  * DynamicPolicy   — the paper's §5 self-adaptive executors (MAPE-K).
+//  * FixedPolicy        — a pool size fixed per stage by a function of the
+//                         stage: `default` (Spark's behaviour, pool size =
+//                         virtual cores, always) and `static` (the paper's
+//                         §4 static solution, a user-supplied size for
+//                         I/O-tagged stages, default elsewhere) from
+//                         saex.executor.policy, and the benches' `per-stage`
+//                         (explicit size per stage ordinal; the "static
+//                         BestFit" baseline and the sweep benches).
+//  * AimdPolicy         — a congestion-control baseline for the ablation.
+//  * AdaptiveController — the paper's §5 self-adaptive executors (MAPE-K),
+//                         in controller.h.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <functional>
 #include <string>
 
-#include "adaptive/controller.h"
+#include "adaptive/monitor.h"
 #include "adaptive/types.h"
 
 namespace saex::adaptive {
 
-/// What a policy may know about the stage that is starting.
-struct StageContext {
-  int64_t stage_uid = 0;   // globally unique stage id
-  int stage_ordinal = 0;   // 0-based position within the job
-  bool io_tagged = false;  // structurally reads/writes the DFS (§4)
-};
-
-class ThreadPolicy {
+class FixedPolicy final : public ThreadPolicy {
  public:
-  virtual ~ThreadPolicy() = default;
-  virtual void on_stage_start(const StageContext& stage, double now) = 0;
-  virtual void on_task_complete(double /*now*/) {}
-  virtual void on_tick(double /*now*/) {}
-  virtual void on_stage_end(double /*now*/) {}
-  virtual std::string name() const = 0;
+  using SizeOf = std::function<int(const StageContext&)>;
 
-  /// Non-null only for DynamicPolicy; benches use it to read the KB.
-  virtual const AdaptiveController* controller() const { return nullptr; }
-};
-
-class DefaultPolicy final : public ThreadPolicy {
- public:
-  DefaultPolicy(PoolEffector& pool, SchedulerNotifier notifier,
-                int default_threads);
+  FixedPolicy(std::string name, PoolEffector& pool, SchedulerNotifier notifier,
+              SizeOf size_of);
   void on_stage_start(const StageContext& stage, double now) override;
-  std::string name() const override { return "default"; }
+  std::string name() const override { return name_; }
 
  private:
-  void apply(int threads);
+  std::string name_;
   PoolEffector* pool_;
   SchedulerNotifier notifier_;
-  int default_threads_;
-};
-
-class StaticIoPolicy final : public ThreadPolicy {
- public:
-  StaticIoPolicy(PoolEffector& pool, SchedulerNotifier notifier,
-                 int io_threads, int default_threads);
-  void on_stage_start(const StageContext& stage, double now) override;
-  std::string name() const override { return "static"; }
-
- private:
-  void apply(int threads);
-  PoolEffector* pool_;
-  SchedulerNotifier notifier_;
-  int io_threads_;
-  int default_threads_;
-};
-
-class PerStagePolicy final : public ThreadPolicy {
- public:
-  /// `threads_by_ordinal` misses fall back to `default_threads`.
-  PerStagePolicy(PoolEffector& pool, SchedulerNotifier notifier,
-                 std::map<int, int> threads_by_ordinal, int default_threads);
-  void on_stage_start(const StageContext& stage, double now) override;
-  std::string name() const override { return "per-stage"; }
-
- private:
-  void apply(int threads);
-  PoolEffector* pool_;
-  SchedulerNotifier notifier_;
-  std::map<int, int> threads_by_ordinal_;
-  int default_threads_;
+  SizeOf size_of_;
 };
 
 /// AIMD baseline (not from the paper): additive-increase /
@@ -104,21 +59,6 @@ class AimdPolicy final : public ThreadPolicy {
   SchedulerNotifier notifier_;
   int completions_ = 0;
   double prev_throughput_ = 0.0;
-};
-
-class DynamicPolicy final : public ThreadPolicy {
- public:
-  DynamicPolicy(ControllerConfig config, Sensor& sensor, PoolEffector& pool,
-                SchedulerNotifier notifier);
-  void on_stage_start(const StageContext& stage, double now) override;
-  void on_task_complete(double now) override;
-  void on_tick(double now) override;
-  void on_stage_end(double now) override;
-  std::string name() const override { return "dynamic"; }
-  const AdaptiveController* controller() const override { return &controller_; }
-
- private:
-  AdaptiveController controller_;
 };
 
 }  // namespace saex::adaptive

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "common/units.h"
 
@@ -46,7 +47,8 @@ class PoolEffector {
 enum class Metric { kZeta, kEpollOnly, kDiskUtil };
 
 /// Paper: interval I_j = j task completions at pool size j. Fixed-time
-/// intervals are the ablation alternative.
+/// intervals are the ablation alternative: I_j ends at the first completion
+/// `fixed_interval_seconds` or more after it opened.
 enum class IntervalMode { kCompletions, kFixedTime };
 
 struct ControllerConfig {
@@ -76,5 +78,34 @@ struct ControllerConfig {
 /// consistent (paper §5.3-5.4: the messaging protocol was extended so the
 /// scheduler learns about pool resizes).
 using SchedulerNotifier = std::function<void(int new_size)>;
+
+/// The Plan/Execute step of every policy: resizing the pool is trivial, but
+/// every effective resize must also reach the driver's scheduler, or its
+/// free-core accounting diverges from the executor's capacity (§5.3-5.4).
+/// Does nothing when `to == from`.
+inline void resize_pool(PoolEffector& pool, const SchedulerNotifier& notifier,
+                        int from, int to) {
+  if (to == from) return;
+  pool.set_pool_size(to);
+  if (notifier) notifier(to);
+}
+
+/// What a policy may know about the stage that is starting.
+struct StageContext {
+  int64_t stage_uid = 0;   // globally unique stage id
+  int stage_ordinal = 0;   // 0-based position within the job
+  bool io_tagged = false;  // structurally reads/writes the DFS (§4)
+};
+
+/// Sizes one executor's pool; the engine reports stage boundaries and task
+/// completions.
+class ThreadPolicy {
+ public:
+  virtual ~ThreadPolicy() = default;
+  virtual void on_stage_start(const StageContext& stage, double now) = 0;
+  virtual void on_task_complete(double /*now*/) {}
+  virtual void on_stage_end(double /*now*/) {}
+  virtual std::string name() const = 0;
+};
 
 }  // namespace saex::adaptive

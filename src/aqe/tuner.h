@@ -17,9 +17,9 @@
 // i.e. it trades per-task overhead (favors large t) against wave granularity
 // (favors small t). The pool-size hint is a stage-granularity hill-climb
 // over observed per-pool throughputs: it *seeds* each executor's pool before
-// the stage starts, and the paper's per-interval MAPE-K controller
-// (src/adaptive/) keeps climbing from that seed within the stage — the two
-// loops compose rather than compete.
+// the stage starts. The paper's per-interval MAPE-K controller
+// (src/adaptive/) does not climb from that seed: its first interval still
+// counts at c_min, and its first decision resizes to the step after c_min.
 #pragma once
 
 #include <map>

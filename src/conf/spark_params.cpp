@@ -302,11 +302,12 @@ void define_adaptive_extension(Registry& r) {
   using V = ValueType;
   const C c = C::kAdaptiveExtension;
   r.define({"saex.executor.policy", c, V::kString, "default",
-            "Thread-pool policy: default | static | dynamic."});
+            "Thread-pool policy: default | static | dynamic | aimd."});
   r.define({"saex.static.ioThreads", c, V::kInt, "8",
             "Static solution: thread count used in I/O-tagged stages (>= 1)."});
   r.define({"saex.dynamic.minThreads", c, V::kInt, "2",
-            "Hill climber lower bound c_min (paper: 2)."});
+            "Hill climber lower bound c_min (paper: 2); >= 1 and <= the "
+            "resolved maxThreads."});
   r.define({"saex.dynamic.maxThreads", c, V::kInt, "0",
             "Hill climber upper bound c_max; 0 = number of virtual cores."});
   r.define({"saex.dynamic.toleranceLower", c, V::kDouble, "0.98",
@@ -327,12 +328,15 @@ void define_adaptive_extension(Registry& r) {
   r.define({"saex.dynamic.descending", c, V::kBool, "false",
             "Ablation: start at c_max and halve instead of ascending."});
   r.define({"saex.dynamic.metric", c, V::kString, "zeta",
-            "Analyzed metric: zeta | epoll | diskutil (ablation)."});
+            "Analyzed metric: zeta | epoll | diskutil (ablation); other "
+            "values are rejected."});
   r.define({"saex.dynamic.intervalMode", c, V::kString, "completions",
             "Interval definition: completions (I_j = j task completions) | "
-            "fixed (wall-clock seconds; ablation)."});
+            "fixed (wall-clock seconds; ablation); other values are "
+            "rejected."});
   r.define({"saex.dynamic.fixedIntervalSeconds", c, V::kDurationSeconds, "5s",
-            "Interval length when intervalMode=fixed."});
+            "Interval length when intervalMode=fixed: an interval closes at "
+            "the first task completion this long after it opened."});
   r.define({"saex.scheduler.mode", c, V::kString, "FIFO",
             "Multi-job slot arbitration in saex::serve: FIFO | FAIR."});
   r.define({"saex.scheduler.pools", c, V::kString, "",

@@ -6,6 +6,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "adaptive/controller.h"
 #include "common/format.h"
 #include "common/log.h"
 #include "metrics/histogram.h"
@@ -23,8 +24,11 @@ SparkContext::PolicyFactory policy_factory_from_config(
     }
     return [io_threads](adaptive::Sensor&, adaptive::PoolEffector& pool,
                         adaptive::SchedulerNotifier notifier, int vcores) {
-      return std::make_unique<adaptive::StaticIoPolicy>(
-          pool, std::move(notifier), io_threads, vcores);
+      return std::make_unique<adaptive::FixedPolicy>(
+          "static", pool, std::move(notifier),
+          [io_threads, vcores](const adaptive::StageContext& stage) {
+            return stage.io_tagged ? io_threads : vcores;
+          });
     };
   }
   if (policy == "dynamic") {
@@ -33,8 +37,8 @@ SparkContext::PolicyFactory policy_factory_from_config(
     return [snapshot](adaptive::Sensor& sensor, adaptive::PoolEffector& pool,
                       adaptive::SchedulerNotifier notifier, int vcores) {
       const auto cc = adaptive::ControllerConfig::from_config(snapshot, vcores);
-      return std::make_unique<adaptive::DynamicPolicy>(cc, sensor, pool,
-                                                       std::move(notifier));
+      return std::make_unique<adaptive::AdaptiveController>(
+          cc, sensor, pool, std::move(notifier));
     };
   }
   if (policy == "aimd") {
@@ -52,8 +56,9 @@ SparkContext::PolicyFactory policy_factory_from_config(
   }
   return [](adaptive::Sensor&, adaptive::PoolEffector& pool,
             adaptive::SchedulerNotifier notifier, int vcores) {
-    return std::make_unique<adaptive::DefaultPolicy>(pool, std::move(notifier),
-                                                     vcores);
+    return std::make_unique<adaptive::FixedPolicy>(
+        "default", pool, std::move(notifier),
+        [vcores](const adaptive::StageContext&) { return vcores; });
   };
 }
 
@@ -342,7 +347,8 @@ void SparkContext::apply_tuner_pool_hint(const Stage& stage) {
   if (tuner_->stages_observed() == 0) return;
   const int hint = tuner_->choose_pool_hint(executors_.front()->pool_size());
   if (hint <= 0) return;
-  // Seed every executor's pool; the per-interval policy climbs from here.
+  // Seed every executor's pool. The dynamic policy's open interval still
+  // counts at c_min, so its first decision resizes from c_min, not the seed.
   for (auto& exec : executors_) exec->set_pool_size(hint);
 }
 
@@ -899,8 +905,7 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     for (auto& exec : executors_) {
       exec->policy().on_stage_start(sctx, stage_start);
     }
-    // AQE tuner's pool-size seed overrides the policy's opening width; the
-    // policy's MAPE-K loop keeps adapting from the seed within the stage.
+    // The AQE tuner's pool-size seed overrides the policy's opening width.
     apply_tuner_pool_hint(stage);
     // Offer the stage against the sizes just set, not the ones the §5.4
     // notifications will deliver a message latency later.

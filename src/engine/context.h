@@ -261,8 +261,9 @@ class SparkContext {
 };
 
 /// Builds the PolicyFactory implied by `config` ("saex.executor.policy" =
-/// default | static | dynamic). Exposed so benches can construct sweep
-/// variants (e.g. PerStagePolicy for static BestFit) the same way.
+/// default | static | dynamic | aimd). Exposed so benches can construct
+/// sweep variants (e.g. a per-stage FixedPolicy for static BestFit) the same
+/// way.
 SparkContext::PolicyFactory policy_factory_from_config(const conf::Config& config);
 
 }  // namespace saex::engine

@@ -585,14 +585,12 @@ ExecutorRuntime::ExecutorRuntime(EngineEnv env, int node_id, int virtual_cores)
       failure_rng_(Rng(cluster_seed_of(env, node_id)).fork("task-failures")) {
   assert(env_.sim && env_.cluster && env_.dfs && env_.shuffles &&
          env_.caches && env_.storage);
-  pool_history_.record(0.0, static_cast<double>(pool_target_));
 }
 
 ExecutorRuntime::~ExecutorRuntime() = default;
 
 void ExecutorRuntime::set_pool_size(int threads) {
   pool_target_ = std::max(1, threads);
-  pool_history_.record(env_.sim->now(), static_cast<double>(pool_target_));
   if (env_.event_log != nullptr) {
     env_.event_log->record(Event{EventKind::kPoolResize, env_.sim->now(), -1,
                                  -1, -1, node_id_, pool_target_, {}});

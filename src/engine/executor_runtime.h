@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "adaptive/policies.h"
 #include "adaptive/types.h"
 #include "dfs/dfs.h"
 #include "engine/shuffle.h"
@@ -184,10 +183,6 @@ class ExecutorRuntime final : public adaptive::PoolEffector,
   }
   /// Per-second I/O throughput series (Fig. 12).
   const metrics::RateSeries& io_series() const noexcept { return io_series_; }
-  /// Pool-size change history (Fig. 6 timelines).
-  const metrics::TimeSeries& pool_history() const noexcept {
-    return pool_history_;
-  }
 
  private:
   struct TaskRun;
@@ -204,7 +199,6 @@ class ExecutorRuntime final : public adaptive::PoolEffector,
   std::unique_ptr<adaptive::ThreadPolicy> policy_;
   metrics::IoAccounting io_;
   metrics::RateSeries io_series_{1.0};
-  metrics::TimeSeries pool_history_;
   Rng failure_rng_{0};
   std::list<std::unique_ptr<TaskRun>> active_;
 };

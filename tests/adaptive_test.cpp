@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "adaptive/controller.h"
 #include "adaptive/monitor.h"
-#include "adaptive/planner.h"
 #include "adaptive/policies.h"
 #include "conf/config.h"
 
@@ -68,7 +67,7 @@ ControllerConfig test_config() {
 // task; completes `threads` tasks to close each interval, until frozen.
 void run_stage(AdaptiveController& ctrl, LandscapeSensor& sensor,
                FakePool& pool, int64_t stage_key, int max_steps = 1000) {
-  ctrl.on_stage_start(stage_key, sensor.now);
+  ctrl.on_stage_start({stage_key, 0, true}, sensor.now);
   sensor.current_threads = pool.pool_size();
   for (int step = 0; step < max_steps && !ctrl.frozen(); ++step) {
     // With j threads a wave of j tasks completes in ~constant wall time, so
@@ -226,42 +225,6 @@ TEST(Analyzer, EpollOnlyMetricAblation) {
   EXPECT_EQ(a.decide(prev, cur).action, Decision::Action::kRollback);
 }
 
-// ---------- Planner ----------
-
-TEST(Planner, ClimbPlanOpensIntervalAndNotifies) {
-  Planner p;
-  Decision d;
-  d.action = Decision::Action::kContinueClimb;
-  d.target_threads = 8;
-  const Plan plan = p.plan(d, 4);
-  EXPECT_TRUE(plan.resize);
-  EXPECT_TRUE(plan.notify_scheduler);
-  EXPECT_FALSE(plan.freeze);
-  EXPECT_TRUE(plan.open_new_interval);
-}
-
-TEST(Planner, RollbackFreezes) {
-  Planner p;
-  Decision d;
-  d.action = Decision::Action::kRollback;
-  d.target_threads = 4;
-  const Plan plan = p.plan(d, 8);
-  EXPECT_TRUE(plan.resize);
-  EXPECT_TRUE(plan.freeze);
-  EXPECT_FALSE(plan.open_new_interval);
-}
-
-TEST(Planner, HoldNeitherResizesNorNotifies) {
-  Planner p;
-  Decision d;
-  d.action = Decision::Action::kHold;
-  d.target_threads = 32;
-  const Plan plan = p.plan(d, 32);
-  EXPECT_FALSE(plan.resize);
-  EXPECT_FALSE(plan.notify_scheduler);
-  EXPECT_TRUE(plan.freeze);
-}
-
 // ---------- Controller end-to-end on synthetic landscapes ----------
 
 struct Landscape {
@@ -316,6 +279,46 @@ INSTANTIATE_TEST_SUITE_P(
                   {{2, 10.0}, {4, 10.0}, {8, 10.0}, {16, 10.0}, {32, 10.0}},
                   32}));
 
+// The one resize step (Plan + Execute, §5.3-5.4) over whole stages.
+TEST(Controller, EachResizeIsOnePoolWriteAndOneNotification) {
+  FakePool pool;  // starts at 32
+  LandscapeSensor sensor;
+  std::vector<int> notified;
+  AdaptiveController ctrl(test_config(), sensor, pool,
+                          [&](int n) { notified.push_back(n); });
+
+  // Valley at 8: reset to c_min, climb to 16, roll back and freeze.
+  sensor.epoll_rate = {{2, 0.9}, {4, 0.8}, {8, 0.9}, {16, 6.0}, {32, 20.0}};
+  sensor.byte_rate = {{2, 90e6}, {4, 170e6}, {8, 210e6}, {16, 160e6}, {32, 110e6}};
+  run_stage(ctrl, sensor, pool, 1);
+  EXPECT_TRUE(ctrl.frozen());
+  EXPECT_EQ(pool.history, (std::vector<int>{2, 4, 8, 16, 8}));
+  EXPECT_EQ(notified, pool.history);
+  EXPECT_TRUE(ctrl.knowledge().stage(1)->rolled_back);
+
+  // Improving up to c_max: the hold at the bound writes and notifies nothing.
+  sensor.epoll_rate = {{2, 1.0}, {4, 0.9}, {8, 0.8}, {16, 0.7}, {32, 0.6}};
+  sensor.byte_rate = {{2, 50e6}, {4, 100e6}, {8, 200e6}, {16, 400e6}, {32, 800e6}};
+  pool.history.clear();
+  notified.clear();
+  run_stage(ctrl, sensor, pool, 2);
+  EXPECT_TRUE(ctrl.frozen());
+  EXPECT_EQ(pool.history, (std::vector<int>{2, 4, 8, 16, 32}));
+  EXPECT_EQ(notified, pool.history);
+  const StageRecord* rec = ctrl.knowledge().stage(2);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_TRUE(rec->reached_bound);
+  EXPECT_EQ(rec->intervals.size(), 5u);  // the hold decided on the fifth
+
+  // A stage that opens at the size the pool already has writes nothing.
+  ControllerConfig at_max = test_config();
+  at_max.descending = true;
+  AdaptiveController descending(at_max, sensor, pool, nullptr);
+  pool.history.clear();
+  descending.on_stage_start({3, 0, true}, sensor.now);
+  EXPECT_TRUE(pool.history.empty());
+}
+
 TEST(Controller, RecordsKnowledgePerStage) {
   FakePool pool;
   LandscapeSensor sensor;
@@ -357,7 +360,7 @@ TEST(Controller, StageEndMidIntervalRecordsPartial) {
   sensor.epoll_rate = {{2, 0.5}, {4, 0.8}};
   sensor.byte_rate = {{2, 90e6}, {4, 170e6}};
   AdaptiveController ctrl(test_config(), sensor, pool, nullptr);
-  ctrl.on_stage_start(3, sensor.now);
+  ctrl.on_stage_start({3, 0, true}, sensor.now);
   sensor.current_threads = pool.pool_size();
   sensor.advance(1.0);
   ctrl.on_task_complete(sensor.now);  // 1 of 2 completions, interval open
@@ -378,12 +381,13 @@ TEST(Controller, FixedIntervalModeUsesTicks) {
   sensor.epoll_rate = {{2, 0.9}, {4, 0.8}, {8, 0.9}, {16, 6.0}, {32, 20.0}};
   sensor.byte_rate = {{2, 90e6}, {4, 170e6}, {8, 210e6}, {16, 160e6}, {32, 110e6}};
   AdaptiveController ctrl(c, sensor, pool, nullptr);
-  ctrl.on_stage_start(1, sensor.now);
+  ctrl.on_stage_start({1, 0, true}, sensor.now);
   sensor.current_threads = pool.pool_size();
+  // Completions every 0.5 s: each interval closes at its fourth, 2 s after
+  // it opened, whatever the pool size.
   for (int i = 0; i < 100 && !ctrl.frozen(); ++i) {
     sensor.advance(0.5);
-    ctrl.on_task_complete(sensor.now);  // ignored in fixed mode
-    ctrl.on_tick(sensor.now);
+    ctrl.on_task_complete(sensor.now);
     sensor.current_threads = pool.pool_size();
   }
   EXPECT_TRUE(ctrl.frozen());
@@ -402,22 +406,54 @@ TEST(ControllerConfig, FromConfigReadsKeysAndResolvesCores) {
   EXPECT_EQ(c.min_threads, 2);
 }
 
+TEST(ControllerConfig, RejectsUnknownMetric) {
+  conf::Config config;
+  config.set("saex.dynamic.metric", "zetta");
+  EXPECT_THROW(ControllerConfig::from_config(config, 32), conf::ConfigError);
+}
+
+TEST(ControllerConfig, RejectsUnknownIntervalMode) {
+  conf::Config config;
+  config.set("saex.dynamic.intervalMode", "fixd");
+  EXPECT_THROW(ControllerConfig::from_config(config, 32), conf::ConfigError);
+}
+
+TEST(ControllerConfig, RejectsMinThreadsBelowOne) {
+  conf::Config config;
+  config.set_int("saex.dynamic.minThreads", 0);
+  EXPECT_THROW(ControllerConfig::from_config(config, 32), conf::ConfigError);
+}
+
+TEST(ControllerConfig, RejectsMinThreadsAboveResolvedMax) {
+  conf::Config config;
+  config.set_int("saex.dynamic.minThreads", 64);  // maxThreads=0 -> 32 cores
+  EXPECT_THROW(ControllerConfig::from_config(config, 32), conf::ConfigError);
+  config.set_int("saex.dynamic.minThreads", 32);  // c_min == c_max is fine
+  EXPECT_EQ(ControllerConfig::from_config(config, 32).max_threads, 32);
+}
+
 // ---------- Policies ----------
 
 TEST(Policies, DefaultPolicyAlwaysUsesDefault) {
   FakePool pool;
   pool.size_ = 4;
-  DefaultPolicy policy(pool, nullptr, 32);
+  FixedPolicy policy("default", pool, nullptr,
+                     [](const StageContext&) { return 32; });
   policy.on_stage_start({1, 0, true}, 0.0);
   EXPECT_EQ(pool.pool_size(), 32);
   policy.on_stage_start({2, 1, false}, 1.0);
   EXPECT_EQ(pool.pool_size(), 32);
 }
 
+int io_tagged_8_else_32(const StageContext& stage) {
+  return stage.io_tagged ? 8 : 32;
+}
+
 TEST(Policies, StaticIoPolicySwitchesOnTag) {
   FakePool pool;
   int notified = 0;
-  StaticIoPolicy policy(pool, [&](int) { ++notified; }, 8, 32);
+  FixedPolicy policy("static", pool, [&](int) { ++notified; },
+                     io_tagged_8_else_32);
   policy.on_stage_start({1, 0, true}, 0.0);
   EXPECT_EQ(pool.pool_size(), 8);
   policy.on_stage_start({2, 1, false}, 1.0);
@@ -431,14 +467,20 @@ TEST(Policies, StaticIoPolicySkipsRedundantResize) {
   FakePool pool;
   pool.size_ = 8;
   int notified = 0;
-  StaticIoPolicy policy(pool, [&](int) { ++notified; }, 8, 32);
+  FixedPolicy policy("static", pool, [&](int) { ++notified; },
+                     io_tagged_8_else_32);
   policy.on_stage_start({1, 0, true}, 0.0);
   EXPECT_EQ(notified, 0);  // already at 8
 }
 
 TEST(Policies, PerStagePolicyUsesOrdinalMap) {
   FakePool pool;
-  PerStagePolicy policy(pool, nullptr, {{0, 4}, {2, 8}}, 32);
+  const std::map<int, int> by_ordinal = {{0, 4}, {2, 8}};
+  FixedPolicy policy("per-stage", pool, nullptr,
+                     [&by_ordinal](const StageContext& stage) {
+                       const auto it = by_ordinal.find(stage.stage_ordinal);
+                       return it == by_ordinal.end() ? 32 : it->second;
+                     });
   policy.on_stage_start({10, 0, true}, 0.0);
   EXPECT_EQ(pool.pool_size(), 4);
   policy.on_stage_start({11, 1, false}, 1.0);
@@ -452,8 +494,10 @@ TEST(Policies, DynamicPolicyExposesController) {
   LandscapeSensor sensor;
   sensor.epoll_rate = {{2, 0.5}, {4, 4.0}, {8, 10.0}, {16, 20.0}, {32, 40.0}};
   sensor.byte_rate = {{2, 150e6}, {4, 140e6}, {8, 120e6}, {16, 90e6}, {32, 60e6}};
-  DynamicPolicy policy(test_config(), sensor, pool, nullptr);
-  ASSERT_NE(policy.controller(), nullptr);
+  AdaptiveController ctrl(test_config(), sensor, pool, nullptr);
+  ThreadPolicy& policy = ctrl;
+  ASSERT_NE(dynamic_cast<const AdaptiveController*>(&policy), nullptr);
+  EXPECT_EQ(policy.name(), "dynamic");
   policy.on_stage_start({5, 0, true}, 0.0);
   EXPECT_EQ(pool.pool_size(), 2);
 }

@@ -1,8 +1,10 @@
 // SparkContext end-to-end: job execution, reports, policies, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
+#include "adaptive/controller.h"
 #include "engine/context.h"
 
 namespace saex::engine {
@@ -133,17 +135,37 @@ TEST(SparkContext, DynamicPolicyTunesAndReports) {
     EXPECT_LE(es.threads_settled, 32);
   }
   // Knowledge base recorded intervals for the stage.
-  const auto* ctrl = rig.ctx.executor(0).policy().controller();
+  const auto* ctrl = dynamic_cast<const adaptive::AdaptiveController*>(
+      &rig.ctx.executor(0).policy());
   ASSERT_NE(ctrl, nullptr);
   EXPECT_FALSE(ctrl->knowledge().stages().empty());
+}
+
+// Fixed-time intervals close on task completions: some executor climbs past
+// c_min instead of staying at its first size for the whole job.
+TEST(SparkContext, FixedIntervalModeResizesPastMinThreads) {
+  conf::Config config;
+  config.set("saex.executor.policy", "dynamic");
+  config.set("saex.dynamic.intervalMode", "fixed");
+  ContextRig rig(std::move(config));
+  rig.ctx.dfs().load_input("/in", gib(8), 4);
+  (void)rig.ctx.run_job(rig.ctx.text_file("/in").save_as_text_file("/copy"));
+  int largest = 0;
+  for (const Event& e : rig.ctx.event_log().of_kind(EventKind::kPoolResize)) {
+    largest = std::max(largest, static_cast<int>(e.value));
+  }
+  EXPECT_GT(largest, 2);
 }
 
 TEST(SparkContext, CustomPolicyFactoryInstalls) {
   ContextRig rig;
   rig.ctx.set_policy_factory([](adaptive::Sensor&, adaptive::PoolEffector& pool,
                                 adaptive::SchedulerNotifier notifier, int) {
-    return std::make_unique<adaptive::PerStagePolicy>(
-        pool, std::move(notifier), std::map<int, int>{{0, 4}}, 32);
+    return std::make_unique<adaptive::FixedPolicy>(
+        "per-stage", pool, std::move(notifier),
+        [](const adaptive::StageContext& stage) {
+          return stage.stage_ordinal == 0 ? 4 : 32;
+        });
   });
   rig.ctx.dfs().load_input("/in", gib(1), 4);
   const Rdd out = rig.ctx.text_file("/in").count();
@@ -159,7 +181,7 @@ TEST(SparkContext, UnknownPolicyThrows) {
   EXPECT_THROW(SparkContext(cluster, std::move(config)), conf::ConfigError);
 }
 
-// apply_size clamps a pool to one thread, but the driver would be told 0.
+// The executor clamps a pool to one thread, but the driver would be told 0.
 TEST(SparkContext, StaticPolicyRejectsZeroIoThreads) {
   conf::Config config;
   config.set("saex.executor.policy", "static");

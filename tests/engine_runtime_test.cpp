@@ -360,13 +360,24 @@ TEST(ExecutorRuntime, CachedReadFromMemoryIsFreeOfIo) {
 
 TEST(ExecutorRuntime, PoolResizeRecordsHistory) {
   Rig rig;
-  rig.exec(0).set_pool_size(8);
-  rig.exec(0).set_pool_size(16);
-  EXPECT_EQ(rig.exec(0).pool_size(), 16);
-  // initial + 2 changes
-  EXPECT_EQ(rig.exec(0).pool_history().points().size(), 3u);
-  rig.exec(0).set_pool_size(0);  // clamped
-  EXPECT_EQ(rig.exec(0).pool_size(), 1);
+  EventLog log;
+  EngineEnv env = rig.env;
+  env.event_log = &log;
+  ExecutorRuntime exec(env, 0, 32);
+  exec.set_pool_size(8);
+  exec.set_pool_size(16);
+  EXPECT_EQ(exec.pool_size(), 16);
+  // One kPoolResize per change, carrying the new size.
+  std::vector<Event> resizes = log.of_kind(EventKind::kPoolResize);
+  ASSERT_EQ(resizes.size(), 2u);
+  EXPECT_EQ(resizes[0].value, 8);
+  EXPECT_EQ(resizes[1].value, 16);
+  EXPECT_EQ(resizes[1].node, 0);
+  exec.set_pool_size(0);  // clamped
+  EXPECT_EQ(exec.pool_size(), 1);
+  resizes = log.of_kind(EventKind::kPoolResize);
+  ASSERT_EQ(resizes.size(), 3u);
+  EXPECT_EQ(resizes[2].value, 1);
 }
 
 TEST(ExecutorRuntime, SensorSampleReflectsCounters) {
