@@ -159,18 +159,15 @@ int main(int argc, char** argv) {
               wall() - t0, static_cast<unsigned long long>(total_hash.load()),
               pool.pool_size());
 
-  const auto* record = controller.knowledge().stage(1);
-  if (record != nullptr) {
-    std::printf("\ncontroller intervals (MAPE-K knowledge base):\n");
-    for (const auto& iv : record->intervals) {
-      std::printf("  j=%2d  %5.2fs  eps=%7.3fs  mu=%9s  zeta=%.3g\n",
-                  iv.threads, iv.duration(), iv.epoll_wait,
-                  format_rate(iv.throughput()).c_str(),
-                  iv.congestion_index());
-    }
-    std::printf("  settled=%d rolled_back=%s reached_bound=%s\n",
-                record->settled_threads, record->rolled_back ? "yes" : "no",
-                record->reached_bound ? "yes" : "no");
+  const adaptive::StageRecord& record = controller.knowledge();
+  std::printf("\ncontroller intervals (MAPE-K knowledge base):\n");
+  for (const auto& iv : record.intervals) {
+    std::printf("  j=%2d  %5.2fs  eps=%7.3fs  mu=%9s  zeta=%.3g\n",
+                iv.threads, iv.duration(), iv.epoll_wait,
+                format_rate(iv.throughput()).c_str(), iv.congestion_index());
   }
+  std::printf("  settled=%d rolled_back=%s reached_bound=%s\n",
+              record.settled_threads, record.rolled_back ? "yes" : "no",
+              record.reached_bound ? "yes" : "no");
   return 0;
 }

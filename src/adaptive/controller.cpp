@@ -64,12 +64,11 @@ AdaptiveController::AdaptiveController(ControllerConfig config, Sensor& sensor,
 void AdaptiveController::on_stage_start(const StageContext& stage, double now) {
   if (stage_open_) on_stage_end(now);
 
-  stage_key_ = stage.stage_uid;
+  knowledge_ = StageRecord{};
+  knowledge_.stage_key = stage.stage_uid;
   stage_open_ = true;
   frozen_ = false;
   previous_.reset();
-  rolled_back_ = false;
-  reached_bound_ = false;
   completions_in_interval_ = 0;
 
   const int first = analyzer_.first_threads();
@@ -94,11 +93,11 @@ void AdaptiveController::on_task_complete(double now) {
 void AdaptiveController::close_interval_and_decide(double now) {
   SAEX_PROF_SCOPE(kAdaptive);
   const IntervalReport report = monitor_.end_interval(now);
-  knowledge_.record_interval(stage_key_, report);
+  knowledge_.intervals.push_back(report);
 
   const Decision decision = analyzer_.decide(previous_, report);
   SAEX_DEBUG("stage {}: interval j={} eps={:.3f}s mu={:.1f}MB/s zeta={:.5f} -> {}",
-             stage_key_, report.threads, report.epoll_wait,
+             knowledge_.stage_key, report.threads, report.epoll_wait,
              report.throughput() / 1e6, report.congestion_index(),
              decision.reason);
 
@@ -112,16 +111,9 @@ void AdaptiveController::close_interval_and_decide(double now) {
     monitor_.begin_interval(now, decision.target_threads);
   } else {
     frozen_ = true;
-    settle(decision.action == Decision::Action::kRollback,
-           decision.action == Decision::Action::kHold);
+    knowledge_.rolled_back = decision.action == Decision::Action::kRollback;
+    knowledge_.reached_bound = decision.action == Decision::Action::kHold;
   }
-}
-
-void AdaptiveController::settle(bool rolled_back, bool reached_bound) {
-  rolled_back_ = rolled_back;
-  reached_bound_ = reached_bound;
-  knowledge_.record_settled(stage_key_, pool_->pool_size(), rolled_back,
-                            reached_bound);
 }
 
 void AdaptiveController::on_stage_end(double now) {
@@ -130,10 +122,9 @@ void AdaptiveController::on_stage_end(double now) {
     // Stage ran out of tasks mid-interval; keep the partial measurement for
     // the record but make no decision from it.
     const IntervalReport partial = monitor_.end_interval(now);
-    if (partial.duration() > 0.0) knowledge_.record_interval(stage_key_, partial);
+    if (partial.duration() > 0.0) knowledge_.intervals.push_back(partial);
   }
-  knowledge_.record_settled(stage_key_, pool_->pool_size(), rolled_back_,
-                            reached_bound_);
+  knowledge_.settled_threads = pool_->pool_size();
   stage_open_ = false;
   frozen_ = true;
 }

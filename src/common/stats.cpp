@@ -55,25 +55,4 @@ double percentile(std::vector<double> values, double q) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-double time_weighted_mean(const std::vector<std::pair<double, double>>& points,
-                          double t0, double t1) {
-  if (points.empty() || t1 <= t0) return 0.0;
-  double area = 0.0;
-  double prev_t = t0;
-  double prev_v = points.front().second;
-  for (const auto& [t, v] : points) {
-    if (t <= t0) {
-      prev_v = v;
-      continue;
-    }
-    const double seg_end = std::min(t, t1);
-    if (seg_end > prev_t) area += prev_v * (seg_end - prev_t);
-    prev_t = seg_end;
-    prev_v = v;
-    if (t >= t1) break;
-  }
-  if (prev_t < t1) area += prev_v * (t1 - prev_t);
-  return area / (t1 - t0);
-}
-
 }  // namespace saex

@@ -34,10 +34,4 @@ class RunningStats {
 /// q in [0,1]; linear interpolation between order statistics.
 double percentile(std::vector<double> values, double q);
 
-/// Time-weighted average of a piecewise-constant signal described by
-/// (timestamp, value) change points over [t0, t1]. The signal holds its last
-/// value until the next change point.
-double time_weighted_mean(const std::vector<std::pair<double, double>>& points,
-                          double t0, double t1);
-
 }  // namespace saex

@@ -110,10 +110,6 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   aqe_ = aqe::AqeOptions::from_config(config_);
   if (aqe_.enabled && aqe_.tuner) tuner_ = std::make_unique<aqe::StageTuner>();
   m_replans_ = metrics_.counter_handle("aqe/replans");
-  env.task_failure_prob = config_.get_double("saex.sim.taskFailureProb");
-  env.flaky_node = static_cast<int>(config_.get_int("saex.sim.flakyNode"));
-  env.flaky_node_failure_prob =
-      config_.get_double("saex.sim.flakyNodeFailureProb");
   env.net_flow_batch = config_.get_bool("saex.net.flowBatch");
   env.event_log = &event_log_;
 
@@ -122,7 +118,8 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   const fault::FaultSpec fault_spec = fault::FaultSpec::from_config(config_);
   fault_state_ = std::make_unique<fault::FaultState>(
       cluster.size(), cluster.spec().seed ^ fault_spec.seed,
-      fault_spec.fetch_fail_prob, fault_spec.fetch_fail_node);
+      fault_spec.fetch_fail_prob, fault_spec.fetch_fail_node,
+      fault_spec.task_failures);
   env.fault = fault_state_.get();
 
   const int vcores = static_cast<int>(config_.get_int("spark.executor.cores"));

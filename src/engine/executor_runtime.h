@@ -87,15 +87,10 @@ struct EngineEnv {
   // per-chunk model bitwise; fault rolls and open-stream accounting stay
   // block-granular either way.
   bool net_flow_batch = false;
-  // Fault injection: probability that a task attempt fails partway through
-  // (saex.sim.taskFailureProb). Deterministic per (cluster seed, node, task).
-  double task_failure_prob = 0.0;
-  // One pathologically flaky node (saex.sim.flakyNode >= 0) with its own
-  // failure probability; exercises blacklisting.
-  int flaky_node = -1;
-  double flaky_node_failure_prob = 0.0;
-  // Fault truth shared across the cluster (saex::fault): dead executors and
-  // seeded shuffle-fetch drops. Null disables every fault check.
+  // Fault truth shared across the cluster (saex::fault): dead executors,
+  // seeded shuffle-fetch drops and the task-attempt failure probability
+  // (saex.sim.*; draws are deterministic per cluster seed, node and task).
+  // Null disables every fault check.
   fault::FaultState* fault = nullptr;
   // Optional application event log (owned by the SparkContext).
   EventLog* event_log = nullptr;

@@ -96,6 +96,11 @@ std::string format_chaos(const std::vector<ChaosEvent>& events) {
 
 FaultSpec FaultSpec::from_config(const conf::Config& config) {
   FaultSpec s;
+  s.task_failures.prob = config.get_double("saex.sim.taskFailureProb");
+  s.task_failures.flaky_node =
+      static_cast<int>(config.get_int("saex.sim.flakyNode"));
+  s.task_failures.flaky_prob =
+      config.get_double("saex.sim.flakyNodeFailureProb");
   s.enabled = config.get_bool("saex.fault.enabled");
   if (!s.enabled) return s;
   s.seed = static_cast<uint64_t>(config.get_int("saex.fault.seed"));
@@ -117,11 +122,12 @@ FaultSpec FaultSpec::from_config(const conf::Config& config) {
 }
 
 FaultState::FaultState(int num_nodes, uint64_t seed, double fetch_fail_prob,
-                       int fetch_fail_node)
+                       int fetch_fail_node, TaskFailures task_failures)
     : alive_(static_cast<size_t>(num_nodes), 1),
       fetch_fail_prob_(fetch_fail_prob),
       fetch_fail_node_(fetch_fail_node),
-      rng_(Rng(seed).fork("fetch-drops")) {}
+      rng_(Rng(seed).fork("fetch-drops")),
+      task_failures_(task_failures) {}
 
 void FaultState::mark_dead(int node) {
   assert(node >= 0 && node < static_cast<int>(alive_.size()));

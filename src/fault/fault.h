@@ -51,6 +51,14 @@ std::vector<ChaosEvent> parse_chaos(std::string_view spec);
 /// rewrite global node ids into each shard's local ids.
 std::string format_chaos(const std::vector<ChaosEvent>& events);
 
+/// Random task-attempt deaths (the `saex.sim.*` keys), read even when
+/// saex.fault.enabled is off.
+struct TaskFailures {
+  double prob = 0.0;        // per attempt, on every node but the flaky one
+  int flaky_node = -1;      // node with its own probability (-1: none)
+  double flaky_prob = 0.0;  // per attempt on the flaky node
+};
+
 struct FaultSpec {
   bool enabled = false;
   uint64_t seed = 0;           // XORed into the cluster seed
@@ -63,8 +71,9 @@ struct FaultSpec {
   double fetch_fail_prob = 0.0;  // transient shuffle-fetch drop probability
   int fetch_fail_node = -1;    // restrict drops to this source node (-1: any)
   std::vector<ChaosEvent> chaos;  // scripted kill/rejoin timeline
+  TaskFailures task_failures;
 
-  /// Reads every `saex.fault.*` key; inert (enabled=false) by default.
+  /// Reads every `saex.fault.*` and `saex.sim.*` key; inert by default.
   static FaultSpec from_config(const conf::Config& config);
 };
 
@@ -74,7 +83,7 @@ struct FaultSpec {
 class FaultState {
  public:
   FaultState(int num_nodes, uint64_t seed, double fetch_fail_prob,
-             int fetch_fail_node = -1);
+             int fetch_fail_node = -1, TaskFailures task_failures = {});
 
   bool node_alive(int node) const noexcept {
     return node < 0 || node >= static_cast<int>(alive_.size()) ||
@@ -92,6 +101,12 @@ class FaultState {
   bool drop_fetch(int src_node, int dst_node);
   int64_t fetch_drops() const noexcept { return fetch_drops_; }
 
+  /// Probability that a task attempt on `node` dies partway through.
+  double task_failure_prob(int node) const noexcept {
+    return node == task_failures_.flaky_node ? task_failures_.flaky_prob
+                                             : task_failures_.prob;
+  }
+
  private:
   std::vector<char> alive_;
   int dead_ = 0;
@@ -99,6 +114,7 @@ class FaultState {
   int fetch_fail_node_ = -1;
   Rng rng_;
   int64_t fetch_drops_ = 0;
+  TaskFailures task_failures_;
 };
 
 /// Arms the spec's triggers against the simulation clock.

@@ -30,8 +30,8 @@ Cluster::Cluster(ClusterSpec spec) : spec_(spec) {
     }
     const double cpu_factor = cpu_rng.lognormal(0.0, spec.cpu_sigma);
     nodes_.push_back(std::make_unique<Node>(sim_, i, spec.cores_per_node,
-                                            spec.memory_per_node, spec.disk,
-                                            disk_factor, cpu_factor));
+                                            spec.disk, disk_factor,
+                                            cpu_factor));
   }
   network_ = std::make_unique<Network>(sim_, spec.num_nodes, spec.network);
 }

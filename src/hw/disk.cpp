@@ -1,11 +1,8 @@
 #include "hw/disk.h"
 
-#include "prof/profiler.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 namespace saex::hw {
@@ -41,17 +38,17 @@ DiskParams DiskParams::ssd() {
 
 Disk::Disk(sim::Simulation& sim, DiskParams params, std::string name,
            double speed_factor)
-    : sim_(sim),
+    : FluidPool(sim),
       params_(params),
       name_(std::move(name)),
       speed_factor_(speed_factor) {}
 
 void Disk::set_speed_factor(double factor) {
   assert(factor > 0.0);
-  advance(false);  // settle in-flight work at the old rate
-  speed_factor_ = factor;
-  cap_cache_.clear();  // memoized capacities embed the old factor
-  advance(true);  // move the next completion to the new rate
+  mutate([this, factor] {
+    speed_factor_ = factor;
+    cap_cache_.clear();  // memoized capacities embed the old factor
+  });
 }
 
 double Disk::capacity_uncached(double kd) const noexcept {
@@ -105,91 +102,36 @@ void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
                   double work_factor) {
   assert(bytes >= 0);
   assert(work_factor > 0.0);
-  if (bytes == 0) {
-    // Zero-byte transfers complete after the setup latency only.
-    sim_.schedule_after(params_.latency, std::move(done));
-    return;
-  }
   const double work = static_cast<double>(bytes) * work_factor *
                       (is_write ? params_.write_cost_factor : 1.0);
   // The fixed setup latency is modeled as a delay before joining the
   // processor-sharing pool (controller/syscall time; device is free).
-  arrivals_.push(params_.latency,
-                 Arrival{Transfer{work, is_write, std::move(done)}, bytes});
+  enqueue(params_.latency, bytes, DiskTransfer{work, is_write, std::move(done)});
 }
 
-void Disk::wake() {
-  if (!arrivals_.due()) {
-    advance(true);
-    return;
-  }
-  advance(false);  // settle and complete at the shares before the arrivals
-  arrivals_.admit_due([this](Arrival&& a) {
-    if (a.transfer.is_write) {
-      ++write_streams_;
-      bytes_written_ += a.bytes;
-    } else {
-      ++read_streams_;
-      bytes_read_ += a.bytes;
-    }
-    transfers_.push_back(std::move(a.transfer));
-  });
-  busy_.set_active(sim_.now(), 1.0);
-  advance(true);
-}
-
-void Disk::advance(bool reschedule) {
-  SAEX_PROF_SCOPE(kDisk);
-  const double now = sim_.now();
-  const double dt = now - last_advance_;
+void Disk::settle(double dt) {
   const double rate = current_rate_per_transfer();
-  if (dt > 0.0 && rate > 0.0) {
-    for (auto& tr : transfers_) tr.remaining_work -= rate * dt;
+  if (rate > 0.0) {
+    for (auto& tr : jobs_) tr.remaining -= rate * dt;
   }
-  last_advance_ = now;
+}
 
-  // Complete everything that has (numerically) finished, compacting the
-  // survivors in place, and find their minimum remaining work in the same
-  // pass. The threshold is half a byte: below that, scheduling another
-  // wake-up can produce a dt too small to advance the clock at large sim
-  // times (t + dt == t in doubles), which would spin the event loop forever.
-  std::vector<sim::Callback> finished = std::move(finished_scratch_);
-  finished.clear();
-  double min_work = std::numeric_limits<double>::infinity();
-  size_t out = 0;
-  for (size_t i = 0; i < transfers_.size(); ++i) {
-    Transfer& tr = transfers_[i];
-    if (tr.remaining_work <= 0.5) {
-      if (tr.is_write) {
-        --write_streams_;
-      } else {
-        --read_streams_;
-      }
-      finished.push_back(std::move(tr.done));
-    } else {
-      min_work = std::min(min_work, tr.remaining_work);
-      if (out != i) transfers_[out] = std::move(tr);
-      ++out;
-    }
+void Disk::retire(const DiskTransfer& tr) {
+  if (tr.is_write) {
+    --write_streams_;
+  } else {
+    --read_streams_;
   }
-  transfers_.resize(out);
+}
 
-  if (transfers_.empty()) busy_.set_active(now, 0.0);
-  // A settle-only pass leaves the wake-up to the caller's next pass.
-  if (reschedule) {
-    sim::Time next = ArrivalQueue<Arrival>::kNever;
-    if (!transfers_.empty()) {
-      // Floor the wake-up so time strictly advances even for sub-byte tails.
-      next = now + std::max(min_work / current_rate_per_transfer(), 1e-9);
-    }
-    arrivals_.set_wake(next);
+void Disk::admit(const DiskTransfer& tr, Bytes bytes) {
+  if (tr.is_write) {
+    ++write_streams_;
+    bytes_written_ += bytes;
+  } else {
+    ++read_streams_;
+    bytes_read_ += bytes;
   }
-
-  // Callbacks run last: they may submit new transfers reentrantly (a nested
-  // advance sees an empty finished_scratch_ and allocates its own buffer).
-  for (auto& fn : finished) fn();
-  finished.clear();
-  finished_scratch_ = std::move(finished);
 }
 
 }  // namespace saex::hw

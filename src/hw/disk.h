@@ -30,8 +30,9 @@
 #include <vector>
 
 #include "common/units.h"
-#include "hw/arrival_queue.h"
+#include "hw/fluid_pool.h"
 #include "metrics/io_accounting.h"
+#include "prof/profiler.h"
 #include "sim/simulation.h"
 
 namespace saex::hw {
@@ -58,7 +59,14 @@ struct DiskParams {
   static DiskParams ssd();
 };
 
-class Disk {
+// One active transfer of a Disk.
+struct DiskTransfer {
+  double remaining;  // work units: bytes × cost factor
+  bool is_write;
+  sim::Callback done;
+};
+
+class Disk : public FluidPool<Disk, DiskTransfer, prof::Subsystem::kDisk> {
  public:
   /// `speed_factor` scales base bandwidth; models node heterogeneity (Fig. 3).
   Disk(sim::Simulation& sim, DiskParams params, std::string name,
@@ -74,7 +82,7 @@ class Disk {
   void submit(Bytes bytes, bool is_write, sim::Callback done,
               double work_factor = 1.0);
 
-  int active_transfers() const noexcept { return static_cast<int>(transfers_.size()); }
+  int active_transfers() const noexcept { return static_cast<int>(jobs_.size()); }
 
   /// Changes the bandwidth scale at runtime (fault injection: a degraded
   /// device turns the node into a straggler). In-flight transfers are
@@ -104,49 +112,30 @@ class Disk {
   const DiskParams& params() const noexcept { return params_; }
 
  private:
-  struct Transfer {
-    double remaining_work;  // bytes × cost factor
-    bool is_write;
-    sim::Callback done;
-  };
-  // A submitted transfer inside its setup latency.
-  struct Arrival {
-    Transfer transfer;
-    Bytes bytes;
-  };
+  friend FluidPool;
 
-  // Settles every transfer up to now at the current shares and completes
-  // the finished ones. With `reschedule`, also moves the wake-up to the
-  // earlier of the next finish time and the next arrival, or cancels it
-  // when the device is idle with nothing in flight. A wake-up with arrivals
-  // due settles without it (they are not in the pool yet) and reschedules
-  // once, after admitting them.
-  void advance(bool reschedule);
-  void wake();
+  // FluidPool hooks. Every transfer runs at the one per-transfer rate.
+  void settle(double dt);
+  void retire(const DiskTransfer& tr);
+  void admit(const DiskTransfer& tr, Bytes bytes);
+  double until_next(double min_remaining) const noexcept {
+    return min_remaining / current_rate_per_transfer();
+  }
+  void set_busy(bool busy) { busy_.set_active(sim_.now(), busy ? 1.0 : 0.0); }
+
   double current_rate_per_transfer() const noexcept;
   double effective_streams() const noexcept;
   double capacity_uncached(double kd) const noexcept;
 
-  sim::Simulation& sim_;
   DiskParams params_;
   std::string name_;
   double speed_factor_;
 
-  // Active transfers in submission (FIFO) order. The settle loop touches
-  // every element on every device event, so contiguous storage matters; the
-  // old std::unordered_map iteration dominated terasort_e2e profiles.
-  std::vector<Transfer> transfers_;
   int read_streams_ = 0;   // active read transfers
   int write_streams_ = 0;  // active write transfers
   // capacity_eff(kd) memo over quarter-stream steps (kd is always
   // reads + 0.25*writes on the hot path); invalidated by set_speed_factor.
   mutable std::vector<double> cap_cache_;
-  // Scratch buffer recycled across advance calls (reentrancy-safe: each
-  // activation moves it out, so a nested advance simply allocates afresh).
-  std::vector<sim::Callback> finished_scratch_;
-  double last_advance_ = 0.0;
-  // Submitted transfers inside their setup latency, and the one wake-up.
-  ArrivalQueue<Arrival> arrivals_{sim_, [this] { wake(); }};
 
   Bytes bytes_read_ = 0;
   Bytes bytes_written_ = 0;

@@ -1,7 +1,5 @@
 #include "hw/network.h"
 
-#include "prof/profiler.h"
-
 #include <algorithm>
 #include <cassert>
 #include <limits>
@@ -10,7 +8,7 @@
 namespace saex::hw {
 
 Network::Network(sim::Simulation& sim, int num_nodes, NetworkParams params)
-    : sim_(sim),
+    : FluidPool(sim),
       params_(params),
       up_count_(static_cast<size_t>(num_nodes), 0),
       down_count_(static_cast<size_t>(num_nodes), 0),
@@ -31,7 +29,7 @@ double Network::down_capacity_eff(int senders, int open_requests) const noexcept
          (1.0 + params_.incast_coeff * src_excess * flow_excess);
 }
 
-double Network::flow_rate(const Flow& f) const noexcept {
+double Network::flow_rate(const NetworkFlow& f) const noexcept {
   const int n_up = up_count_[static_cast<size_t>(f.src)];
   const int n_down = down_count_[static_cast<size_t>(f.dst)];
   assert(n_up > 0 && n_down > 0);
@@ -76,85 +74,40 @@ void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
   assert(src != dst && "local data must not cross the network");
   assert(bytes >= 0);
   ++transfers_started_;
-  if (bytes == 0) {
-    sim_.schedule_after(params_.latency, std::move(done));
-    return;
-  }
-  arrivals_.push(params_.latency,
-                 Arrival{Flow{src, dst, static_cast<double>(bytes), streams,
-                              cap, std::move(done)},
-                         bytes});
+  enqueue(params_.latency, bytes,
+          NetworkFlow{src, dst, static_cast<double>(bytes), streams, cap,
+                      std::move(done)});
 }
 
-void Network::wake() {
-  if (!arrivals_.due()) {
-    advance(true);
-    return;
-  }
-  // Settle and complete first. The completion callbacks may register or
-  // unregister fetches, and the rescheduling pass below must see that.
-  advance(false);
-  arrivals_.admit_due([this](Arrival&& a) {
-    const Flow& f = a.flow;
-    up_count_[static_cast<size_t>(f.src)] += f.streams;
-    down_count_[static_cast<size_t>(f.dst)] += f.streams;
-    open_inc(f.src, f.dst);
-    sent_[static_cast<size_t>(f.src)] += a.bytes;
-    total_bytes_ += a.bytes;
-    flows_.push_back(std::move(a.flow));
-  });
-  advance(true);
+void Network::settle(double dt) {
+  // Every flow settles at the rates implied by the *current* counts: the
+  // completion sweep decrements them only after this loop.
+  for (auto& f : jobs_) f.remaining -= flow_rate(f) * dt;
 }
 
-void Network::advance(bool reschedule) {
-  SAEX_PROF_SCOPE(kNetwork);
-  const double now = sim_.now();
-  const double dt = now - last_advance_;
-  if (dt > 0.0) {
-    // Settle every flow at the rates implied by the *current* counts; the
-    // completion sweep below must not decrement counts until all flows have
-    // been settled, or later flows would settle at post-completion rates.
-    for (auto& f : flows_) f.remaining -= flow_rate(f) * dt;
-  }
-  last_advance_ = now;
+void Network::retire(const NetworkFlow& f) {
+  up_count_[static_cast<size_t>(f.src)] -= f.streams;
+  down_count_[static_cast<size_t>(f.dst)] -= f.streams;
+  open_dec(f.src, f.dst);
+}
 
-  // Half-byte completion threshold + floored wake-up: see Disk for why
-  // sub-byte tails must not schedule zero-advance events.
-  std::vector<sim::Callback> finished = std::move(finished_scratch_);
-  finished.clear();
-  size_t out = 0;
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    Flow& f = flows_[i];
-    if (f.remaining <= 0.5) {
-      up_count_[static_cast<size_t>(f.src)] -= f.streams;
-      down_count_[static_cast<size_t>(f.dst)] -= f.streams;
-      open_dec(f.src, f.dst);
-      finished.push_back(std::move(f.done));
-    } else {
-      if (out != i) flows_[out] = std::move(f);
-      ++out;
-    }
-  }
-  flows_.resize(out);
+void Network::admit(const NetworkFlow& f, Bytes bytes) {
+  up_count_[static_cast<size_t>(f.src)] += f.streams;
+  down_count_[static_cast<size_t>(f.dst)] += f.streams;
+  open_inc(f.src, f.dst);
+  sent_[static_cast<size_t>(f.src)] += bytes;
+  total_bytes_ += bytes;
+}
 
-  // A settle-only pass leaves the wake-up to the caller's next pass.
-  if (reschedule) {
-    sim::Time next = ArrivalQueue<Arrival>::kNever;
-    if (!flows_.empty()) {
-      // Survivor rates reflect the post-completion counts, so this pass must
-      // run after the sweep above.
-      double min_time = std::numeric_limits<double>::infinity();
-      for (const auto& f : flows_) {
-        min_time = std::min(min_time, f.remaining / flow_rate(f));
-      }
-      next = now + std::max(min_time, 1e-9);
-    }
-    arrivals_.set_wake(next);
+double Network::until_next(double /*min_remaining*/) const noexcept {
+  // Flows run at different rates, so the least remaining work does not
+  // locate the next completion: scan every survivor at its post-completion
+  // rate.
+  double min_time = std::numeric_limits<double>::infinity();
+  for (const auto& f : jobs_) {
+    min_time = std::min(min_time, f.remaining / flow_rate(f));
   }
-
-  for (auto& fn : finished) fn();
-  finished.clear();
-  finished_scratch_ = std::move(finished);
+  return min_time;
 }
 
 }  // namespace saex::hw

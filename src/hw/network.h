@@ -16,8 +16,9 @@
 // scale while the tuned ones do.
 //
 // Like the disk, the model is event-driven: rates are piecewise constant
-// between flow arrivals/departures. Flows inside their setup latency wait in
-// the same kind of arrival FIFO, behind the network's one wake-up.
+// between flow arrivals/departures, and the settle → complete → reschedule
+// pass, the setup-latency arrival FIFO and the one wake-up are the disk's
+// too (hw::FluidPool).
 #pragma once
 
 #include <cassert>
@@ -26,7 +27,8 @@
 #include <vector>
 
 #include "common/units.h"
-#include "hw/arrival_queue.h"
+#include "hw/fluid_pool.h"
+#include "prof/profiler.h"
 #include "sim/simulation.h"
 
 namespace saex::hw {
@@ -46,7 +48,18 @@ struct NetworkParams {
   double latency = 0.02;
 };
 
-class Network {
+// One active flow of a Network.
+struct NetworkFlow {
+  int src;
+  int dst;
+  double remaining;  // bytes
+  int streams;       // fair-share weight (1 = plain per-chunk transfer)
+  double cap;        // this flow's rate cap, bytes/s
+  sim::Callback done;
+};
+
+class Network
+    : public FluidPool<Network, NetworkFlow, prof::Subsystem::kNetwork> {
  public:
   using NodeId = int;
 
@@ -80,6 +93,12 @@ class Network {
   /// connection open while the server reads the block from disk, so the
   /// congestion (incast) level of a downlink counts registered fetches, not
   /// just in-flight byte transfers.
+  ///
+  /// Both change a downlink's incast rate outside mutate(), so the active
+  /// flows are not settled first and the wake-up stays where it was: the
+  /// new rate applies back to the last pass. Kept as is because routing
+  /// them through mutate() moves every result that has a shuffle; that fix
+  /// is these two call sites plus a re-baseline of the recorded results.
   void register_fetch(NodeId src, NodeId dst);
   void unregister_fetch(NodeId src, NodeId dst);
   int fetches_to(NodeId dst) const noexcept {
@@ -93,7 +112,7 @@ class Network {
   /// (equal to the plain flow count when nothing is batched).
   int flows_from(NodeId n) const noexcept { return up_count_[static_cast<size_t>(n)]; }
   int flows_to(NodeId n) const noexcept { return down_count_[static_cast<size_t>(n)]; }
-  int active_flows() const noexcept { return static_cast<int>(flows_.size()); }
+  int active_flows() const noexcept { return static_cast<int>(jobs_.size()); }
 
   Bytes bytes_sent(NodeId n) const noexcept { return sent_[static_cast<size_t>(n)]; }
   Bytes total_bytes() const noexcept { return total_bytes_; }
@@ -123,31 +142,18 @@ class Network {
   const NetworkParams& params() const noexcept { return params_; }
 
  private:
-  struct Flow {
-    NodeId src;
-    NodeId dst;
-    double remaining;  // bytes
-    int streams;       // fair-share weight (1 = plain per-chunk transfer)
-    double cap;        // this flow's rate cap, bytes/s
-    sim::Callback done;
-  };
-  // A started flow inside its setup latency.
-  struct Arrival {
-    Flow flow;
-    Bytes bytes;
-  };
+  friend FluidPool;
 
   void start_flow(NodeId src, NodeId dst, Bytes bytes, int streams, double cap,
                   sim::Callback done);
 
-  double flow_rate(const Flow& f) const noexcept;
-  // Settles every flow up to now and completes the finished ones; with
-  // `reschedule`, also moves the wake-up to the earlier of the next finish
-  // time and the next arrival. Same protocol as Disk::advance: a wake-up
-  // with arrivals due settles without it and reschedules once after
-  // admitting them; idle with nothing in flight cancels the wake-up.
-  void advance(bool reschedule);
-  void wake();
+  double flow_rate(const NetworkFlow& f) const noexcept;
+  // FluidPool hooks. Each flow runs at its own flow_rate().
+  void settle(double dt);
+  void retire(const NetworkFlow& f);
+  void admit(const NetworkFlow& f, Bytes bytes);
+  double until_next(double min_remaining) const noexcept;
+
   static uint64_t open_key(NodeId src, NodeId dst) noexcept {
     return (static_cast<uint64_t>(static_cast<uint32_t>(dst)) << 32) |
            static_cast<uint32_t>(src);
@@ -171,11 +177,7 @@ class Network {
     --open_count_[static_cast<size_t>(dst)];
   }
 
-  sim::Simulation& sim_;
   NetworkParams params_;
-  // Active flows in start (FIFO) order; settled with contiguous scans, like
-  // Disk::transfers_.
-  std::vector<Flow> flows_;
   // Stream-weighted per-node link loads (Σ streams over active flows); with
   // no batched flows these are the plain flow counts.
   std::vector<int> up_count_;
@@ -188,15 +190,11 @@ class Network {
   std::unordered_map<uint64_t, int> open_;
   std::vector<int> open_count_;    // Σ_src open_[dst][src]
   std::vector<int> open_senders_;  // #{src : open_[dst][src] > 0}
-  std::vector<sim::Callback> finished_scratch_;
   std::vector<Bytes> sent_;
   Bytes total_bytes_ = 0;
   int64_t transfers_started_ = 0;
   int64_t flow_transfers_ = 0;
   int64_t dropped_fetches_ = 0;
-  double last_advance_ = 0.0;
-  // Started flows inside their setup latency, and the one wake-up.
-  ArrivalQueue<Arrival> arrivals_{sim_, [this] { wake(); }};
 };
 
 }  // namespace saex::hw

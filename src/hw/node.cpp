@@ -1,29 +1,15 @@
 #include "hw/node.h"
 #include "common/format.h"
 
-#include <algorithm>
-
 namespace saex::hw {
 
-Bytes MemoryPool::reserve_up_to(Bytes bytes) noexcept {
-  const Bytes granted = std::min(bytes, available());
-  used_ += std::max<Bytes>(granted, 0);
-  return std::max<Bytes>(granted, 0);
-}
-
-void MemoryPool::release(Bytes bytes) noexcept {
-  used_ = std::max<Bytes>(0, used_ - bytes);
-}
-
-Node::Node(sim::Simulation& sim, int id, int cores, Bytes memory,
-           DiskParams disk_params, double disk_speed_factor,
-           double cpu_speed_factor)
+Node::Node(sim::Simulation& sim, int id, int cores, DiskParams disk_params,
+           double disk_speed_factor, double cpu_speed_factor)
     : id_(id),
       // DAS-5 naming convention from the paper's Fig. 3.
       hostname_(saex::strfmt::format("node{:03}", 303 + id)),
       cpu_(sim, cores, cpu_speed_factor),
       disk_(sim, disk_params, hostname_ + "/disk", disk_speed_factor),
-      memory_(memory),
       disk_speed_factor_(disk_speed_factor) {}
 
 }  // namespace saex::hw

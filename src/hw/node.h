@@ -1,41 +1,19 @@
-// A cluster node: cores + memory + one storage device.
+// A cluster node: cores + one storage device.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "common/units.h"
 #include "hw/cpuset.h"
 #include "hw/disk.h"
 #include "sim/simulation.h"
 
 namespace saex::hw {
 
-/// Executor-side memory accounting; overflow forces disk spills in the
-/// engine's cache/shuffle paths.
-class MemoryPool {
- public:
-  explicit MemoryPool(Bytes capacity) : capacity_(capacity) {}
-
-  Bytes capacity() const noexcept { return capacity_; }
-  Bytes used() const noexcept { return used_; }
-  Bytes available() const noexcept { return capacity_ - used_; }
-
-  /// Reserves up to `bytes`; returns how much actually fit (the remainder
-  /// must spill).
-  Bytes reserve_up_to(Bytes bytes) noexcept;
-  void release(Bytes bytes) noexcept;
-
- private:
-  Bytes capacity_;
-  Bytes used_ = 0;
-};
-
 class Node {
  public:
-  Node(sim::Simulation& sim, int id, int cores, Bytes memory,
-       DiskParams disk_params, double disk_speed_factor,
-       double cpu_speed_factor);
+  Node(sim::Simulation& sim, int id, int cores, DiskParams disk_params,
+       double disk_speed_factor, double cpu_speed_factor);
 
   int id() const noexcept { return id_; }
   const std::string& hostname() const noexcept { return hostname_; }
@@ -44,8 +22,6 @@ class Node {
   const CpuSet& cpu() const noexcept { return cpu_; }
   Disk& disk() noexcept { return disk_; }
   const Disk& disk() const noexcept { return disk_; }
-  MemoryPool& memory() noexcept { return memory_; }
-  const MemoryPool& memory() const noexcept { return memory_; }
 
   double disk_speed_factor() const noexcept { return disk_speed_factor_; }
 
@@ -61,7 +37,6 @@ class Node {
   std::string hostname_;
   CpuSet cpu_;
   Disk disk_;
-  MemoryPool memory_;
   double disk_speed_factor_;
 };
 

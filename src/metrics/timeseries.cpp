@@ -1,37 +1,6 @@
 #include "metrics/timeseries.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace saex::metrics {
-
-std::vector<double> TimeSeries::resample(double t0, double t1, double dt) const {
-  std::vector<double> out;
-  if (!std::isfinite(t0) || !std::isfinite(t1) || !std::isfinite(dt)) {
-    return out;
-  }
-  if (dt <= 0 || t1 <= t0) return out;
-  // Bin count is computed up front and the loop indexes `t0 + i*dt` rather
-  // than accumulating `t += dt`: with a dt below t0's ulp the accumulated
-  // form never advances and loops forever. The cap bounds memory when the
-  // caller passes a pathologically small (but positive) dt.
-  const double raw_bins = std::ceil((t1 - t0) / dt);
-  const size_t n = raw_bins < static_cast<double>(kMaxResampleBins)
-                       ? static_cast<size_t>(raw_bins)
-                       : kMaxResampleBins;
-  out.reserve(n);
-  double value = points_.empty() ? 0.0 : points_.front().second;
-  size_t idx = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double t = t0 + static_cast<double>(i) * dt;
-    while (idx < points_.size() && points_[idx].first <= t) {
-      value = points_[idx].second;
-      ++idx;
-    }
-    out.push_back(value);
-  }
-  return out;
-}
 
 void RateSeries::add(double t, Bytes bytes) {
   if (!(t >= 0)) t = 0;  // also catches NaN

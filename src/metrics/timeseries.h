@@ -1,35 +1,11 @@
 // Time-series recording for figure-style outputs.
 #pragma once
 
-#include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "common/units.h"
 
 namespace saex::metrics {
-
-/// Append-only (time, value) series.
-class TimeSeries {
- public:
-  void record(double t, double value) { points_.emplace_back(t, value); }
-  const std::vector<std::pair<double, double>>& points() const noexcept {
-    return points_;
-  }
-  bool empty() const noexcept { return points_.empty(); }
-
-  /// Values resampled onto fixed bins [t0, t0+dt), last-value-holds.
-  /// Returns an empty vector for non-finite or non-positive dt and for
-  /// empty/reversed spans; the bin count is capped at kMaxResampleBins so a
-  /// tiny-but-positive dt cannot request unbounded memory.
-  std::vector<double> resample(double t0, double t1, double dt) const;
-
-  /// Upper bound on bins produced by a single resample() call.
-  static constexpr size_t kMaxResampleBins = size_t{1} << 24;
-
- private:
-  std::vector<std::pair<double, double>> points_;
-};
 
 /// Accumulates byte events into fixed-width bins; reads back as a rate
 /// series (bytes/sec per bin). This is how Fig. 12's throughput-over-time

@@ -294,7 +294,8 @@ TEST(Controller, EachResizeIsOnePoolWriteAndOneNotification) {
   EXPECT_TRUE(ctrl.frozen());
   EXPECT_EQ(pool.history, (std::vector<int>{2, 4, 8, 16, 8}));
   EXPECT_EQ(notified, pool.history);
-  EXPECT_TRUE(ctrl.knowledge().stage(1)->rolled_back);
+  EXPECT_EQ(ctrl.knowledge().stage_key, 1);
+  EXPECT_TRUE(ctrl.knowledge().rolled_back);
 
   // Improving up to c_max: the hold at the bound writes and notifies nothing.
   sensor.epoll_rate = {{2, 1.0}, {4, 0.9}, {8, 0.8}, {16, 0.7}, {32, 0.6}};
@@ -305,10 +306,10 @@ TEST(Controller, EachResizeIsOnePoolWriteAndOneNotification) {
   EXPECT_TRUE(ctrl.frozen());
   EXPECT_EQ(pool.history, (std::vector<int>{2, 4, 8, 16, 32}));
   EXPECT_EQ(notified, pool.history);
-  const StageRecord* rec = ctrl.knowledge().stage(2);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_TRUE(rec->reached_bound);
-  EXPECT_EQ(rec->intervals.size(), 5u);  // the hold decided on the fifth
+  const StageRecord& rec = ctrl.knowledge();
+  ASSERT_EQ(rec.stage_key, 2);
+  EXPECT_TRUE(rec.reached_bound);
+  EXPECT_EQ(rec.intervals.size(), 5u);  // the hold decided on the fifth
 
   // A stage that opens at the size the pool already has writes nothing.
   ControllerConfig at_max = test_config();
@@ -327,14 +328,14 @@ TEST(Controller, RecordsKnowledgePerStage) {
   AdaptiveController ctrl(test_config(), sensor, pool, nullptr);
   run_stage(ctrl, sensor, pool, 7);
 
-  const StageRecord* rec = ctrl.knowledge().stage(7);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->settled_threads, 8);
-  EXPECT_TRUE(rec->rolled_back);
+  const StageRecord& rec = ctrl.knowledge();
+  ASSERT_EQ(rec.stage_key, 7);
+  EXPECT_EQ(rec.settled_threads, 8);
+  EXPECT_TRUE(rec.rolled_back);
   // Explored 2, 4, 8, 16 → 4 intervals recorded.
-  ASSERT_EQ(rec->intervals.size(), 4u);
-  EXPECT_EQ(rec->intervals[0].threads, 2);
-  EXPECT_EQ(rec->intervals[3].threads, 16);
+  ASSERT_EQ(rec.intervals.size(), 4u);
+  EXPECT_EQ(rec.intervals[0].threads, 2);
+  EXPECT_EQ(rec.intervals[3].threads, 16);
 }
 
 TEST(Controller, EachStageRetunesFromScratch) {
@@ -366,10 +367,10 @@ TEST(Controller, StageEndMidIntervalRecordsPartial) {
   ctrl.on_task_complete(sensor.now);  // 1 of 2 completions, interval open
   sensor.advance(0.5);
   ctrl.on_stage_end(sensor.now);
-  const StageRecord* rec = ctrl.knowledge().stage(3);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->intervals.size(), 1u);
-  EXPECT_EQ(rec->settled_threads, 2);
+  const StageRecord& rec = ctrl.knowledge();
+  ASSERT_EQ(rec.stage_key, 3);
+  EXPECT_EQ(rec.intervals.size(), 1u);
+  EXPECT_EQ(rec.settled_threads, 2);
 }
 
 TEST(Controller, FixedIntervalModeUsesTicks) {

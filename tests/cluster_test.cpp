@@ -11,7 +11,6 @@ TEST(Cluster, BuildsRequestedTopology) {
   Cluster c(ClusterSpec::das5(4));
   EXPECT_EQ(c.size(), 4);
   EXPECT_EQ(c.node(0).cpu().cores(), 32);
-  EXPECT_EQ(c.node(0).memory().capacity(), gib(56));
   EXPECT_EQ(c.node(0).hostname(), "node303");
   EXPECT_EQ(c.node(3).hostname(), "node306");
 }
@@ -51,18 +50,6 @@ TEST(Cluster, DiskSpeedFactorsVaryAcrossNodes) {
   }
   EXPECT_GT(factors.size(), 30u);  // essentially all distinct
   EXPECT_GT(hi / lo, 1.15);        // visible spread, as in Fig. 3
-}
-
-TEST(MemoryPool, ReserveAndRelease) {
-  MemoryPool m(1000);
-  EXPECT_EQ(m.reserve_up_to(600), 600);
-  EXPECT_EQ(m.available(), 400);
-  EXPECT_EQ(m.reserve_up_to(600), 400);  // partial grant
-  EXPECT_EQ(m.available(), 0);
-  m.release(500);
-  EXPECT_EQ(m.used(), 500);
-  m.release(10000);  // over-release clamps
-  EXPECT_EQ(m.used(), 0);
 }
 
 TEST(Cluster, TotalDiskBytesAggregates) {

@@ -116,14 +116,6 @@ TEST(Percentile, EmptyReturnsZero) {
   EXPECT_EQ(percentile({}, 0.5), 0.0);
 }
 
-TEST(TimeWeightedMean, PiecewiseConstant) {
-  // value 2 on [0,5), value 4 on [5,10) → mean 3 over [0,10)
-  std::vector<std::pair<double, double>> pts{{0.0, 2.0}, {5.0, 4.0}};
-  EXPECT_NEAR(time_weighted_mean(pts, 0.0, 10.0), 3.0, 1e-12);
-  // Query a sub-window entirely within one segment.
-  EXPECT_NEAR(time_weighted_mean(pts, 6.0, 8.0), 4.0, 1e-12);
-}
-
 TEST(Units, FormatBytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(kMiB), "1.00 MiB");

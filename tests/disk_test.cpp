@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "hw/disk.h"
@@ -256,6 +257,64 @@ TEST(DiskArrivals, SpeedChangeInsideTheLatencyWindowKeepsTheArrival) {
       hdd.latency + static_cast<double>(mib(32)) / disk.capacity_at(1);
   EXPECT_NEAR(done_at, expected, 1e-12 * expected);
   EXPECT_NEAR(disk.capacity_at(1), 0.5 * hdd.base_bw, 1e-6 * hdd.base_bw);
+}
+
+TEST(DiskPass, SpeedChangeMidTransferSettlesAtTheOldRateFirst) {
+  // A degrade lands while the transfer is in the pool: the work done so far
+  // is settled at the old rate, the rest runs at the new one, and the
+  // wake-up moves to the new completion at once.
+  sim::Simulation sim;
+  const DiskParams hdd = DiskParams::hdd();
+  Disk disk(sim, hdd, "d");
+  const double w = static_cast<double>(mib(64));
+  const double c_old = disk.capacity_at(1);
+  double done_at = -1.0;
+  disk.submit(mib(64), false, [&] { done_at = sim.now(); });
+  const double t1 = hdd.latency + 0.2;
+  sim.run_until(t1);
+  ASSERT_EQ(disk.active_transfers(), 1);
+  disk.set_speed_factor(0.5);
+  const double c_new = disk.capacity_at(1);
+  const double left = w - c_old * (t1 - hdd.latency);
+  const double expected = t1 + left / c_new;
+  EXPECT_NEAR(sim.next_time(), expected, 1e-12 * expected);
+  sim.run();
+  EXPECT_NEAR(done_at, expected, 1e-12 * expected);
+  EXPECT_EQ(sim.processed(), 2u);  // the arrival and the completion
+}
+
+TEST(DiskPass, CallbackThatSubmitsAndChangesSpeedRunsANestedPass) {
+  // A and B finish in one pass. A's callback submits C to the same disk at
+  // that instant and changes the speed, which settles and reschedules in a
+  // pass nested inside the one running the callbacks: B's callback (which
+  // owns heap state, so a sanitized build sees it destroyed early) must
+  // still run exactly once, and C must run at the new speed.
+  sim::Simulation sim;
+  const DiskParams hdd = DiskParams::hdd();
+  Disk disk(sim, hdd, "d");
+  const double w = static_cast<double>(mib(8));
+  const double t_ab = hdd.latency + w / (disk.capacity_at(2) / 2.0);
+  int a_calls = 0;
+  int b_calls = 0;
+  double a_done = -1.0;
+  double c_done = -1.0;
+  disk.submit(mib(8), false, [&] {
+    ++a_calls;
+    a_done = sim.now();
+    disk.submit(mib(8), false, [&] { c_done = sim.now(); });
+    disk.set_speed_factor(0.5);
+    EXPECT_EQ(sim.next_time(), sim.now() + hdd.latency);  // C's arrival
+  });
+  disk.submit(mib(8), false,
+              [&b_calls, one = std::make_unique<int>(1)] { b_calls += *one; });
+  sim.run();
+  EXPECT_EQ(a_calls, 1);
+  EXPECT_EQ(b_calls, 1);
+  EXPECT_NEAR(a_done, t_ab, 1e-12 * t_ab);
+  const double t_c = a_done + hdd.latency + w / disk.capacity_at(1);
+  EXPECT_NEAR(c_done, t_c, 1e-12 * t_c);
+  EXPECT_NEAR(disk.capacity_at(1), 0.5 * hdd.base_bw, 1e-6 * hdd.base_bw);
+  EXPECT_EQ(disk.total_bytes_read(), 3 * mib(8));
 }
 
 // Parameterized property sweep: for every chunk size and stream count the

@@ -138,7 +138,7 @@ TEST(SparkContext, DynamicPolicyTunesAndReports) {
   const auto* ctrl = dynamic_cast<const adaptive::AdaptiveController*>(
       &rig.ctx.executor(0).policy());
   ASSERT_NE(ctrl, nullptr);
-  EXPECT_FALSE(ctrl->knowledge().stages().empty());
+  EXPECT_FALSE(ctrl->knowledge().intervals.empty());
 }
 
 // Fixed-time intervals close on task completions: some executor climbs past

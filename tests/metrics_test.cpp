@@ -110,18 +110,6 @@ TEST(Registry, PrefixQueriesUnchangedByHandleResolution) {
   EXPECT_EQ(r.counter_names("node1/net/").size(), 1u);
 }
 
-TEST(TimeSeries, ResampleHoldsLastValue) {
-  TimeSeries ts;
-  ts.record(0.0, 1.0);
-  ts.record(2.0, 3.0);
-  const auto v = ts.resample(0.0, 4.0, 1.0);
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_DOUBLE_EQ(v[0], 1.0);
-  EXPECT_DOUBLE_EQ(v[1], 1.0);
-  EXPECT_DOUBLE_EQ(v[2], 3.0);
-  EXPECT_DOUBLE_EQ(v[3], 3.0);
-}
-
 TEST(RateSeries, BinsBytesIntoRates) {
   RateSeries rs(1.0);
   rs.add(0.5, 100);
@@ -138,46 +126,6 @@ TEST(RateSeries, EmptyMeanIsZero) {
   RateSeries rs;
   EXPECT_DOUBLE_EQ(rs.mean_rate(), 0.0);
   EXPECT_TRUE(rs.rates().empty());
-}
-
-TEST(TimeSeries, ResampleRejectsDegenerateArguments) {
-  TimeSeries ts;
-  ts.record(0.0, 1.0);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_TRUE(ts.resample(0.0, 10.0, 0.0).empty());
-  EXPECT_TRUE(ts.resample(0.0, 10.0, -1.0).empty());
-  EXPECT_TRUE(ts.resample(10.0, 10.0, 1.0).empty());
-  EXPECT_TRUE(ts.resample(10.0, 0.0, 1.0).empty());
-  EXPECT_TRUE(ts.resample(nan, 10.0, 1.0).empty());
-  EXPECT_TRUE(ts.resample(0.0, nan, 1.0).empty());
-  EXPECT_TRUE(ts.resample(0.0, 10.0, nan).empty());
-  EXPECT_TRUE(ts.resample(0.0, inf, 1.0).empty());
-  EXPECT_TRUE(ts.resample(0.0, 10.0, inf).empty());
-}
-
-TEST(TimeSeries, ResampleTerminatesWhenDtIsBelowUlp) {
-  // With the old accumulating loop (t += dt), a dt smaller than t0's ulp
-  // never advances t and the call spins forever. The index-based loop is
-  // bounded by construction.
-  TimeSeries ts;
-  ts.record(0.0, 5.0);
-  const double t0 = 1e12;
-  const double t1 = std::nextafter(t0, std::numeric_limits<double>::max());
-  const auto v = ts.resample(t0, t1, 1e-9);
-  ASSERT_FALSE(v.empty());
-  EXPECT_LE(v.size(), TimeSeries::kMaxResampleBins);
-  EXPECT_DOUBLE_EQ(v.front(), 5.0);
-  EXPECT_DOUBLE_EQ(v.back(), 5.0);
-}
-
-TEST(TimeSeries, ResampleCapsPathologicalBinCounts) {
-  TimeSeries ts;
-  ts.record(0.0, 1.0);
-  // 1e9 seconds at nanosecond bins would be 1e18 bins; the cap keeps the
-  // request bounded instead of exhausting memory.
-  const auto v = ts.resample(0.0, 1e9, 1e-9);
-  EXPECT_EQ(v.size(), TimeSeries::kMaxResampleBins);
 }
 
 TEST(RateSeries, NonPositiveBinFallsBackToDefault) {

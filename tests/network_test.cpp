@@ -239,5 +239,39 @@ TEST(NetworkArrivals, EarlierArrivalMovesTheWakeLaterOneDoesNot) {
   }
 }
 
+TEST(NetworkPass, CallbackThatStartsAFlowAtTheSameInstant) {
+  // X and Y split node 0's uplink and finish in one pass. X's callback
+  // starts Z on the same uplink at that instant, re-entering the network
+  // while the pass still runs its callbacks: Y's callback must still run
+  // exactly once, and Z must get the whole uplink from its arrival on.
+  const NetworkParams p = small_net();
+  sim::Simulation sim;
+  Network net(sim, 4, p);
+  const double bytes = 50e6;
+  const double t_xy = p.latency + bytes / (p.up_bw / 2.0);
+  int x_calls = 0;
+  int y_calls = 0;
+  double x_done = -1.0;
+  double z_done = -1.0;
+  net.transfer(0, 1, static_cast<Bytes>(bytes), [&] {
+    ++x_calls;
+    x_done = sim.now();
+    net.transfer(0, 3, static_cast<Bytes>(bytes), [&] { z_done = sim.now(); });
+    EXPECT_EQ(net.active_flows(), 0);
+    EXPECT_EQ(sim.next_time(), sim.now() + p.latency);  // Z's arrival
+  });
+  net.transfer(0, 2, static_cast<Bytes>(bytes), [&] { ++y_calls; });
+  sim.run();
+  EXPECT_EQ(x_calls, 1);
+  EXPECT_EQ(y_calls, 1);
+  EXPECT_NEAR(x_done, t_xy, 1e-12 * t_xy);
+  const double t_z = x_done + p.latency + bytes / p.up_bw;
+  EXPECT_NEAR(z_done, t_z, 1e-12 * t_z);
+  EXPECT_EQ(sim.processed(), 4u);  // two arrivals, two completions
+  EXPECT_EQ(net.bytes_sent(0), static_cast<Bytes>(3 * bytes));
+  EXPECT_EQ(net.flows_from(0), 0);
+  EXPECT_EQ(net.fetches_to(3), 0);
+}
+
 }  // namespace
 }  // namespace saex::hw
