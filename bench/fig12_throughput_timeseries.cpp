@@ -2,6 +2,53 @@
 // static thread count, on HDD and SSD (executor 0's per-second series).
 #include "bench_common.h"
 
+namespace {
+
+using namespace saexbench;
+
+// Samples an executor's cumulative I/O bytes (the Monitor's µ counter) at
+// every whole simulated second, from one event that re-arms itself. The
+// successive differences are the executor's 1 s throughput bins.
+class IoSampler {
+ public:
+  IoSampler(sim::Simulation& sim, const engine::ExecutorRuntime& exec)
+      : sim_(sim), exec_(exec) {
+    arm();
+  }
+  // The pending sample holds `this`.
+  ~IoSampler() { sim_.cancel(next_); }
+  IoSampler(const IoSampler&) = delete;
+  IoSampler& operator=(const IoSampler&) = delete;
+
+  /// Bytes/s in each whole second from t = 0 to the last second with any
+  /// I/O; the current second is closed at now().
+  std::vector<double> rates() const {
+    std::vector<Bytes> totals = totals_;
+    totals.push_back(exec_.io_counters().bytes_total());
+    std::vector<double> out;
+    for (size_t i = 1; i < totals.size(); ++i) {
+      out.push_back(static_cast<double>(totals[i] - totals[i - 1]));
+    }
+    while (!out.empty() && out.back() == 0.0) out.pop_back();
+    return out;
+  }
+
+ private:
+  void arm() {
+    next_ = sim_.schedule_at(static_cast<double>(totals_.size()), [this] {
+      totals_.push_back(exec_.io_counters().bytes_total());
+      arm();
+    });
+  }
+
+  sim::Simulation& sim_;
+  const engine::ExecutorRuntime& exec_;
+  std::vector<Bytes> totals_{0};  // cumulative bytes at t = 0, 1, 2, ...
+  sim::EventId next_ = sim::kInvalidEvent;
+};
+
+}  // namespace
+
 int main() {
   using namespace saexbench;
 
@@ -18,8 +65,8 @@ int main() {
     std::map<int, std::vector<double>> means_per_stage;  // stage -> per-t mean
 
     for (const int threads : {32, 16, 8, 4, 2}) {
-      // Fresh cluster per run; capture executor 0's 1-second rate series and
-      // the stage boundaries.
+      // Fresh cluster per run; sample executor 0's 1-second rate series and
+      // capture the stage boundaries.
       hw::ClusterSpec cs = ssd ? hw::ClusterSpec::das5_ssd(4) : hw::ClusterSpec::das5(4);
       hw::Cluster cluster(cs);
       conf::Config config;
@@ -27,13 +74,14 @@ int main() {
       config.set_int("saex.static.ioThreads", threads);
       engine::SparkContext ctx(cluster, std::move(config));
       const auto actions = spec.build(ctx);
+      const IoSampler sampler(cluster.sim(), ctx.executor(0));
       std::vector<engine::StageStats> stages;
       for (const auto& a : actions) {
         auto r = ctx.run_job(a, spec.name);
         for (auto& s : r.stages) stages.push_back(s);
       }
 
-      const auto rates = ctx.executor(0).io_series().rates();
+      const auto rates = sampler.rates();
       for (int stage = 0; stage < 2; ++stage) {
         const auto& s = stages[static_cast<size_t>(stage)];
         const size_t from = static_cast<size_t>(s.start_time);

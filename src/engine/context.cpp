@@ -101,8 +101,8 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
         "tinylfu)",
         bm_options.policy));
   }
-  storage_ = std::make_unique<storage::StorageManager>(
-      cluster.size(), bm_options, &metrics_);
+  storage_ = std::make_unique<storage::StorageManager>(cluster.size(),
+                                                      bm_options);
   env.storage = storage_.get();
   shuffle_locality_ = config_.get_bool("saex.storage.shuffleLocality");
   m_recomputes_ = metrics_.counter_handle("storage/recomputes");

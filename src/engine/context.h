@@ -231,7 +231,7 @@ class SparkContext {
   std::unique_ptr<dfs::Dfs> dfs_;
   std::unique_ptr<ShuffleManager> shuffles_;
   std::unique_ptr<CacheRegistry> caches_;
-  metrics::Registry metrics_;  // before storage_/scheduler_: handles point in
+  metrics::Registry metrics_;  // before scheduler_: its handles point here
   std::unique_ptr<storage::StorageManager> storage_;
   std::vector<std::unique_ptr<ExecutorRuntime>> executors_;
   std::unique_ptr<TaskScheduler> scheduler_;

@@ -138,7 +138,6 @@ struct ExecutorRuntime::TaskRun {
     } else {
       exec->io_.add_read(bytes);
     }
-    exec->io_series_.add(now(), bytes);
   }
 
   void account_latency(double issued_at) {
@@ -249,7 +248,7 @@ struct ExecutorRuntime::TaskRun {
   // the read channel so the normal drain logic applies.
   void fail_fetch(int src, int shuffle_id) {
     hw::Network& net = exec->env_.cluster->network();
-    net.record_dropped_fetch(src, exec->node_id_);
+    net.record_dropped_fetch();
     fail_kind = TaskFailure::kFetchFailed;
     fail_fetch_src = src;
     fail_fetch_sid = shuffle_id;
@@ -297,9 +296,8 @@ struct ExecutorRuntime::TaskRun {
     for (int b = 0; b < nblocks; ++b) net.register_fetch(src, exec->node_id_);
 
     // Server-side disk read, then the wire flow — the same request structure
-    // as one per-chunk fetch, at segment granularity. The flow claims
-    // fetch_parallelism fair shares (the concurrency the per-chunk model
-    // reaches with fetch_cap outstanding chunk streams).
+    // as one per-chunk fetch, at segment granularity. The flow holds one
+    // fair share of each link, like one chunk stream.
     const auto finish = [this, total, src, nblocks, issued] {
       hw::Network& n = exec->env_.cluster->network();
       for (int b = 0; b < nblocks; ++b) n.unregister_fetch(src, exec->node_id_);
@@ -309,8 +307,7 @@ struct ExecutorRuntime::TaskRun {
         total, false,
         [this, src, total, finish] {
           exec->env_.cluster->network().transfer_flow(
-              src, exec->node_id_, total,
-              /*streams=*/1, exec->env_.io_chunk, finish);
+              src, exec->node_id_, total, exec->env_.io_chunk, finish);
         },
         scatter);
   }
@@ -677,10 +674,8 @@ Bytes ExecutorRuntime::reserve_storage(int cache_id, int partition,
       part.spilled_bytes += ev.mem_bytes;
       part.mem_bytes = 0;
       if (ev.mem_bytes > 0) {
-        node().disk().submit(ev.mem_bytes, true, [this, b = ev.mem_bytes] {
-          io_.add_write(b);
-          io_series_.add(env_.sim->now(), b);
-        });
+        node().disk().submit(ev.mem_bytes, true,
+                             [this, b = ev.mem_bytes] { io_.add_write(b); });
       }
     } else {
       part.mem_bytes = 0;

@@ -25,7 +25,6 @@
 #include "metrics/io_accounting.h"
 #include "common/rng.h"
 #include "engine/event_log.h"
-#include "metrics/timeseries.h"
 #include "storage/block_manager.h"
 
 namespace saex::engine {
@@ -176,8 +175,6 @@ class ExecutorRuntime final : public adaptive::PoolEffector,
   const metrics::IoCounters& io_counters() const noexcept {
     return io_.snapshot();
   }
-  /// Per-second I/O throughput series (Fig. 12).
-  const metrics::RateSeries& io_series() const noexcept { return io_series_; }
 
  private:
   struct TaskRun;
@@ -193,7 +190,6 @@ class ExecutorRuntime final : public adaptive::PoolEffector,
   bool alive_ = true;
   std::unique_ptr<adaptive::ThreadPolicy> policy_;
   metrics::IoAccounting io_;
-  metrics::RateSeries io_series_{1.0};
   Rng failure_rng_{0};
   std::list<std::unique_ptr<TaskRun>> active_;
 };

@@ -676,7 +676,6 @@ void TaskScheduler::dispatch(TaskSet& set, size_t task_idx, size_t exec_idx,
   if (speculative) {
     if (m_speculative_) m_speculative_.increment();
     ++speculative_launches_;
-    ++set.result.speculative_launches;
     if (options_.event_log != nullptr) {
       options_.event_log->record(
           Event{EventKind::kSpeculativeLaunch, sim_.now(), set.job_id,

@@ -91,7 +91,6 @@ class TaskScheduler {
     double submit_time = 0.0;        // when the set entered the scheduler
     double first_launch_time = -1.0; // first task dispatch (-1: never ran)
     double finish_time = 0.0;
-    int speculative_launches = 0;
   };
   using TaskSetDone = std::function<void(const TaskSetResult&)>;
 

@@ -33,8 +33,8 @@
 //                                     called only with jobs in the pool,
 //                                     `min_remaining` is their least
 //                                     remaining work
-//   void set_busy(bool);              optional: the pool became empty
-//                                     (after a sweep) or took arrivals
+//   void set_busy(bool);              optional: a sweep retired the pool's
+//                                     last job, or the pool took arrivals
 //
 // Job is an aggregate with `double remaining` (in the device's work units)
 // and `sim::Callback done`. Each pass is one `kProfile` profiler scope.
@@ -166,7 +166,9 @@ class FluidPool {
       }
     }
     jobs_.resize(out);
-    if (jobs_.empty()) device().set_busy(false);
+    // Idle only when this sweep retired the last job: a pass over a pool
+    // that was already empty leaves the busy tracker alone.
+    if (jobs_.empty() && !finished.empty()) device().set_busy(false);
 
     if (reschedule) {
       sim::Time next = kNever;

@@ -33,49 +33,44 @@ double Network::flow_rate(const NetworkFlow& f) const noexcept {
   const int n_up = up_count_[static_cast<size_t>(f.src)];
   const int n_down = down_count_[static_cast<size_t>(f.dst)];
   assert(n_up > 0 && n_down > 0);
-  // A batched flow holds `streams` fair shares on each link and carries its
-  // own rate cap. streams == 1 multiplies by 1.0 — exact in IEEE arithmetic —
-  // and an unbatched flow's cap IS per_flow_cap, so plain transfers settle
-  // bitwise-identically to the pre-flow-mode model.
-  const double w = static_cast<double>(f.streams);
-  const double up_share = params_.up_bw / static_cast<double>(n_up) * w;
+  // Every flow holds one fair share on each link and carries its own rate
+  // cap (per_flow_cap for a plain transfer).
+  const double up_share = params_.up_bw / static_cast<double>(n_up);
   const double down_share =
       down_capacity_eff(senders_to(f.dst),
                         std::max(n_down, fetches_to(f.dst))) /
-      static_cast<double>(n_down) * w;
+      static_cast<double>(n_down);
   return std::min({up_share, down_share, f.cap});
 }
 
 void Network::transfer(NodeId src, NodeId dst, Bytes bytes,
                        sim::Callback done) {
-  start_flow(src, dst, bytes, 1, params_.per_flow_cap, std::move(done));
+  start_flow(src, dst, bytes, params_.per_flow_cap, std::move(done));
 }
 
-void Network::transfer_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
+void Network::transfer_flow(NodeId src, NodeId dst, Bytes bytes,
                             Bytes chunk_bytes, sim::Callback done) {
-  assert(streams >= 1);
   ++flow_transfers_;
-  streams = std::max(streams, 1);
   // Chunked-goodput cap: a per-chunk stream pays the setup latency before
   // every chunk_bytes request, so its steady-state rate is below
   // per_flow_cap. Folding that protocol overhead into the cap keeps the
   // batched flow's finish time aligned with the per-chunk pipeline it
   // replaces.
-  double per_stream = params_.per_flow_cap;
+  double cap = params_.per_flow_cap;
   if (chunk_bytes > 0 && params_.latency > 0.0) {
-    per_stream = 1.0 / (params_.latency / static_cast<double>(chunk_bytes) +
-                        1.0 / params_.per_flow_cap);
+    cap = 1.0 / (params_.latency / static_cast<double>(chunk_bytes) +
+                 1.0 / params_.per_flow_cap);
   }
-  start_flow(src, dst, bytes, streams, per_stream * streams, std::move(done));
+  start_flow(src, dst, bytes, cap, std::move(done));
 }
 
-void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
-                         double cap, sim::Callback done) {
+void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, double cap,
+                         sim::Callback done) {
   assert(src != dst && "local data must not cross the network");
   assert(bytes >= 0);
   ++transfers_started_;
   enqueue(params_.latency, bytes,
-          NetworkFlow{src, dst, static_cast<double>(bytes), streams, cap,
+          NetworkFlow{src, dst, static_cast<double>(bytes), cap,
                       std::move(done)});
 }
 
@@ -86,14 +81,14 @@ void Network::settle(double dt) {
 }
 
 void Network::retire(const NetworkFlow& f) {
-  up_count_[static_cast<size_t>(f.src)] -= f.streams;
-  down_count_[static_cast<size_t>(f.dst)] -= f.streams;
+  --up_count_[static_cast<size_t>(f.src)];
+  --down_count_[static_cast<size_t>(f.dst)];
   open_dec(f.src, f.dst);
 }
 
 void Network::admit(const NetworkFlow& f, Bytes bytes) {
-  up_count_[static_cast<size_t>(f.src)] += f.streams;
-  down_count_[static_cast<size_t>(f.dst)] += f.streams;
+  ++up_count_[static_cast<size_t>(f.src)];
+  ++down_count_[static_cast<size_t>(f.dst)];
   open_inc(f.src, f.dst);
   sent_[static_cast<size_t>(f.src)] += bytes;
   total_bytes_ += bytes;

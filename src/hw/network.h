@@ -53,7 +53,6 @@ struct NetworkFlow {
   int src;
   int dst;
   double remaining;  // bytes
-  int streams;       // fair-share weight (1 = plain per-chunk transfer)
   double cap;        // this flow's rate cap, bytes/s
   sim::Callback done;
 };
@@ -72,11 +71,11 @@ class Network
   void transfer(NodeId src, NodeId dst, Bytes bytes, sim::Callback done);
 
   /// Flow-batched data plane (saex.net.flowBatch): one aggregated flow
-  /// standing in for `streams` parallel chunked fetch streams between the
-  /// same (src, dst) pair. Pays the setup latency ONCE, in the arrival FIFO,
-  /// then settles through the same progressive-filling loop as every other
-  /// flow, but weighted: it claims `streams` fair shares of the
-  /// uplink/downlink, and its rate cap is streams x the *chunked goodput*
+  /// standing in for the per-chunk transfers of every block a task pulls
+  /// over one (src, dst) pair. Pays the setup latency ONCE, in the arrival
+  /// FIFO, then settles through the same progressive-filling loop as every
+  /// other flow, holding one fair share of the uplink/downlink; its rate
+  /// cap is the *chunked goodput*
   ///
   ///   1 / (latency/chunk_bytes + 1/per_flow_cap)
   ///
@@ -85,9 +84,9 @@ class Network
   /// per_flow_cap. The batched flow therefore keeps the per-chunk model's
   /// makespan (the latency cost is folded into the cap) while collapsing
   /// O(chunks) simulation events into one. chunk_bytes <= 0 disables the
-  /// derating (cap = streams x per_flow_cap).
-  void transfer_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
-                     Bytes chunk_bytes, sim::Callback done);
+  /// derating (cap = per_flow_cap).
+  void transfer_flow(NodeId src, NodeId dst, Bytes bytes, Bytes chunk_bytes,
+                     sim::Callback done);
 
   /// Fetch-connection accounting: a shuffle/remote-read request holds its
   /// connection open while the server reads the block from disk, so the
@@ -108,8 +107,7 @@ class Network
     return open_senders_[static_cast<size_t>(dst)];
   }
 
-  /// Stream-weighted flow counts: a coalesced flow of k streams counts k
-  /// (equal to the plain flow count when nothing is batched).
+  /// Active flows leaving / entering a node.
   int flows_from(NodeId n) const noexcept { return up_count_[static_cast<size_t>(n)]; }
   int flows_to(NodeId n) const noexcept { return down_count_[static_cast<size_t>(n)]; }
   int active_flows() const noexcept { return static_cast<int>(jobs_.size()); }
@@ -122,17 +120,13 @@ class Network
   /// plane collapses from O(chunks x segments) to O(distinct sources), and
   /// the metric bench/net_flow's >=3x reduction guard reads.
   int64_t transfers_started() const noexcept { return transfers_started_; }
-  /// Subset of transfers_started() that were coalesced flows (streams > 1 or
-  /// issued via transfer_flow).
+  /// Subset of transfers_started() that were coalesced flows (issued via
+  /// transfer_flow).
   int64_t flow_transfers() const noexcept { return flow_transfers_; }
 
   /// Fault-injection accounting: a shuffle fetch that was dropped before any
   /// bytes moved (saex.fault.fetchFailProb, or the source executor died).
-  void record_dropped_fetch(NodeId src, NodeId dst) noexcept {
-    (void)src;
-    (void)dst;
-    ++dropped_fetches_;
-  }
+  void record_dropped_fetch() noexcept { ++dropped_fetches_; }
   int64_t dropped_fetches() const noexcept { return dropped_fetches_; }
 
   /// Effective downlink capacity with `senders` distinct sources holding
@@ -144,7 +138,7 @@ class Network
  private:
   friend FluidPool;
 
-  void start_flow(NodeId src, NodeId dst, Bytes bytes, int streams, double cap,
+  void start_flow(NodeId src, NodeId dst, Bytes bytes, double cap,
                   sim::Callback done);
 
   double flow_rate(const NetworkFlow& f) const noexcept;
@@ -178,8 +172,7 @@ class Network
   }
 
   NetworkParams params_;
-  // Stream-weighted per-node link loads (Σ streams over active flows); with
-  // no batched flows these are the plain flow counts.
+  // Per-node link loads: active flows leaving / entering each node.
   std::vector<int> up_count_;
   std::vector<int> down_count_;
   // open_[(dst,src)]: open requests (registered fetches + active transfers),

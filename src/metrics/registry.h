@@ -10,10 +10,10 @@
 // a pointer deref + add. The string-keyed counter()/gauge() API remains as
 // the cold-path shim (one map lookup per call) and aliases the same cell:
 //
-//   CounterHandle done = registry.counter_handle("serve/jobs/finished");
-//   ...per-job hot path...
+//   CounterHandle done = registry.counter_handle("engine/tasks/finished");
+//   ...per-task hot path...
 //   done.increment();                        // no lookup, no allocation
-//   registry.counter_value("serve/jobs/finished");  // same cell
+//   registry.counter_value("engine/tasks/finished");  // same cell
 #pragma once
 
 #include <cassert>

@@ -30,7 +30,7 @@ enum class Subsystem : uint8_t {
   kShuffle,    // engine::ShuffleManager bookkeeping
   kDfs,        // block placement and lookup
   kAdaptive,   // MAPE-K policy evaluation
-  kMetrics,    // time-series recording
+  kMetrics,    // busy-time tracking (metrics::UtilizationTracker)
   kStorage,    // per-node BlockManager bookkeeping
   kOther,
   kCount,

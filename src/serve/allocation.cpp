@@ -29,21 +29,14 @@ AllocationOptions AllocationOptions::from_config(const conf::Config& config) {
 ExecutorAllocationManager::ExecutorAllocationManager(
     sim::Simulation& sim, engine::TaskScheduler& scheduler, int num_executors,
     AllocationOptions options, std::function<bool()> has_work,
-    metrics::Registry* metrics, engine::EventLog* event_log)
+    engine::EventLog* event_log)
     : sim_(sim),
       scheduler_(scheduler),
       num_executors_(num_executors),
       options_(options),
       has_work_(std::move(has_work)),
-      metrics_(metrics),
       event_log_(event_log),
-      idle_since_(static_cast<size_t>(num_executors), -1.0) {
-  if (metrics_ != nullptr) {
-    active_executors_ = metrics_->gauge_handle("serve/alloc/active_executors");
-    granted_ = metrics_->counter_handle("serve/alloc/granted");
-    released_ = metrics_->counter_handle("serve/alloc/released");
-  }
-}
+      idle_since_(static_cast<size_t>(num_executors), -1.0) {}
 
 void ExecutorAllocationManager::start() {
   if (!options_.enabled) return;
@@ -54,9 +47,6 @@ void ExecutorAllocationManager::start() {
   // them back as demand materializes.
   for (int n = initial; n < num_executors_; ++n) {
     scheduler_.set_executor_active(n, false);
-  }
-  if (active_executors_) {
-    active_executors_.set(scheduler_.active_executor_count());
   }
 }
 
@@ -111,9 +101,6 @@ void ExecutorAllocationManager::tick() {
     }
   }
 
-  if (active_executors_) {
-    active_executors_.set(scheduler_.active_executor_count());
-  }
   // Keep evaluating while the server has work, or while idle executors above
   // the floor remain to be released (Spark keeps releasing after the last
   // job); once both are false the tick stops and the simulation can drain.
@@ -140,7 +127,6 @@ void ExecutorAllocationManager::grant(int count) {
     ++granted_total_;
     --count;
     SAEX_DEBUG("dynalloc: granted executor {} at {:.3f}s", n, sim_.now());
-    if (granted_) granted_.increment();
     if (event_log_ != nullptr) {
       event_log_->record(engine::Event{engine::EventKind::kExecutorGranted,
                                        sim_.now(), -1, -1, -1, n,
@@ -155,7 +141,6 @@ void ExecutorAllocationManager::release(int node_id) {
   idle_since_[static_cast<size_t>(node_id)] = -1.0;
   ++released_total_;
   SAEX_DEBUG("dynalloc: released executor {} at {:.3f}s", node_id, sim_.now());
-  if (released_) released_.increment();
   if (event_log_ != nullptr) {
     event_log_->record(engine::Event{engine::EventKind::kExecutorReleased,
                                      sim_.now(), -1, -1, -1, node_id,

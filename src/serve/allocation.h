@@ -22,7 +22,6 @@
 #include "conf/config.h"
 #include "engine/event_log.h"
 #include "engine/task_scheduler.h"
-#include "metrics/registry.h"
 #include "sim/simulation.h"
 
 namespace saex::serve {
@@ -48,7 +47,6 @@ class ExecutorAllocationManager {
                             engine::TaskScheduler& scheduler, int num_executors,
                             AllocationOptions options,
                             std::function<bool()> has_work,
-                            metrics::Registry* metrics = nullptr,
                             engine::EventLog* event_log = nullptr);
 
   /// Applies the initial allocation (deactivates executors beyond
@@ -72,13 +70,7 @@ class ExecutorAllocationManager {
   int num_executors_;
   AllocationOptions options_;
   std::function<bool()> has_work_;
-  metrics::Registry* metrics_;
   engine::EventLog* event_log_;
-  // Resolved once at construction (null handles when metrics_ == nullptr);
-  // tick()/grant()/release() run on the simulation clock and stay lookup-free.
-  metrics::GaugeHandle active_executors_;
-  metrics::CounterHandle granted_;
-  metrics::CounterHandle released_;
 
   bool timer_armed_ = false;
   double backlog_since_ = -1.0;  // <0: no current backlog

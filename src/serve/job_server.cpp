@@ -136,23 +136,11 @@ double JobRecord::queue_wait() const noexcept {
 
 JobServer::JobServer(engine::SparkContext& ctx, JobServerOptions options)
     : ctx_(&ctx), options_(std::move(options)) {
-  jobs_submitted_ = metrics_.counter_handle("serve/jobs/submitted");
-  jobs_rejected_ = metrics_.counter_handle("serve/jobs/rejected");
-  jobs_queued_ = metrics_.counter_handle("serve/jobs/queued");
-  jobs_finished_ = metrics_.counter_handle("serve/jobs/finished");
-  jobs_failed_ = metrics_.counter_handle("serve/jobs/failed");
-  jobs_shed_ = metrics_.counter_handle("serve/jobs/shed");
-  jobs_cancelled_ = metrics_.counter_handle("serve/jobs/cancelled");
-  jobs_retried_ = metrics_.counter_handle("serve/jobs/retried");
-  queue_length_ = metrics_.gauge_handle("serve/queue_length");
   retry_seed_ = ctx_->cluster().spec().seed;
 
   engine::TaskScheduler& sched = ctx_->scheduler();
   sched.set_scheduling_mode(options_.mode);
-  for (const engine::PoolSpec& pool : options_.pools) {
-    sched.define_pool(pool);
-    pool_rollups(pool.name);  // resolve the rollup handles up front
-  }
+  for (const engine::PoolSpec& pool : options_.pools) sched.define_pool(pool);
 
   // An idle executor picking up work restarts its policy's climb at c_min —
   // both between jobs and right after a dynamic-allocation grant.
@@ -164,7 +152,7 @@ JobServer::JobServer(engine::SparkContext& ctx, JobServerOptions options)
 
   allocation_ = std::make_unique<ExecutorAllocationManager>(
       ctx_->cluster().sim(), sched, ctx_->num_executors(), options_.allocation,
-      [this] { return has_work(); }, &metrics_, &ctx_->event_log());
+      [this] { return has_work(); }, &ctx_->event_log());
   allocation_->start();
 
   if (options_.health.enabled) {
@@ -196,18 +184,6 @@ JobServer::JobServer(engine::SparkContext& ctx)
 
 bool JobServer::has_work() const noexcept {
   return !running_.empty() || !queue_.empty() || !retry_wait_.empty();
-}
-
-JobServer::PoolRollups& JobServer::pool_rollups(const std::string& pool) {
-  const auto it = pool_rollups_.find(pool);
-  if (it != pool_rollups_.end()) return it->second;
-  PoolRollups handles;
-  handles.jobs = metrics_.counter_handle(strfmt::format("serve/pool/{}/jobs", pool));
-  handles.slot_seconds =
-      metrics_.counter_handle(strfmt::format("serve/pool/{}/slot_seconds", pool));
-  handles.queue_wait =
-      metrics_.counter_handle(strfmt::format("serve/pool/{}/queue_wait", pool));
-  return pool_rollups_.emplace(pool, handles).first->second;
 }
 
 int JobServer::client_load(const std::string& client) const noexcept {
@@ -255,14 +231,12 @@ Admission JobServer::submit(std::string name, std::string client,
   ctx_->event_log().record(engine::Event{
       engine::EventKind::kJobSubmitted, now, sid, -1, -1, -1,
       static_cast<int64_t>(admission), rec.name});
-  jobs_submitted_.increment();
   records_.push_back(std::move(rec));
 
   if (!admitted(admission)) {
     ctx_->event_log().record(engine::Event{
         engine::EventKind::kJobRejected, now, sid, -1, -1, -1,
         static_cast<int64_t>(admission), records_.back().name});
-    jobs_rejected_.increment();
     SAEX_DEBUG("serve: submission {} '{}' {}", sid, records_.back().name,
                admission_name(admission));
     return admission;
@@ -281,8 +255,6 @@ Admission JobServer::submit(std::string name, std::string client,
   }
   if (admission == Admission::kQueued) {
     queue_.push_back(sid);
-    jobs_queued_.increment();
-    queue_length_.set(static_cast<double>(queue_.size()));
   } else {
     start_job(sid);
   }
@@ -328,7 +300,6 @@ void JobServer::on_job_finished(int submission_id, engine::JobReport report) {
     ++rec.retries;
     rec.retry_times.push_back(now);
     retry_wait_.insert(submission_id);
-    jobs_retried_.increment();
     ctx_->event_log().record(engine::Event{
         engine::EventKind::kJobRetried, now, submission_id, -1, -1, -1,
         rec.retries, rec.name});
@@ -344,7 +315,6 @@ void JobServer::on_job_finished(int submission_id, engine::JobReport report) {
 
   if (was_cancelled) {
     rec.outcome = JobOutcome::kCancelledDeadline;
-    jobs_cancelled_.increment();
     ctx_->event_log().record(engine::Event{
         engine::EventKind::kJobCancelled, now, submission_id, -1, -1, -1,
         rec.retries, rec.name});
@@ -352,18 +322,6 @@ void JobServer::on_job_finished(int submission_id, engine::JobReport report) {
     rec.outcome = rec.failed ? JobOutcome::kFailed : JobOutcome::kFinished;
   }
   settle(rec, now);
-
-  jobs_finished_.increment();
-  if (rec.failed) jobs_failed_.increment();
-  double slot_seconds = 0.0;
-  for (const engine::StageStats& s : rec.report.stages) {
-    slot_seconds += s.task_seconds;
-  }
-  PoolRollups& pool = pool_rollups(rec.pool);
-  pool.jobs.increment();
-  pool.slot_seconds.add(slot_seconds);
-  pool.queue_wait.add(rec.queue_wait());
-
   pump_queue();
 }
 
@@ -380,7 +338,6 @@ void JobServer::pump_queue() {
     queue_.pop_front();
     start_job(next);
   }
-  queue_length_.set(static_cast<double>(queue_.size()));
 }
 
 void JobServer::on_deadline(int submission_id) {
@@ -390,7 +347,6 @@ void JobServer::on_deadline(int submission_id) {
   const auto queued = std::find(queue_.begin(), queue_.end(), submission_id);
   if (queued != queue_.end()) {
     queue_.erase(queued);
-    queue_length_.set(static_cast<double>(queue_.size()));
     shed_job(rec);
     return;
   }
@@ -415,7 +371,6 @@ void JobServer::shed_job(JobRecord& rec) {
   rec.failed = true;
   rec.outcome = JobOutcome::kShedDeadline;
   settle(rec, now);
-  jobs_shed_.increment();
   ctx_->event_log().record(engine::Event{
       engine::EventKind::kJobShed, now, rec.submission_id, -1, -1, -1,
       rec.retries, rec.name});
@@ -432,13 +387,10 @@ void JobServer::requeue_retry(int submission_id) {
     start_job(submission_id);
   } else if (static_cast<int>(queue_.size()) < options_.max_queued_jobs) {
     queue_.push_back(submission_id);
-    queue_length_.set(static_cast<double>(queue_.size()));
   } else {
     // No capacity for the retry: the last attempt's failure is final.
     rec.outcome = JobOutcome::kFailed;
     settle(rec, ctx_->cluster().sim().now());
-    jobs_finished_.increment();
-    jobs_failed_.increment();
     return;
   }
   allocation_->notify_work();
@@ -478,33 +430,6 @@ ServeReport JobServer::drain() {
     out.probes = static_cast<int>(health_->probes());
     out.reinstatements = static_cast<int>(health_->reinstatements());
   }
-
-  // Resilience rollup: how much the deadline/retry/quarantine machinery
-  // intervened in this run.
-  metrics_.gauge("serve/resilience/shed").set(static_cast<double>(out.shed));
-  metrics_.gauge("serve/resilience/cancelled")
-      .set(static_cast<double>(out.cancelled));
-  metrics_.gauge("serve/resilience/retries")
-      .set(static_cast<double>(out.retries));
-  metrics_.gauge("serve/resilience/slo_tracked")
-      .set(static_cast<double>(out.slo_tracked));
-  metrics_.gauge("serve/resilience/slo_met")
-      .set(static_cast<double>(out.slo_met));
-  metrics_.gauge("serve/resilience/quarantines")
-      .set(static_cast<double>(out.quarantines));
-  metrics_.gauge("serve/resilience/reinstatements")
-      .set(static_cast<double>(out.reinstatements));
-
-  // Fault-recovery rollup (saex::fault): how perturbed the run was.
-  engine::TaskScheduler& sched = ctx_->scheduler();
-  metrics_.gauge("serve/fault/dead_executors")
-      .set(static_cast<double>(sched.dead_executor_count()));
-  metrics_.gauge("serve/fault/fetch_failures")
-      .set(static_cast<double>(sched.fetch_failures()));
-  metrics_.gauge("serve/fault/executor_lost_tasks")
-      .set(static_cast<double>(sched.executor_lost_failures()));
-  metrics_.gauge("serve/fault/speculative_launches")
-      .set(static_cast<double>(sched.speculative_launches()));
   return out;
 }
 

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "engine/context.h"
-#include "metrics/registry.h"
 #include "resilience/health.h"
 #include "resilience/resilience.h"
 #include "serve/allocation.h"
@@ -207,20 +206,10 @@ class JobServer {
   int running_jobs() const noexcept { return static_cast<int>(running_.size()); }
   int queued_jobs() const noexcept { return static_cast<int>(queue_.size()); }
   const std::vector<JobRecord>& records() const noexcept { return records_; }
-  metrics::Registry& metrics() noexcept { return metrics_; }
   ExecutorAllocationManager& allocation() noexcept { return *allocation_; }
   const JobServerOptions& options() const noexcept { return options_; }
 
  private:
-  /// The three per-pool rollup counters, resolved once per pool (declared
-  /// pools at construction, undeclared ones on their first finished job)
-  /// instead of formatting a "serve/pool/<name>/..." key on every finish.
-  struct PoolRollups {
-    metrics::CounterHandle jobs;
-    metrics::CounterHandle slot_seconds;
-    metrics::CounterHandle queue_wait;
-  };
-
   void start_job(int submission_id);
   void on_job_finished(int submission_id, engine::JobReport report);
   void on_deadline(int submission_id);
@@ -230,23 +219,9 @@ class JobServer {
   void pump_queue();
   bool has_work() const noexcept;
   int client_load(const std::string& client) const noexcept;
-  PoolRollups& pool_rollups(const std::string& pool);
 
   engine::SparkContext* ctx_;
   JobServerOptions options_;
-  metrics::Registry metrics_;
-  // Handles into metrics_, resolved once in the constructor; the submit/
-  // finish paths run per job and must not pay a map lookup per event.
-  metrics::CounterHandle jobs_submitted_;
-  metrics::CounterHandle jobs_rejected_;
-  metrics::CounterHandle jobs_queued_;
-  metrics::CounterHandle jobs_finished_;
-  metrics::CounterHandle jobs_failed_;
-  metrics::CounterHandle jobs_shed_;
-  metrics::CounterHandle jobs_cancelled_;
-  metrics::CounterHandle jobs_retried_;
-  metrics::GaugeHandle queue_length_;
-  std::map<std::string, PoolRollups, std::less<>> pool_rollups_;
   std::unique_ptr<ExecutorAllocationManager> allocation_;
   std::unique_ptr<resilience::NodeHealthTracker> health_;
   uint64_t retry_seed_ = 0;  // cluster seed: retry jitter is replayable

@@ -2,25 +2,14 @@
 
 #include <cassert>
 
-#include "common/format.h"
 #include "prof/profiler.h"
 
 namespace saex::storage {
 
-BlockManager::BlockManager(int node_id, const Options& options,
-                           metrics::Registry* metrics)
+BlockManager::BlockManager(int node_id, const Options& options)
     : node_id_(node_id),
       options_(options),
-      policy_(make_eviction_policy(options.policy)) {
-  if (metrics != nullptr) {
-    const std::string prefix = strfmt::format("storage/node{}/", node_id);
-    m_hits_ = metrics->counter_handle(prefix + "hits");
-    m_misses_ = metrics->counter_handle(prefix + "misses");
-    m_evictions_ = metrics->counter_handle(prefix + "evictions");
-    m_evict_spill_bytes_ = metrics->counter_handle(prefix + "evict_spill_bytes");
-    m_evict_drop_bytes_ = metrics->counter_handle(prefix + "evict_drop_bytes");
-  }
-}
+      policy_(make_eviction_policy(options.policy)) {}
 
 bool BlockManager::over_budget(Bytes incoming) const noexcept {
   return options_.memory_budget > 0 &&
@@ -61,20 +50,13 @@ BlockManager::Reservation BlockManager::reserve(BlockId id, Bytes bytes) {
       ev.spilled = options_.spill_on_evict;
       mem_used_ -= victim.mem_bytes;
       ++evictions_;
-      if (m_evictions_) m_evictions_.increment();
       if (options_.spill_on_evict) {
         victim.disk_bytes += victim.mem_bytes;
         disk_used_ += victim.mem_bytes;
         evict_spill_bytes_ += victim.mem_bytes;
-        if (m_evict_spill_bytes_) {
-          m_evict_spill_bytes_.add(static_cast<double>(victim.mem_bytes));
-        }
         victim.mem_bytes = 0;
       } else {
         evict_drop_bytes_ += victim.mem_bytes;
-        if (m_evict_drop_bytes_) {
-          m_evict_drop_bytes_.add(static_cast<double>(victim.mem_bytes));
-        }
         disk_used_ -= victim.disk_bytes;
         blocks_.erase(it);
       }
@@ -119,10 +101,8 @@ void BlockManager::touch(BlockId id, bool mem_hit) {
   SAEX_PROF_SCOPE(kStorage);
   if (mem_hit) {
     ++hits_;
-    if (m_hits_) m_hits_.increment();
   } else {
     ++misses_;
-    if (m_misses_) m_misses_.increment();
   }
   if (policy_ != nullptr) policy_->on_access(id.key());
 }
@@ -150,12 +130,11 @@ void BlockManager::drop_all() {
 // ---------------------------------------------------------------------------
 
 StorageManager::StorageManager(int num_nodes,
-                               const BlockManager::Options& options,
-                               metrics::Registry* metrics)
+                               const BlockManager::Options& options)
     : policy_name_(options.policy) {
   nodes_.reserve(static_cast<size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
-    nodes_.push_back(std::make_unique<BlockManager>(n, options, metrics));
+    nodes_.push_back(std::make_unique<BlockManager>(n, options));
   }
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "metrics/registry.h"
 #include "storage/eviction.h"
 
 namespace saex::storage {
@@ -78,11 +77,7 @@ class BlockManager {
     std::vector<Evicted> evicted;  // consequences the caller must apply
   };
 
-  /// `metrics` may be null (no counters). Per-node counter names:
-  /// storage/node<N>/{hits,misses,evictions,evict_spill_bytes,
-  /// evict_drop_bytes,recomputes}.
-  BlockManager(int node_id, const Options& options,
-               metrics::Registry* metrics);
+  BlockManager(int node_id, const Options& options);
 
   // --- write path ----------------------------------------------------------
 
@@ -151,20 +146,13 @@ class BlockManager {
   int64_t evictions_ = 0;
   Bytes evict_spill_bytes_ = 0;
   Bytes evict_drop_bytes_ = 0;
-
-  metrics::CounterHandle m_hits_;
-  metrics::CounterHandle m_misses_;
-  metrics::CounterHandle m_evictions_;
-  metrics::CounterHandle m_evict_spill_bytes_;
-  metrics::CounterHandle m_evict_drop_bytes_;
 };
 
 /// Cluster-wide owner of one BlockManager per node, plus the aggregate
 /// counters benches report.
 class StorageManager {
  public:
-  StorageManager(int num_nodes, const BlockManager::Options& options,
-                 metrics::Registry* metrics);
+  StorageManager(int num_nodes, const BlockManager::Options& options);
 
   BlockManager& node(int node_id) {
     return *nodes_[static_cast<size_t>(node_id)];

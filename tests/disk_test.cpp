@@ -130,6 +130,35 @@ TEST(Disk, BusyTrackerReflectsActivity) {
   EXPECT_GT(disk.busy_tracker().utilization(0.0, end), 0.95);
 }
 
+TEST(Disk, IdleGapLeavesOneBusyPointPerLevelChange) {
+  // Two reads 10 s apart. The second read's arrival settles an empty pool
+  // before admitting it; that pass must not record the idle level again.
+  // Within the 5 s window the history then holds exactly the first read's
+  // end (busy → idle) and the second read's arrival (idle → busy).
+  sim::Simulation sim;
+  const DiskParams hdd = DiskParams::hdd();
+  Disk disk(sim, hdd, "d");
+  const double gap_end = 10.0;
+  double first_done = -1.0;
+  double second_done = -1.0;
+  disk.submit(mib(16), false, [&] { first_done = sim.now(); });
+  sim.schedule_at(gap_end, [&] {
+    disk.submit(mib(16), false, [&] { second_done = sim.now(); });
+  });
+  sim.run();
+  const double d = static_cast<double>(mib(16)) / disk.capacity_at(1);
+  ASSERT_NEAR(first_done, hdd.latency + d, 1e-12);
+  ASSERT_NEAR(second_done, gap_end + hdd.latency + d, 1e-12);
+  ASSERT_LT(second_done - Disk::kUtilWindow, gap_end);
+
+  const metrics::UtilizationTracker& busy = disk.busy_tracker();
+  ASSERT_EQ(busy.retained_points(), 2u);
+  EXPECT_EQ(busy.retained_time(0), first_done);
+  EXPECT_EQ(busy.retained_time(1), gap_end + hdd.latency);
+  EXPECT_NEAR(busy.integral_at(second_done), 2.0 * d, 1e-12);
+  EXPECT_EQ(busy.utilization(first_done, gap_end + hdd.latency), 0.0);
+}
+
 TEST(Disk, SharedLatencyGrowsWithConcurrency) {
   // Single-transfer completion time vs the same transfer alongside 7 others:
   // processor sharing must stretch individual latencies.

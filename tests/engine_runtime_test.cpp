@@ -181,8 +181,7 @@ struct Rig {
       : cluster(hw::ClusterSpec::das5(nodes)),
         dfs(cluster, {}),
         shuffles(nodes),
-        blocks(nodes, storage::BlockManager::Options{storage, "none", true},
-               nullptr) {
+        blocks(nodes, storage::BlockManager::Options{storage, "none", true}) {
     env.sim = &cluster.sim();
     env.cluster = &cluster;
     env.dfs = &dfs;

@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "metrics/io_accounting.h"
 #include "metrics/registry.h"
-#include "metrics/timeseries.h"
 
 namespace saex::metrics {
 namespace {
@@ -108,42 +107,6 @@ TEST(Registry, PrefixQueriesUnchangedByHandleResolution) {
   EXPECT_EQ(r.counter_names("node0/").size(), 2u);
   EXPECT_EQ(r.counter_names("node1/").size(), 2u);
   EXPECT_EQ(r.counter_names("node1/net/").size(), 1u);
-}
-
-TEST(RateSeries, BinsBytesIntoRates) {
-  RateSeries rs(1.0);
-  rs.add(0.5, 100);
-  rs.add(0.9, 100);
-  rs.add(1.5, 300);
-  const auto rates = rs.rates();
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_DOUBLE_EQ(rates[0], 200.0);
-  EXPECT_DOUBLE_EQ(rates[1], 300.0);
-  EXPECT_DOUBLE_EQ(rs.mean_rate(), 250.0);
-}
-
-TEST(RateSeries, EmptyMeanIsZero) {
-  RateSeries rs;
-  EXPECT_DOUBLE_EQ(rs.mean_rate(), 0.0);
-  EXPECT_TRUE(rs.rates().empty());
-}
-
-TEST(RateSeries, NonPositiveBinFallsBackToDefault) {
-  EXPECT_DOUBLE_EQ(RateSeries(0.0).bin_seconds(), 1.0);
-  EXPECT_DOUBLE_EQ(RateSeries(-2.5).bin_seconds(), 1.0);
-  EXPECT_DOUBLE_EQ(
-      RateSeries(std::numeric_limits<double>::quiet_NaN()).bin_seconds(), 1.0);
-  EXPECT_DOUBLE_EQ(
-      RateSeries(std::numeric_limits<double>::infinity()).bin_seconds(), 1.0);
-  EXPECT_DOUBLE_EQ(RateSeries(0.5).bin_seconds(), 0.5);
-
-  // A sanitized series still bins correctly (1.0s bins).
-  RateSeries rs(0.0);
-  rs.add(0.25, 100);
-  rs.add(std::numeric_limits<double>::quiet_NaN(), 50);  // clamped to t=0
-  const auto rates = rs.rates();
-  ASSERT_EQ(rates.size(), 1u);
-  EXPECT_DOUBLE_EQ(rates[0], 150.0);
 }
 
 TEST(IoAccounting, AccumulatesMonotonically) {

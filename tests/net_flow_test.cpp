@@ -1,6 +1,6 @@
 // Flow-batched network data plane (saex.net.flowBatch): hw::Network
-// transfer_flow semantics (stream weighting, chunked-goodput cap, event
-// counters) and the engine-level invariants the batched fetch pipeline must
+// transfer_flow semantics (chunked-goodput cap, event counters, link
+// counts) and the engine-level invariants the batched fetch pipeline must
 // preserve — byte totals, determinism, seeded fetch-drop handling, and
 // open-stream accounting balance under fetch failures and chaos churn in
 // BOTH fetch modes.
@@ -34,8 +34,8 @@ hw::NetworkParams small_net() {
 }
 
 TEST(NetFlow, UnbatchedFlowMatchesPlainTransfer) {
-  // streams == 1 with the derating disabled must reproduce transfer()
-  // exactly: same rate resolution, same completion time.
+  // With the derating disabled a flow must reproduce transfer() exactly:
+  // same rate resolution, same completion time.
   double plain_end = 0.0;
   {
     sim::Simulation sim;
@@ -45,26 +45,11 @@ TEST(NetFlow, UnbatchedFlowMatchesPlainTransfer) {
   }
   sim::Simulation sim;
   hw::Network net(sim, 4, small_net());
-  net.transfer_flow(0, 1, static_cast<Bytes>(50e6), /*streams=*/1,
-                    /*chunk_bytes=*/0, [] {});
+  net.transfer_flow(0, 1, static_cast<Bytes>(50e6), /*chunk_bytes=*/0,
+                    [] {});
   EXPECT_DOUBLE_EQ(sim.run(), plain_end);
   EXPECT_EQ(net.transfers_started(), 1);
   EXPECT_EQ(net.flow_transfers(), 1);
-}
-
-TEST(NetFlow, WeightedFlowClaimsProportionalShare) {
-  // A 2-stream flow sharing an uplink with a 1-stream flow gets 2/3 of the
-  // bandwidth: 60 MB at 66.7 MB/s and 40 MB at 33.3 MB/s finish together.
-  sim::Simulation sim;
-  hw::Network net(sim, 4, small_net());
-  double big_done = -1.0, small_done = -1.0;
-  net.transfer_flow(0, 1, static_cast<Bytes>(60e6), /*streams=*/2, 0,
-                    [&] { big_done = sim.now(); });
-  net.transfer_flow(0, 2, static_cast<Bytes>(30e6), /*streams=*/1, 0,
-                    [&] { small_done = sim.now(); });
-  sim.run();
-  EXPECT_NEAR(big_done, 0.9, 0.02);
-  EXPECT_NEAR(small_done, 0.9, 0.02);
 }
 
 TEST(NetFlow, ChunkedGoodputCapDeratesBatchedFlow) {
@@ -77,7 +62,7 @@ TEST(NetFlow, ChunkedGoodputCapDeratesBatchedFlow) {
   sim::Simulation sim;
   hw::Network net(sim, 4, p);
   bool done = false;
-  net.transfer_flow(0, 1, static_cast<Bytes>(8.333e6), /*streams=*/1,
+  net.transfer_flow(0, 1, static_cast<Bytes>(8.333e6),
                     /*chunk_bytes=*/static_cast<Bytes>(1e6),
                     [&] { done = true; });
   const double end = sim.run();
@@ -90,7 +75,7 @@ TEST(NetFlow, TransferCountersDistinguishBatchedFlows) {
   hw::Network net(sim, 4, small_net());
   net.transfer(0, 1, 1000, [] {});
   net.transfer(2, 1, 1000, [] {});
-  net.transfer_flow(3, 1, 1000, /*streams=*/4, 0, [] {});
+  net.transfer_flow(3, 1, 1000, 0, [] {});
   sim.run();
   EXPECT_EQ(net.transfers_started(), 3);
   EXPECT_EQ(net.flow_transfers(), 1);
@@ -99,11 +84,11 @@ TEST(NetFlow, TransferCountersDistinguishBatchedFlows) {
 TEST(NetFlow, StreamWeightedLinkCountsDrainToZero) {
   sim::Simulation sim;
   hw::Network net(sim, 4, small_net());
-  net.transfer_flow(0, 1, static_cast<Bytes>(10e6), /*streams=*/3, 0, [] {});
+  net.transfer_flow(0, 1, static_cast<Bytes>(10e6), 0, [] {});
   net.transfer(0, 2, static_cast<Bytes>(10e6), [] {});
   sim.run_until(0.001);
-  EXPECT_EQ(net.flows_from(0), 4);  // 3 weighted + 1 plain
-  EXPECT_EQ(net.flows_to(1), 3);
+  EXPECT_EQ(net.flows_from(0), 2);  // 1 batched + 1 plain
+  EXPECT_EQ(net.flows_to(1), 1);
   EXPECT_EQ(net.active_flows(), 2);
   sim.run();
   EXPECT_EQ(net.flows_from(0), 0);
@@ -121,7 +106,7 @@ TEST(NetFlow, OpenStreamAccountingBalancesAcrossFlowCompletion) {
   net.register_fetch(1, 0);
   net.register_fetch(1, 0);
   net.register_fetch(2, 0);
-  net.transfer_flow(1, 0, static_cast<Bytes>(1e6), /*streams=*/2, 0, [] {});
+  net.transfer_flow(1, 0, static_cast<Bytes>(1e6), 0, [] {});
   sim.run_until(0.001);
   EXPECT_EQ(net.fetches_to(0), 4);  // 3 registered + 1 active flow
   EXPECT_EQ(net.senders_to(0), 2);

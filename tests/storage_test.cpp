@@ -146,7 +146,7 @@ TEST(BlockId, KeyRoundTripsBothKinds) {
 }
 
 TEST(BlockManager, PolicyNoneGrantsUpToBudgetAndNeverEvicts) {
-  BlockManager bm(0, {mib(100), "none", true}, nullptr);
+  BlockManager bm(0, {mib(100), "none", true});
   const auto r1 = bm.reserve(cache_block(1, 0), mib(60));
   EXPECT_EQ(r1.granted, mib(60));
   bm.commit(cache_block(1, 0));
@@ -158,14 +158,14 @@ TEST(BlockManager, PolicyNoneGrantsUpToBudgetAndNeverEvicts) {
 }
 
 TEST(BlockManager, ZeroBudgetMeansUnbounded) {
-  BlockManager bm(0, {0, "lru", true}, nullptr);
+  BlockManager bm(0, {0, "lru", true});
   EXPECT_EQ(bm.reserve(cache_block(1, 0), gib(50)).granted, gib(50));
   EXPECT_EQ(bm.reserve(cache_block(2, 0), gib(50)).granted, gib(50));
   EXPECT_EQ(bm.evictions(), 0);
 }
 
 TEST(BlockManager, LruSpillsCommittedVictimToAdmitNewBlock) {
-  BlockManager bm(0, {mib(100), "lru", /*spill_on_evict=*/true}, nullptr);
+  BlockManager bm(0, {mib(100), "lru", /*spill_on_evict=*/true});
   bm.reserve(cache_block(1, 0), mib(60));
   bm.commit(cache_block(1, 0));
   const auto r = bm.reserve(cache_block(2, 0), mib(60));
@@ -181,7 +181,7 @@ TEST(BlockManager, LruSpillsCommittedVictimToAdmitNewBlock) {
 }
 
 TEST(BlockManager, SpillOnEvictFalseDropsTheVictimEntirely) {
-  BlockManager bm(0, {mib(100), "lru", /*spill_on_evict=*/false}, nullptr);
+  BlockManager bm(0, {mib(100), "lru", /*spill_on_evict=*/false});
   bm.reserve(cache_block(1, 0), mib(60));
   bm.commit(cache_block(1, 0));
   const auto r = bm.reserve(cache_block(2, 0), mib(60));
@@ -193,7 +193,7 @@ TEST(BlockManager, SpillOnEvictFalseDropsTheVictimEntirely) {
 }
 
 TEST(BlockManager, UncommittedBlocksArePinnedAgainstEviction) {
-  BlockManager bm(0, {mib(100), "lru", true}, nullptr);
+  BlockManager bm(0, {mib(100), "lru", true});
   bm.reserve(cache_block(1, 0), mib(60));  // no commit: still pinned
   const auto r = bm.reserve(cache_block(2, 0), mib(60));
   EXPECT_EQ(r.granted, mib(40));  // nothing evictable, partial grant
@@ -202,7 +202,7 @@ TEST(BlockManager, UncommittedBlocksArePinnedAgainstEviction) {
 }
 
 TEST(BlockManager, NeverEvictsPartitionsOfTheRddBeingWritten) {
-  BlockManager bm(0, {mib(100), "lru", true}, nullptr);
+  BlockManager bm(0, {mib(100), "lru", true});
   bm.reserve(cache_block(1, 0), mib(60));
   bm.commit(cache_block(1, 0));
   // A sibling partition of cache 1 must not sacrifice partition 0 (that
@@ -218,8 +218,7 @@ TEST(BlockManager, NeverEvictsPartitionsOfTheRddBeingWritten) {
 }
 
 TEST(BlockManager, TouchFeedsHitMissCountersAndMetrics) {
-  metrics::Registry reg;
-  BlockManager bm(3, {mib(100), "lru", true}, &reg);
+  BlockManager bm(3, {mib(100), "lru", true});
   bm.reserve(cache_block(1, 0), mib(10));
   bm.commit(cache_block(1, 0));
   bm.touch(cache_block(1, 0), /*mem_hit=*/true);
@@ -227,12 +226,10 @@ TEST(BlockManager, TouchFeedsHitMissCountersAndMetrics) {
   bm.touch(cache_block(1, 0), /*mem_hit=*/false);
   EXPECT_EQ(bm.hits(), 2);
   EXPECT_EQ(bm.misses(), 1);
-  EXPECT_DOUBLE_EQ(reg.counter_value("storage/node3/hits"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.counter_value("storage/node3/misses"), 1.0);
 }
 
 TEST(BlockManager, ShuffleOutputsLiveOnDiskOutsideThePolicy) {
-  BlockManager bm(0, {mib(100), "lru", true}, nullptr);
+  BlockManager bm(0, {mib(100), "lru", true});
   const BlockId out{BlockKind::kShuffleOutput, 5, 9};
   bm.add_disk(out, mib(32));
   bm.commit(out);  // zero memory bytes: the policy never tracks it
@@ -244,7 +241,7 @@ TEST(BlockManager, ShuffleOutputsLiveOnDiskOutsideThePolicy) {
 }
 
 TEST(BlockManager, DropAllForgetsEverything) {
-  BlockManager bm(0, {mib(100), "lru", true}, nullptr);
+  BlockManager bm(0, {mib(100), "lru", true});
   bm.reserve(cache_block(1, 0), mib(40));
   bm.commit(cache_block(1, 0));
   bm.add_disk(cache_block(1, 0), mib(8));

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Exact work-count gate for the repository benchmark and the smoke benches.
+"""Exact work-count and report-digest gate for the repository benchmark and
+the smoke benches.
 
 Usage: check_counts.py <workload> <trace.txt> [counts.json]
        check_counts.py --smoke <smoke.json> [smoke_counts.json]
+       check_counts.py --digest <run.json> [digests.json]
        check_counts.py --self-check
 
 <trace.txt> is the stdout of
@@ -20,10 +22,18 @@ row, and every row must be recorded. The BENCH_*.json events/s budgets
 cannot see a count that moves, because a run with fewer events also takes
 less time.
 
-These counts are deterministic functions of the code and the seed: events,
-device calls, bytes moved, tasks. A change that moves one on purpose updates
-the snapshot in the same commit and says why; any other move is a regression
-or a determinism bug.
+<run.json> is the stdout of one repository benchmark run,
+
+    .bench_build/perfbench/saex_perfbench --workload <workload> --seed <seed> --setups 1
+
+one JSON object whose `digest` hashes every report the run rendered. It must
+equal the digest perfbench_digests.json (default: next to this script)
+records for that workload and seed.
+
+These counts and digests are deterministic functions of the code and the
+seed: events, device calls, bytes moved, tasks, rendered reports. A change
+that moves one on purpose updates the snapshot in the same commit and says
+why; any other move is a regression or a determinism bug.
 
 `--self-check` runs the checker's own unit tests (wired into ctest).
 
@@ -38,6 +48,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 DEFAULT_SNAPSHOT = HERE / "perfbench_counts.json"
 DEFAULT_SMOKE_SNAPSHOT = HERE / "smoke_counts.json"
+DEFAULT_DIGEST_SNAPSHOT = HERE / "perfbench_digests.json"
 
 
 def last_json_line(text):
@@ -89,6 +100,21 @@ def compare_smoke(doc, snapshot):
     return failures
 
 
+def compare_digest(result, snapshot):
+    """Digest mode: one failure line if the run's report digest differs from
+    the one recorded for its workload and seed, or none is recorded."""
+    workload = result.get("workload", "?")
+    seed = str(result.get("seed", "?"))
+    label = f"{workload} seed {seed}"
+    want = snapshot["workloads"].get(workload, {}).get(seed)
+    if want is None:
+        return [f"{label}: no digest recorded in the snapshot"]
+    got = result.get("digest")
+    if got != want:
+        return [f"{label} digest: {got} != snapshot {want}"]
+    return []
+
+
 def self_check():
     snapshot = {"seed": 1, "workloads": {"w": {"a": 10, "b": 0}}}
 
@@ -130,6 +156,25 @@ def self_check():
         if got != want_failures:
             print(f"FAIL {label}: {got} failures, want {want_failures}")
             ok = False
+
+    digest_snapshot = {"workloads": {"w": {"1": "00ff", "9": "abcd"}}}
+
+    def run(workload="w", seed=1, **fields):
+        return {"workload": workload, "seed": seed, **fields}
+
+    digest_cases = [
+        ("an equal digest passes", run(digest="00ff"), 0),
+        ("the other seed's digest passes", run(seed=9, digest="abcd"), 0),
+        ("a moved digest fails", run(digest="00fe"), 1),
+        ("a missing digest fails", run(), 1),
+        ("an unrecorded seed fails", run(seed=2, digest="00ff"), 1),
+        ("an unrecorded workload fails", run("other", digest="00ff"), 1),
+    ]
+    for label, res, want_failures in digest_cases:
+        got = len(compare_digest(res, digest_snapshot))
+        if got != want_failures:
+            print(f"FAIL {label}: {got} failures, want {want_failures}")
+            ok = False
     print("check_counts self-check:", "ok" if ok else "FAILED")
     return 0 if ok else 1
 
@@ -167,12 +212,23 @@ def run_smoke(smoke_path, snapshot_path=DEFAULT_SMOKE_SNAPSHOT):
                   len(doc.get("benchmarks", [])), "rows")
 
 
+def run_digest(run_path, snapshot_path=DEFAULT_DIGEST_SNAPSHOT):
+    result = load(run_path, last_json_line)
+    snapshot = load(snapshot_path)
+    if result is None or snapshot is None:
+        return 2
+    label = f"{result.get('workload', '?')} seed {result.get('seed', '?')}"
+    return report(label, compare_digest(result, snapshot), 1, "digest")
+
+
 def main():
     args = sys.argv[1:]
     if args == ["--self-check"]:
         return self_check()
     if args[:1] == ["--smoke"] and len(args) in (2, 3):
         return run_smoke(*args[1:])
+    if args[:1] == ["--digest"] and len(args) in (2, 3):
+        return run_digest(*args[1:])
     if len(args) in (2, 3) and not args[0].startswith("--"):
         return run_workload(*args)
     print(__doc__, file=sys.stderr)
