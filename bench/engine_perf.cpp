@@ -7,26 +7,20 @@
 //   sched_churn     task-lifecycle churn: hundreds of small concurrent jobs
 //                   through SparkContext::submit_job on one shared
 //                   TaskScheduler — offer loop, pending-list maintenance,
-//                   task-set create/erase, metric-handle increments
-//   metrics_storm   counter/gauge increment storm through pre-resolved
-//                   handles on a populated registry (the serve path's
-//                   per-event rollup pattern)
+//                   task-set create/erase
 //   serve_trace     64-node cluster replaying a 1000-job multi-tenant trace
 //                   through the JobServer (FAIR pools + admission control),
-//                   the scale where scheduler/metrics bookkeeping dominates
+//                   the scale where scheduler bookkeeping dominates
 //
-// Events: sched_churn and serve_trace report simulation events processed;
-// metrics_storm reports handle operations.
+// Events: both rows report simulation events processed.
 //
 // Usage: engine_perf [--smoke] [--json <path>]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
-#include "metrics/registry.h"
 #include "serve/job_server.h"
 
 namespace {
@@ -77,48 +71,9 @@ void bench_sched_churn(bool smoke, BenchJson& out) {
   }
 }
 
-// The serve path's rollup pattern: a registry already holding a few hundred
-// names, hammered through pre-resolved handles. Measures the steady-state
-// cost the handle API was introduced to reach (no string hashing or map
-// walks per increment).
-void bench_metrics_storm(bool smoke, BenchJson& out) {
-  const uint64_t ops = smoke ? 2'000'000 : 50'000'000;
-
-  metrics::Registry reg;
-  // Populate with a realistic name set so handle resolution happens against
-  // a non-trivial registry (64 pools x 3 rollups + assorted engine names).
-  std::vector<metrics::CounterHandle> counters;
-  std::vector<metrics::GaugeHandle> gauges;
-  for (int p = 0; p < 64; ++p) {
-    counters.push_back(
-        reg.counter_handle(strfmt::format("serve/pool/{}/jobs", p)));
-    counters.push_back(
-        reg.counter_handle(strfmt::format("serve/pool/{}/slot_seconds", p)));
-    counters.push_back(
-        reg.counter_handle(strfmt::format("serve/pool/{}/queue_wait", p)));
-    gauges.push_back(reg.gauge_handle(strfmt::format("serve/pool/{}/depth", p)));
-  }
-  const auto t0 = Clock::now();
-  const size_t nc = counters.size();
-  const size_t ng = gauges.size();
-  for (uint64_t i = 0; i < ops; ++i) {
-    counters[i % nc].increment();
-    if ((i & 15) == 0) gauges[i % ng].set(static_cast<double>(i & 255));
-  }
-  const double wall = seconds_since(t0);
-  report_row(out, "metrics_storm", wall, ops);
-  // Keep the totals observable so the loop cannot be optimized away.
-  double sum = 0;
-  for (const auto& h : counters) sum += static_cast<double>(h.value());
-  if (sum != static_cast<double>(ops)) {
-    std::printf("metrics_storm: unexpected counter sum %.0f (want %llu)\n",
-                sum, static_cast<unsigned long long>(ops));
-  }
-}
-
 // A 64-node cluster replaying a bursty 1000-job trace (smoke: 8 nodes, 100
-// jobs): the multi-tenant configuration where the scheduler's offer loop,
-// FAIR pool sort, and per-pool metric rollups run at their highest rates.
+// jobs): the multi-tenant configuration where the scheduler's offer loop
+// and FAIR pool sort run at their highest rates.
 void bench_serve_trace(bool smoke, BenchJson& out) {
   serve::TraceOptions t;
   t.num_jobs = smoke ? 100 : 1000;
@@ -161,14 +116,13 @@ int main(int argc, char** argv) {
   const std::string json_path = json_path_arg(argc, argv);
 
   print_title("engine_perf",
-              "engine-layer throughput (task-lifecycle churn, metrics storm, "
-              "64-node serve trace)",
+              "engine-layer throughput (task-lifecycle churn, 64-node serve "
+              "trace)",
               "events/sec must not regress vs the recorded BENCH_engine.json "
               "trajectory");
 
   BenchJson out;
   bench_sched_churn(smoke, out);
-  bench_metrics_storm(smoke, out);
   bench_serve_trace(smoke, out);
 
   if (!json_path.empty()) {

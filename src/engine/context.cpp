@@ -9,7 +9,7 @@
 #include "adaptive/controller.h"
 #include "common/format.h"
 #include "common/log.h"
-#include "metrics/histogram.h"
+#include "common/stats.h"
 
 namespace saex::engine {
 
@@ -105,11 +105,9 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
                                                       bm_options);
   env.storage = storage_.get();
   shuffle_locality_ = config_.get_bool("saex.storage.shuffleLocality");
-  m_recomputes_ = metrics_.counter_handle("storage/recomputes");
 
   aqe_ = aqe::AqeOptions::from_config(config_);
   if (aqe_.enabled && aqe_.tuner) tuner_ = std::make_unique<aqe::StageTuner>();
-  m_replans_ = metrics_.counter_handle("aqe/replans");
   env.net_flow_batch = config_.get_bool("saex.net.flowBatch");
   env.event_log = &event_log_;
 
@@ -144,7 +142,6 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   sched_options.max_failed_tasks_per_executor = static_cast<int>(
       config_.get_int("spark.blacklist.stage.maxFailedTasksPerExecutor"));
   sched_options.event_log = &event_log_;
-  sched_options.metrics = &metrics_;
   scheduler_ = std::make_unique<TaskScheduler>(cluster.sim(), raw,
                                                sched_options);
   scheduler_->set_fetch_failure_hook(
@@ -188,6 +185,21 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
 }
 
 SparkContext::~SparkContext() = default;
+
+metrics::Registry SparkContext::metrics() const {
+  metrics::Registry m;
+  const auto set = [&m](const char* name, int64_t value) {
+    m.set(name, static_cast<double>(value));
+  };
+  set("engine/tasks/dispatched", scheduler_->tasks_dispatched());
+  set("engine/tasks/finished", scheduler_->tasks_succeeded());
+  set("engine/tasks/failed", scheduler_->tasks_failed());
+  set("engine/tasks/speculative", scheduler_->speculative_launches());
+  set("engine/executor_resizes", scheduler_->executor_resizes());
+  set("storage/recomputes", recomputes_);
+  set("aqe/replans", replans_);
+  return m;
+}
 
 void SparkContext::set_policy_factory(PolicyFactory factory) {
   policy_factory_ = std::move(factory);
@@ -314,7 +326,7 @@ void SparkContext::maybe_replan_stage(Stage& stage) {
   stage.reduce_partitions = R;
   stage.reduce_slices = plan.slices;
   stage.num_tasks = static_cast<int>(plan.slices.size());
-  if (m_replans_) m_replans_.add(1.0);
+  ++replans_;
   event_log_.record(Event{EventKind::kStageReplanned, cluster_->sim().now(),
                           -1, stage.ordinal, -1, -1, stage.num_tasks,
                           stage.name});
@@ -546,7 +558,7 @@ void SparkContext::rebuild_dropped_cache(int cache_id) {
     if (caches_->partition(cache_id, p).dropped) dropped.push_back(p);
   }
   if (dropped.empty()) return;
-  if (m_recomputes_) m_recomputes_.add(static_cast<double>(dropped.size()));
+  recomputes_ += static_cast<int64_t>(dropped.size());
   resubmit(cache_lineage_, cache_id, dropped);
 }
 
@@ -706,14 +718,12 @@ void SparkContext::close_stage(JobRun& run, const Stage& stage,
   stats.disk_utilization = disk_sum / n;
   stats.iowait_fraction = iowait_sum / n;
 
-  metrics::Histogram durations(0.01, 1.15);
   for (const double d : result.durations) {
-    durations.add(d);
     stats.task_seconds += d;
+    stats.task_max = std::max(stats.task_max, d);
   }
-  stats.task_p50 = durations.quantile(0.5);
-  stats.task_p95 = durations.quantile(0.95);
-  stats.task_max = durations.max();
+  stats.task_p50 = percentile(result.durations, 0.5);
+  stats.task_p95 = percentile(result.durations, 0.95);
   report.stages.push_back(std::move(stats));
   run.open_stages.erase(stage.uid);
 }

@@ -117,9 +117,12 @@ class SparkContext {
   int num_executors() const noexcept { return static_cast<int>(executors_.size()); }
   TaskScheduler& scheduler() noexcept { return *scheduler_; }
   ShuffleManager& shuffles() noexcept { return *shuffles_; }
-  /// Engine-level rollup counters (task dispatch/finish/failure, resizes,
-  /// lineage recoveries). Handle-based: hot paths resolve names once.
-  metrics::Registry& metrics() noexcept { return metrics_; }
+  /// Snapshot of the engine counters under their names, read from their
+  /// owners: engine/tasks/{dispatched,finished,failed,speculative} and
+  /// engine/executor_resizes from the TaskScheduler (finished means
+  /// tasks_succeeded()), storage/recomputes and aqe/replans from this
+  /// context.
+  metrics::Registry metrics() const;
 
   // --- fault tolerance -----------------------------------------------------
 
@@ -231,7 +234,6 @@ class SparkContext {
   std::unique_ptr<dfs::Dfs> dfs_;
   std::unique_ptr<ShuffleManager> shuffles_;
   std::unique_ptr<CacheRegistry> caches_;
-  metrics::Registry metrics_;  // before scheduler_: its handles point here
   std::unique_ptr<storage::StorageManager> storage_;
   std::vector<std::unique_ptr<ExecutorRuntime>> executors_;
   std::unique_ptr<TaskScheduler> scheduler_;
@@ -252,12 +254,12 @@ class SparkContext {
   Lineage cache_lineage_{"cache"};
 
   bool shuffle_locality_ = false;  // saex.storage.shuffleLocality
-  metrics::CounterHandle m_recomputes_;
+  int64_t recomputes_ = 0;  // dropped cache partitions rebuilt from lineage
 
   // Adaptive query execution (src/aqe/).
   aqe::AqeOptions aqe_;
   std::unique_ptr<aqe::StageTuner> tuner_;  // non-null iff saex.aqe.tuner
-  metrics::CounterHandle m_replans_;
+  int64_t replans_ = 0;  // stages AQE re-tiled
 };
 
 /// Builds the PolicyFactory implied by `config` ("saex.executor.policy" =

@@ -533,20 +533,11 @@ struct ExecutorRuntime::TaskRun {
   }
 
   void flush_and_finish() {
-    storage::StorageManager* storage = exec->env_.storage;
     if (sink == StageSink::kShuffleWrite && out_shuffle_id >= 0) {
       // First commit wins: a losing speculative copy that raced past the
       // driver's cancellation must not double-count the partition's output.
-      const bool committed = exec->env_.shuffles->register_map_output(
+      exec->env_.shuffles->register_map_output(
           out_shuffle_id, exec->node_id_, spec.partition, shuffle_written);
-      if (committed) {
-        // Track the map output file in the node's block accounting (disk
-        // tier only; shuffle blocks are never memory-resident here).
-        storage->node(exec->node_id_)
-            .add_disk(storage::BlockId{storage::BlockKind::kShuffleOutput,
-                                       out_shuffle_id, spec.partition},
-                      shuffle_written);
-      }
     }
     if (cache_out_id >= 0) {
       auto& part = exec->env_.caches->partition(cache_out_id, spec.partition);
@@ -554,11 +545,9 @@ struct ExecutorRuntime::TaskRun {
       part.mem_bytes = cache_mem_written;
       part.spilled_bytes = cache_spilled;
       part.dropped = false;
-      const storage::BlockId bid{storage::BlockKind::kCachePartition,
-                                 cache_out_id, spec.partition};
-      auto& bm = storage->node(exec->node_id_);
-      bm.add_disk(bid, cache_spilled);
-      bm.commit(bid);  // unpin: the block is now fair game for eviction
+      // Unpin: the block is now fair game for eviction.
+      exec->env_.storage->node(exec->node_id_)
+          .commit(storage::BlockId{cache_out_id, spec.partition});
     }
     exec->finish_task(this, TaskOutcome{});
   }
@@ -658,17 +647,14 @@ void ExecutorRuntime::revive() {
 Bytes ExecutorRuntime::reserve_storage(int cache_id, int partition,
                                        Bytes bytes) {
   storage::BlockManager& bm = env_.storage->node(node_id_);
-  const storage::BlockManager::Reservation res = bm.reserve(
-      storage::BlockId{storage::BlockKind::kCachePartition, cache_id,
-                       partition},
-      bytes);
+  const storage::BlockManager::Reservation res =
+      bm.reserve(storage::BlockId{cache_id, partition}, bytes);
   // Apply the physical consequences of every eviction the policy decided:
   // update the cluster-wide directory and charge spill writes to this
   // node's disk so they contend with foreground I/O (nobody blocks on
   // them — Spark's block manager also writes evictions on the caller's
   // thread, but our task already accounted its own chunk).
   for (const storage::BlockManager::Evicted& ev : res.evicted) {
-    if (ev.id.kind != storage::BlockKind::kCachePartition) continue;
     auto& part = env_.caches->partition(ev.id.id, ev.id.partition);
     if (ev.spilled) {
       part.spilled_bytes += ev.mem_bytes;
@@ -830,8 +816,7 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
         raw->fail_fetch_sid = -1;
         if (part.node >= 0) {
           env_.storage->node(part.node).touch(
-              storage::BlockId{storage::BlockKind::kCachePartition,
-                               stage.in_cache_id, spec.partition},
+              storage::BlockId{stage.in_cache_id, spec.partition},
               /*mem_hit=*/false);
         }
         break;  // no segments: the empty-segments branch drains the abort
@@ -840,8 +825,7 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
         // Hit/miss accounting on the owning node: a hit is served entirely
         // from memory, a spilled tail forces a disk read.
         env_.storage->node(part.node).touch(
-            storage::BlockId{storage::BlockKind::kCachePartition,
-                             stage.in_cache_id, spec.partition},
+            storage::BlockId{stage.in_cache_id, spec.partition},
             /*mem_hit=*/part.spilled_bytes == 0);
       }
       if (part.node == node_id_) {

@@ -37,7 +37,8 @@ struct StageStats {
   // Σ successful task durations — the stage's slot-seconds.
   double task_seconds = 0.0;
   // Task duration distribution (successful attempts of the stage's own task
-  // set; lineage-recovery tasks running beside it are not counted).
+  // set; lineage-recovery tasks running beside it are not counted). p50/p95
+  // are exact order statistics, interpolated as saex::percentile does.
   double task_p50 = 0.0;
   double task_p95 = 0.0;
   double task_max = 0.0;

@@ -32,14 +32,6 @@ TaskScheduler::TaskScheduler(sim::Simulation& sim,
     }
     update_free_bit(e);
   }
-  if (options_.metrics != nullptr) {
-    m_dispatched_ = options_.metrics->counter_handle("engine/tasks/dispatched");
-    m_finished_ = options_.metrics->counter_handle("engine/tasks/finished");
-    m_failed_ = options_.metrics->counter_handle("engine/tasks/failed");
-    m_speculative_ =
-        options_.metrics->counter_handle("engine/tasks/speculative");
-    m_resizes_ = options_.metrics->counter_handle("engine/executor_resizes");
-  }
 }
 
 void TaskScheduler::pending_remove(TaskSet& set, size_t task_idx) noexcept {
@@ -672,9 +664,7 @@ void TaskScheduler::dispatch(TaskSet& set, size_t task_idx, size_t exec_idx,
   if (set.result.first_launch_time < 0.0) {
     set.result.first_launch_time = sim_.now();
   }
-  if (m_dispatched_) m_dispatched_.increment();
   if (speculative) {
-    if (m_speculative_) m_speculative_.increment();
     ++speculative_launches_;
     if (options_.event_log != nullptr) {
       options_.event_log->record(
@@ -748,7 +738,7 @@ void TaskScheduler::on_task_finished(uint64_t set_id, const TaskSpec& spec,
 
   if (outcome.success) {
     st.done = true;
-    if (m_finished_) m_finished_.increment();
+    ++tasks_succeeded_;
     set.result.durations.push_back(sim_.now() - st.launch_time);
     assert(set.remaining > 0);
     --set.remaining;
@@ -764,7 +754,7 @@ void TaskScheduler::on_task_finished(uint64_t set_id, const TaskSpec& spec,
   // Decide whether the failure charges against spark.task.maxFailures.
   // Executor loss is never the task's fault; fetch failures are the
   // driver's call (it knows whether the source data is gone).
-  if (m_failed_) m_failed_.increment();
+  ++tasks_failed_;
   bool charged = true;
   if (outcome.failure == TaskFailure::kExecutorLost) {
     ++executor_lost_failures_;
@@ -833,7 +823,7 @@ void TaskScheduler::on_executor_resized(int node_id, int new_size) {
                es.advertised, new_size);
     es.advertised = new_size;
     update_free_bit(static_cast<size_t>(e));
-    if (m_resizes_) m_resizes_.increment();
+    ++executor_resizes_;
   }
   try_assign();
 }

@@ -30,7 +30,6 @@
 #include "engine/event_log.h"
 #include "engine/executor_runtime.h"
 #include "engine/stage.h"
-#include "metrics/registry.h"
 #include "sim/simulation.h"
 
 namespace saex::engine {
@@ -77,10 +76,6 @@ class TaskScheduler {
     bool blacklist_enabled = false;
     int max_failed_tasks_per_executor = 2;
     EventLog* event_log = nullptr;
-    // Optional engine-level rollups (dispatched/finished/failed/speculative
-    // counts). Handles are resolved once at construction; a null registry
-    // costs nothing on the per-task path.
-    metrics::Registry* metrics = nullptr;
   };
 
   /// What the driver learns when a task set (one stage of one job) drains.
@@ -218,9 +213,18 @@ class TaskScheduler {
   /// already reached its advertised size, or to an inactive executor.
   /// Always 0 unless the slot accounting is broken.
   int64_t dispatch_overcommits() const noexcept { return dispatch_overcommits_; }
+  /// Task attempts launched, speculative copies included.
   int64_t tasks_dispatched() const noexcept { return tasks_dispatched_; }
+  /// Status updates received: every attempt that ended, however it ended.
   int64_t tasks_finished() const noexcept { return tasks_finished_; }
-  int speculative_launches() const noexcept { return speculative_launches_; }
+  /// Attempts that completed their task (a losing copy that finishes after
+  /// the winner is not counted).
+  int64_t tasks_succeeded() const noexcept { return tasks_succeeded_; }
+  /// Attempts that failed, executor losses and fetch failures included.
+  int64_t tasks_failed() const noexcept { return tasks_failed_; }
+  int64_t speculative_launches() const noexcept { return speculative_launches_; }
+  /// §5.4 resize notifications applied to a known executor.
+  int64_t executor_resizes() const noexcept { return executor_resizes_; }
   /// Executors currently blacklisted for any in-flight task set.
   int blacklisted_executors() const noexcept;
 
@@ -372,17 +376,13 @@ class TaskScheduler {
   uint64_t next_set_id_ = 1;
   bool speculation_timer_armed_ = false;
 
-  // Engine-level rollups (null handles when Options::metrics is unset).
-  metrics::CounterHandle m_dispatched_;
-  metrics::CounterHandle m_finished_;
-  metrics::CounterHandle m_failed_;
-  metrics::CounterHandle m_speculative_;
-  metrics::CounterHandle m_resizes_;
-
-  int speculative_launches_ = 0;
   int64_t dispatch_overcommits_ = 0;
   int64_t tasks_dispatched_ = 0;
   int64_t tasks_finished_ = 0;
+  int64_t tasks_succeeded_ = 0;
+  int64_t tasks_failed_ = 0;
+  int64_t speculative_launches_ = 0;
+  int64_t executor_resizes_ = 0;
   int64_t fetch_failures_ = 0;
   int64_t executor_lost_failures_ = 0;
 };

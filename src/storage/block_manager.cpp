@@ -39,8 +39,7 @@ BlockManager::Reservation BlockManager::reserve(BlockId id, Bytes bytes) {
       // would trigger a recompute of the very cache under construction —
       // a ping-pong that can cycle forever under tight budgets. Pinned
       // blocks (mid-write on this node) are likewise untouchable.
-      if (victim.pinned || (id.kind == BlockKind::kCachePartition &&
-                            vid.kind == id.kind && vid.id == id.id)) {
+      if (victim.pinned || vid.id == id.id) {
         skipped.push_back(vkey);
         continue;
       }
@@ -51,13 +50,10 @@ BlockManager::Reservation BlockManager::reserve(BlockId id, Bytes bytes) {
       mem_used_ -= victim.mem_bytes;
       ++evictions_;
       if (options_.spill_on_evict) {
-        victim.disk_bytes += victim.mem_bytes;
-        disk_used_ += victim.mem_bytes;
         evict_spill_bytes_ += victim.mem_bytes;
         victim.mem_bytes = 0;
       } else {
         evict_drop_bytes_ += victim.mem_bytes;
-        disk_used_ -= victim.disk_bytes;
         blocks_.erase(it);
       }
       res.evicted.push_back(ev);
@@ -81,13 +77,6 @@ BlockManager::Reservation BlockManager::reserve(BlockId id, Bytes bytes) {
   return res;
 }
 
-void BlockManager::add_disk(BlockId id, Bytes bytes) {
-  if (bytes == 0) return;
-  Block& b = block(id.key());
-  b.disk_bytes += bytes;
-  disk_used_ += bytes;
-}
-
 void BlockManager::commit(BlockId id) {
   const auto it = blocks_.find(id.key());
   if (it == blocks_.end()) return;
@@ -107,22 +96,12 @@ void BlockManager::touch(BlockId id, bool mem_hit) {
   if (policy_ != nullptr) policy_->on_access(id.key());
 }
 
-void BlockManager::drop(BlockId id) {
-  const auto it = blocks_.find(id.key());
-  if (it == blocks_.end()) return;
-  mem_used_ -= it->second.mem_bytes;
-  disk_used_ -= it->second.disk_bytes;
-  if (policy_ != nullptr) policy_->on_remove(id.key());
-  blocks_.erase(it);
-}
-
 void BlockManager::drop_all() {
   for (const auto& [key, b] : blocks_) {
     if (policy_ != nullptr) policy_->on_remove(key);
   }
   blocks_.clear();
   mem_used_ = 0;
-  disk_used_ = 0;
 }
 
 // ---------------------------------------------------------------------------

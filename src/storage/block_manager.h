@@ -1,6 +1,7 @@
 // Per-node block storage: the executor-process memory that holds cached RDD
-// partitions (and tracks disk-resident shuffle/spill blocks) under a bounded
-// budget, mirroring Spark's BlockManager.
+// partitions under a bounded budget, mirroring Spark's MemoryStore. Bytes on
+// disk have their own owners: ShuffleManager holds map-output bytes and the
+// CacheRegistry each cache partition's spilled tail.
 //
 // The BlockManager is pure deterministic bookkeeping — it decides *what*
 // happens (how many bytes of a write fit in memory, which committed blocks
@@ -34,25 +35,20 @@
 
 namespace saex::storage {
 
-enum class BlockKind : uint8_t { kCachePartition = 0, kShuffleOutput = 1 };
-
-/// Identity of a block: (kind, id, partition) packed into a BlockKey so
-/// eviction policies stay POD-keyed. id is a cache id or shuffle id (< 2^27).
+/// Identity of a block: (cache id, partition) packed into a BlockKey so
+/// eviction policies stay POD-keyed.
 struct BlockId {
-  BlockKind kind = BlockKind::kCachePartition;
   int id = 0;
   int partition = 0;
 
   BlockKey key() const noexcept {
-    return (static_cast<BlockKey>(kind) << 59) |
-           (static_cast<BlockKey>(static_cast<uint32_t>(id)) << 32) |
+    return (static_cast<BlockKey>(static_cast<uint32_t>(id)) << 32) |
            static_cast<BlockKey>(static_cast<uint32_t>(partition));
   }
   static BlockId from_key(BlockKey key) noexcept {
     BlockId b;
-    b.kind = static_cast<BlockKind>(key >> 59);
-    b.id = static_cast<int>((key >> 32) & 0x7ffffff);
-    b.partition = static_cast<int>(key & 0xffffffff);
+    b.id = static_cast<int>(static_cast<uint32_t>(key >> 32));
+    b.partition = static_cast<int>(static_cast<uint32_t>(key));
     return b;
   }
 };
@@ -69,7 +65,7 @@ class BlockManager {
   struct Evicted {
     BlockId id;
     Bytes mem_bytes = 0;  // bytes that left memory
-    bool spilled = false;  // true: moved to disk; false: dropped entirely
+    bool spilled = false;  // true: the caller spills them; false: dropped
   };
 
   struct Reservation {
@@ -87,10 +83,6 @@ class BlockManager {
   /// to spill through its write channel.
   Reservation reserve(BlockId id, Bytes bytes);
 
-  /// Adds disk-resident bytes for `id` (its spilled tail, or a shuffle
-  /// block's map output file).
-  void add_disk(BlockId id, Bytes bytes);
-
   /// Finishes a write: unpins the block and hands it to the eviction policy.
   void commit(BlockId id);
 
@@ -101,10 +93,6 @@ class BlockManager {
   /// memory (no disk segment, not dropped).
   void touch(BlockId id, bool mem_hit);
 
-  // --- removal -------------------------------------------------------------
-
-  /// Forgets one block (both tiers), e.g. when its cache is rebuilt.
-  void drop(BlockId id);
   /// Executor death: every block this process held is gone.
   void drop_all();
 
@@ -113,7 +101,6 @@ class BlockManager {
   int node_id() const noexcept { return node_id_; }
   Bytes memory_budget() const noexcept { return options_.memory_budget; }
   Bytes mem_used() const noexcept { return mem_used_; }
-  Bytes disk_used() const noexcept { return disk_used_; }
   const std::string& policy_name() const noexcept { return options_.policy; }
   bool spill_on_evict() const noexcept { return options_.spill_on_evict; }
   size_t num_blocks() const noexcept { return blocks_.size(); }
@@ -127,7 +114,6 @@ class BlockManager {
  private:
   struct Block {
     Bytes mem_bytes = 0;
-    Bytes disk_bytes = 0;
     bool pinned = false;  // write in progress: not evictable
   };
 
@@ -139,7 +125,6 @@ class BlockManager {
   std::unique_ptr<EvictionPolicy> policy_;  // null for "none"
   std::map<BlockKey, Block> blocks_;
   Bytes mem_used_ = 0;
-  Bytes disk_used_ = 0;
 
   int64_t hits_ = 0;
   int64_t misses_ = 0;

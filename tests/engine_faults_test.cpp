@@ -125,6 +125,42 @@ TEST(Speculation, NoStragglersNoSpeculation) {
   EXPECT_EQ(ctx.scheduler().speculative_launches(), 0);
 }
 
+// Every engine counter name reads its owner, in a run with speculative
+// copies and injected failures. "finished" means successes: it stays below
+// tasks_finished(), which counts every status update, failures included.
+TEST(Speculation, EngineCounterNamesReadTheirOwners) {
+  hw::ClusterSpec spec = hw::ClusterSpec::das5(4);
+  spec.seed = 1234;
+  spec.slow_disk_prob = 0.25;
+  spec.slow_disk_factor = 0.25;
+  hw::Cluster cluster(spec);
+  conf::Config config = faulty_config(0.1);
+  config.set_bool("spark.speculation", true);
+  config.set_double("spark.speculation.multiplier", 1.4);
+  config.set_double("spark.speculation.quantile", 0.5);
+  SparkContext ctx(cluster, config);
+  ctx.dfs().load_input("/in", gib(8), 4);
+  (void)ctx.run_job(ctx.text_file("/in").count(), "spec-flaky");
+
+  const TaskScheduler& s = ctx.scheduler();
+  const metrics::Registry m = ctx.metrics();
+  const auto as_double = [](int64_t v) { return static_cast<double>(v); };
+  EXPECT_EQ(m.counter_value("engine/tasks/dispatched"),
+            as_double(s.tasks_dispatched()));
+  EXPECT_EQ(m.counter_value("engine/tasks/finished"),
+            as_double(s.tasks_succeeded()));
+  EXPECT_EQ(m.counter_value("engine/tasks/failed"),
+            as_double(s.tasks_failed()));
+  EXPECT_EQ(m.counter_value("engine/tasks/speculative"),
+            as_double(s.speculative_launches()));
+  EXPECT_EQ(m.counter_value("engine/executor_resizes"),
+            as_double(s.executor_resizes()));
+  EXPECT_GT(s.tasks_failed(), 0);
+  EXPECT_GT(s.speculative_launches(), 0);
+  EXPECT_LT(m.counter_value("engine/tasks/finished"),
+            as_double(s.tasks_finished()));
+}
+
 }  // namespace
 }  // namespace saex::engine
 

@@ -25,7 +25,6 @@ namespace saex {
 namespace {
 
 using storage::BlockId;
-using storage::BlockKind;
 using storage::BlockManager;
 using storage::EvictionPolicy;
 using storage::make_eviction_policy;
@@ -132,17 +131,17 @@ TEST(EvictionPolicy, TinyLfuTiesKeepInsertionOrder) {
 // ---------- BlockManager bookkeeping ----------
 
 BlockId cache_block(int cache_id, int partition) {
-  return BlockId{BlockKind::kCachePartition, cache_id, partition};
+  return BlockId{cache_id, partition};
 }
 
 TEST(BlockId, KeyRoundTripsBothKinds) {
-  for (const BlockId id : {cache_block(17, 4093),
-                           BlockId{BlockKind::kShuffleOutput, 3, 127}}) {
+  for (const BlockId id : {cache_block(17, 4093), cache_block(3, 127)}) {
     const BlockId back = BlockId::from_key(id.key());
-    EXPECT_EQ(back.kind, id.kind);
     EXPECT_EQ(back.id, id.id);
     EXPECT_EQ(back.partition, id.partition);
   }
+  // The cache id sits in the high word, the partition in the low one.
+  EXPECT_EQ(cache_block(17, 4093).key(), (storage::BlockKey{17} << 32) | 4093);
 }
 
 TEST(BlockManager, PolicyNoneGrantsUpToBudgetAndNeverEvicts) {
@@ -175,7 +174,6 @@ TEST(BlockManager, LruSpillsCommittedVictimToAdmitNewBlock) {
   EXPECT_EQ(r.evicted[0].mem_bytes, mib(60));
   EXPECT_TRUE(r.evicted[0].spilled);
   EXPECT_EQ(bm.mem_used(), mib(60));
-  EXPECT_EQ(bm.disk_used(), mib(60));  // the victim moved to disk
   EXPECT_EQ(bm.evicted_spill_bytes(), mib(60));
   EXPECT_EQ(bm.num_blocks(), 2u);
 }
@@ -187,7 +185,6 @@ TEST(BlockManager, SpillOnEvictFalseDropsTheVictimEntirely) {
   const auto r = bm.reserve(cache_block(2, 0), mib(60));
   ASSERT_EQ(r.evicted.size(), 1u);
   EXPECT_FALSE(r.evicted[0].spilled);
-  EXPECT_EQ(bm.disk_used(), 0u);
   EXPECT_EQ(bm.evicted_drop_bytes(), mib(60));
   EXPECT_EQ(bm.num_blocks(), 1u);  // only the incoming block remains
 }
@@ -228,26 +225,12 @@ TEST(BlockManager, TouchFeedsHitMissCountersAndMetrics) {
   EXPECT_EQ(bm.misses(), 1);
 }
 
-TEST(BlockManager, ShuffleOutputsLiveOnDiskOutsideThePolicy) {
-  BlockManager bm(0, {mib(100), "lru", true});
-  const BlockId out{BlockKind::kShuffleOutput, 5, 9};
-  bm.add_disk(out, mib(32));
-  bm.commit(out);  // zero memory bytes: the policy never tracks it
-  EXPECT_EQ(bm.disk_used(), mib(32));
-  EXPECT_EQ(bm.mem_used(), 0u);
-  const auto r = bm.reserve(cache_block(1, 0), mib(100));
-  EXPECT_TRUE(r.evicted.empty());  // disk-only blocks are not victims
-  EXPECT_EQ(r.granted, mib(100));
-}
-
 TEST(BlockManager, DropAllForgetsEverything) {
   BlockManager bm(0, {mib(100), "lru", true});
   bm.reserve(cache_block(1, 0), mib(40));
   bm.commit(cache_block(1, 0));
-  bm.add_disk(cache_block(1, 0), mib(8));
   bm.drop_all();
   EXPECT_EQ(bm.mem_used(), 0u);
-  EXPECT_EQ(bm.disk_used(), 0u);
   EXPECT_EQ(bm.num_blocks(), 0u);
   // And the policy's tracking is empty: a full-budget write evicts nothing.
   EXPECT_TRUE(bm.reserve(cache_block(2, 0), mib(100)).evicted.empty());
@@ -461,6 +444,24 @@ TEST(StorageEngine, ShuffleLocalityPreferenceIsDeterministic) {
   const std::string a = run();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, run());
+}
+
+// The BlockManager holds cached partitions only: a shuffle job with no
+// cache() leaves every node's block map empty. Map-output bytes are the
+// ShuffleManager's to hold.
+TEST(StorageEngine, ShuffleJobWithoutCacheHoldsNoBlocks) {
+  hw::Cluster cluster(hw::ClusterSpec::das5(4));
+  conf::Config c;
+  c.set("spark.default.parallelism", "16");
+  engine::SparkContext ctx(cluster, std::move(c));
+  const workloads::WorkloadSpec spec = workloads::terasort(gib(2));
+  for (const engine::Rdd& action : spec.build(ctx)) {
+    EXPECT_FALSE(ctx.run_job(action, spec.name).failed);
+  }
+  EXPECT_GT(ctx.shuffles().total_output(/*shuffle_id=*/0), 0u);
+  for (int n = 0; n < ctx.storage().num_nodes(); ++n) {
+    EXPECT_EQ(ctx.storage().node(n).num_blocks(), 0u) << "node " << n;
+  }
 }
 
 }  // namespace
