@@ -4,8 +4,8 @@
 //
 // For every (policy, budget) cell the bench reports the storage hit rate,
 // eviction/spill volume, and the application makespan in simulated seconds —
-// the end-to-end cost of each policy's victim choices (a miss is a disk read
-// or, with spillOnEvict=false, a lineage recompute). Two invariants are
+// the end-to-end cost of each policy's victim choices (every victim spills,
+// so a miss is a disk read of the spilled tail). Two invariants are
 // asserted every run:
 //
 //   determinism — the same (seed, policy, budget) cell run twice produces

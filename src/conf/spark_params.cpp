@@ -435,14 +435,6 @@ void define_adaptive_extension(Registry& r) {
             "spark.memory.fraction x spark.memory.storageFraction (or "
             "spark.storage.memoryFraction under spark.memory.useLegacyMode) "
             "x node memory."});
-  r.define({"saex.storage.spillOnEvict", c, V::kBool, "true",
-            "Evicted blocks spill to the node's disk (charged to the "
-            "simulated device); false drops them, forcing lineage "
-            "recompute on the next read."});
-  r.define({"saex.storage.shuffleLocality", c, V::kBool, "false",
-            "Cache-locality-aware scheduling for reduce tasks: prefer the "
-            "node holding the largest share of a task's shuffle fetch plan "
-            "(delay scheduling falls back after spark.locality.wait)."});
   r.define({"saex.shard.count", c, V::kInt, "1",
             "Sharded serve path: number of independent driver/scheduler "
             "shards the cluster's nodes are partitioned into (1 = the "

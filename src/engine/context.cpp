@@ -94,7 +94,6 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
                   config_.get_double("spark.memory.storageFraction"));
   }
   bm_options.policy = config_.get_string("saex.storage.policy");
-  bm_options.spill_on_evict = config_.get_bool("saex.storage.spillOnEvict");
   if (!storage::is_valid_eviction_policy(bm_options.policy)) {
     throw conf::ConfigError(strfmt::format(
         "unknown saex.storage.policy '{}' (valid: none, lru, clock, s3fifo, "
@@ -104,7 +103,6 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   storage_ = std::make_unique<storage::StorageManager>(cluster.size(),
                                                       bm_options);
   env.storage = storage_.get();
-  shuffle_locality_ = config_.get_bool("saex.storage.shuffleLocality");
 
   aqe_ = aqe::AqeOptions::from_config(config_);
   if (aqe_.enabled && aqe_.tuner) tuner_ = std::make_unique<aqe::StageTuner>();
@@ -145,10 +143,8 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   scheduler_ = std::make_unique<TaskScheduler>(cluster.sim(), raw,
                                                sched_options);
   scheduler_->set_fetch_failure_hook(
-      [this](uint64_t set_id, const Stage& stage, int shuffle_id, int src_node,
-             const TaskSpec& spec) {
-        return on_fetch_failure(set_id, shuffle_id, src_node,
-                                stage.in_cache_id, spec.partition);
+      [this](uint64_t set_id, int shuffle_id, int src_node) {
+        return on_fetch_failure(set_id, shuffle_id, src_node);
       });
   scheduler_->set_task_finish_hook([this](int64_t finished) {
     if (fault_plan_) fault_plan_->notify_task_finished(finished);
@@ -196,7 +192,6 @@ metrics::Registry SparkContext::metrics() const {
   set("engine/tasks/failed", scheduler_->tasks_failed());
   set("engine/tasks/speculative", scheduler_->speculative_launches());
   set("engine/executor_resizes", scheduler_->executor_resizes());
-  set("storage/recomputes", recomputes_);
   set("aqe/replans", replans_);
   return m;
 }
@@ -237,28 +232,10 @@ std::vector<TaskSpec> SparkContext::make_tasks(const Stage& stage) const {
         break;
       }
       case StageSource::kShuffle: {
-        Bytes total = 0;
-        std::vector<Bytes> per_node(static_cast<size_t>(cluster_->size()), 0);
         for (const int sid : stage.in_shuffle_ids) {
-          const std::vector<Bytes> plan = shuffles_->fetch_plan(
-              sid, stage.reduce_slice(p), stage.sliced_partitions());
-          for (size_t n = 0; n < plan.size(); ++n) {
-            total += plan[n];
-            per_node[n] += plan[n];
-          }
-        }
-        t.input_bytes = total;
-        // Cache-locality-aware placement (saex.storage.shuffleLocality):
-        // prefer the node whose block manager holds the largest share of
-        // this task's fetch plan; delay scheduling (spark.locality.wait)
-        // falls back to any node if the preferred one stays busy.
-        if (shuffle_locality_ && total > 0) {
-          size_t best = 0;
-          for (size_t n = 1; n < per_node.size(); ++n) {
-            if (per_node[n] > per_node[best]) best = n;
-          }
-          if (per_node[best] > 0) {
-            t.preferred_nodes = {static_cast<int>(best)};
+          for (const Bytes b : shuffles_->fetch_plan(
+                   sid, stage.reduce_slice(p), stage.sliced_partitions())) {
+            t.input_bytes += b;
           }
         }
         break;
@@ -366,18 +343,13 @@ void SparkContext::apply_tuner_pool_hint(const Stage& stage) {
 //
 // Killing an executor loses everything its *process* held: registered
 // shuffle map outputs and cached RDD partitions. DFS blocks live in the
-// datanode and survive. Two kinds of lost input are rebuilt along one path
-// (resubmit / on_rebuilt): shuffle map outputs lost with an executor, and
-// cache partitions dropped by eviction (saex.storage.spillOnEvict=false).
-// The producing stage is resubmitted for exactly the lost partitions
-// (Spark's lineage resubmission) while the task sets reading them stay
-// parked (held) until the rebuild lands. Shuffle readers are parked at loss
-// time, cache readers when they trip over a dropped partition. Cached
-// partitions lost with their executor are not rebuilt: their readers are
-// charged, exhaust the retry budget, and the job fails with a typed abort.
-// The cache recompute is one level deep: a producer whose own cached input
-// was dropped as well is not recursively recovered (as in Spark, deep miss
-// chains surface as retries).
+// datanode and survive. Lost shuffle map outputs are rebuilt from lineage
+// (resubmit / on_rebuilt): the producing stage is resubmitted for exactly
+// the lost partitions (Spark's lineage resubmission) while the task sets
+// reading them stay parked (held), from loss time until the rebuild lands.
+// Cached partitions lost with their executor are not rebuilt: their readers
+// are charged, exhaust the retry budget, and the job fails with a typed
+// abort.
 // ---------------------------------------------------------------------------
 
 void SparkContext::kill_executor(int node_id) {
@@ -406,7 +378,7 @@ void SparkContext::kill_executor(int node_id) {
     for (const uint64_t id : scheduler_->hold_sets_reading(shuffle_id)) {
       shuffle_lineage_.parked[shuffle_id].push_back(id);
     }
-    resubmit(shuffle_lineage_, shuffle_id, partitions);
+    resubmit(shuffle_id, partitions);
   }
 }
 
@@ -436,29 +408,14 @@ void SparkContext::record_producers(const Stage& stage) {
     shuffles_->set_reduce_skew(stage.out_shuffle_id, stage.out_skew);
     shuffle_lineage_.producers.insert_or_assign(stage.out_shuffle_id, stage);
   }
-  // Caches too: partitions dropped by eviction are rebuilt from lineage.
-  if (stage.cache_out_id >= 0) {
-    cache_lineage_.producers.insert_or_assign(stage.cache_out_id, stage);
-  }
 }
 
 FetchFailureAction SparkContext::on_fetch_failure(uint64_t set_id,
                                                   int shuffle_id,
-                                                  int src_node, int cache_id,
-                                                  int partition) {
-  if (shuffle_id < 0) {
-    // Cached data. A partition dropped by eviction (owner still alive) has
-    // lineage: park the set and recompute it. A partition lost with its
-    // executor is charged, so the retry budget bounds the job.
-    if (cache_id >= 0 && caches_->has(cache_id) &&
-        cache_lineage_.producers.count(cache_id) > 0 &&
-        caches_->partition(cache_id, partition).dropped) {
-      cache_lineage_.parked[cache_id].push_back(set_id);
-      rebuild_dropped_cache(cache_id);
-      return FetchFailureAction::kHold;
-    }
-    return FetchFailureAction::kCharge;
-  }
+                                                  int src_node) {
+  // Cached data lost with its executor has no lineage here: charged, so
+  // the retry budget bounds the job.
+  if (shuffle_id < 0) return FetchFailureAction::kCharge;
   // Either way the failure is blamed on the source node — the health
   // breaker counts transient drops (flaky NIC) and dead-node fetches alike.
   if (node_fault_hook_ && src_node >= 0) node_fault_hook_(src_node);
@@ -476,16 +433,16 @@ FetchFailureAction SparkContext::on_fetch_failure(uint64_t set_id,
   return FetchFailureAction::kRetry;
 }
 
-void SparkContext::resubmit(Lineage& lineage, int id,
+void SparkContext::resubmit(int shuffle_id,
                             const std::vector<int>& partitions) {
   // Every lost partition was committed by a stage open_stage recorded.
-  const auto it = lineage.producers.find(id);
-  assert(it != lineage.producers.end() && "lost input has no producer");
+  const auto it = shuffle_lineage_.producers.find(shuffle_id);
+  assert(it != shuffle_lineage_.producers.end() &&
+         "lost shuffle has no producer");
   const Stage& producer = it->second;
-  ++lineage.rebuilding[id];
-  SAEX_WARN("resubmitting stage {} '{}' for {} lost partitions of {} {}",
-            producer.ordinal, producer.name, partitions.size(), lineage.kind,
-            id);
+  ++shuffle_lineage_.rebuilding[shuffle_id];
+  SAEX_WARN("resubmitting stage {} '{}' for {} lost partitions of shuffle {}",
+            producer.ordinal, producer.name, partitions.size(), shuffle_id);
   event_log_.record(Event{EventKind::kStageResubmitted, cluster_->sim().now(),
                           -1, producer.ordinal, -1, -1,
                           static_cast<int64_t>(partitions.size()),
@@ -501,36 +458,37 @@ void SparkContext::resubmit(Lineage& lineage, int id,
   // starved by the very work that waits on it.
   scheduler_->submit_stage(
       producer, std::move(tasks), /*job_id=*/-1, "default",
-      [this, &lineage, id](const TaskScheduler::TaskSetResult& result) {
-        on_rebuilt(lineage, id, result.failed);
+      [this, shuffle_id](const TaskScheduler::TaskSetResult& result) {
+        on_rebuilt(shuffle_id, result.failed);
       });
 }
 
-void SparkContext::on_rebuilt(Lineage& lineage, int id, bool failed) {
-  const auto it = lineage.rebuilding.find(id);
-  assert(it != lineage.rebuilding.end() && "rebuild finished for unknown id");
+void SparkContext::on_rebuilt(int shuffle_id, bool failed) {
+  const auto it = shuffle_lineage_.rebuilding.find(shuffle_id);
+  assert(it != shuffle_lineage_.rebuilding.end() &&
+         "rebuild finished for unknown shuffle");
   if (--it->second > 0) return;
-  lineage.rebuilding.erase(it);
+  shuffle_lineage_.rebuilding.erase(it);
 
   std::vector<uint64_t> parked;
-  if (const auto p = lineage.parked.find(id); p != lineage.parked.end()) {
+  if (const auto p = shuffle_lineage_.parked.find(shuffle_id);
+      p != shuffle_lineage_.parked.end()) {
     parked = std::move(p->second);
-    lineage.parked.erase(p);
+    shuffle_lineage_.parked.erase(p);
   }
   std::sort(parked.begin(), parked.end());
   parked.erase(std::unique(parked.begin(), parked.end()), parked.end());
   if (failed) {
-    SAEX_WARN("lineage recovery of {} {} failed; aborting dependents",
-              lineage.kind, id);
+    SAEX_WARN("lineage recovery of shuffle {} failed; aborting dependents",
+              shuffle_id);
     for (const uint64_t set_id : parked) scheduler_->abort_set(set_id);
     return;
   }
   for (const uint64_t set_id : parked) {
     // A set reading two rebuilding shuffles (a join) stays parked until the
-    // last of them lands. A set reads shuffles or one cache, never both, so
-    // only this kind's parked sets can still hold it.
+    // last of them lands.
     bool still_parked = false;
-    for (const auto& [other, sets] : lineage.parked) {
+    for (const auto& [other, sets] : shuffle_lineage_.parked) {
       if (std::find(sets.begin(), sets.end(), set_id) != sets.end()) {
         still_parked = true;
         break;
@@ -546,20 +504,7 @@ bool SparkContext::input_rebuilding(const Stage& stage) const {
   for (const int sid : stage.in_shuffle_ids) {
     if (shuffle_lineage_.rebuilding.count(sid) > 0) return true;
   }
-  return cache_lineage_.rebuilding.count(stage.in_cache_id) > 0;
-}
-
-void SparkContext::rebuild_dropped_cache(int cache_id) {
-  if (cache_lineage_.rebuilding.count(cache_id) > 0) return;
-  const auto info = dag_->caches().find(cache_id);
-  if (info == dag_->caches().end()) return;
-  std::vector<int> dropped;
-  for (int p = 0; p < info->second.partitions; ++p) {
-    if (caches_->partition(cache_id, p).dropped) dropped.push_back(p);
-  }
-  if (dropped.empty()) return;
-  recomputes_ += static_cast<int64_t>(dropped.size());
-  resubmit(cache_lineage_, cache_id, dropped);
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -788,9 +733,7 @@ void SparkContext::submit_ready_stages(JobRun& run) {
       continue;
     }
     // A stage whose input is being rebuilt would only fail and park; defer
-    // it until on_rebuilt resubmits. A cached input's dropped partitions
-    // are rebuilt before the reader launches.
-    rebuild_dropped_cache(stage.in_cache_id);
+    // it until on_rebuilt resubmits.
     if (input_rebuilding(stage)) continue;
     run.submitted.insert(stage.uid);
     submit_stage_of(run, stage);
@@ -887,9 +830,6 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
   for (Stage& stage : run->plan.stages) {
     // A mid-stage executor kill may have left lineage recovery in flight;
     // a consumer stage must not plan its fetches until the rebuild lands.
-    // Likewise a cached input with eviction-dropped partitions is rebuilt
-    // before the reader launches (rather than parking every task on a miss).
-    rebuild_dropped_cache(stage.in_cache_id);
     while (input_rebuilding(stage)) {
       if (!sim.step()) {
         throw std::runtime_error(strfmt::format(

@@ -120,8 +120,7 @@ class SparkContext {
   /// Snapshot of the engine counters under their names, read from their
   /// owners: engine/tasks/{dispatched,finished,failed,speculative} and
   /// engine/executor_resizes from the TaskScheduler (finished means
-  /// tasks_succeeded()), storage/recomputes and aqe/replans from this
-  /// context.
+  /// tasks_succeeded()), aqe/replans from this context.
   metrics::Registry metrics() const;
 
   // --- fault tolerance -----------------------------------------------------
@@ -162,21 +161,14 @@ class SparkContext {
   /// hit/miss/spill/evict counters.
   storage::StorageManager& storage() noexcept { return *storage_; }
   const storage::StorageManager& storage() const noexcept { return *storage_; }
-  /// Caches whose dropped partitions are being recomputed right now.
-  int recovering_caches() const noexcept {
-    return static_cast<int>(cache_lineage_.rebuilding.size());
-  }
 
  private:
   struct StageBaseline;
   struct JobRun;
 
-  // Lineage recovery state for one kind of lost input, keyed by shuffle or
-  // cache id: shuffle map outputs lost with an executor, and cache
-  // partitions dropped by eviction (saex.storage.spillOnEvict=false).
+  // Lineage recovery state for shuffle map outputs lost with an executor,
+  // keyed by shuffle id.
   struct Lineage {
-    explicit Lineage(const char* kind) : kind(kind) {}
-    const char* kind;                             // "shuffle" or "cache"
     std::map<int, Stage> producers;               // id -> producing stage
     std::map<int, int> rebuilding;                // id -> rebuilds in flight
     std::map<int, std::vector<uint64_t>> parked;  // id -> sets waiting on it
@@ -215,19 +207,16 @@ class SparkContext {
   void maybe_finish_job(JobRun& run);
 
   FetchFailureAction on_fetch_failure(uint64_t set_id, int shuffle_id,
-                                      int src_node, int cache_id,
-                                      int partition);
+                                      int src_node);
   void record_producers(const Stage& stage);
-  // Resubmits the producer of `id` for exactly `partitions` at job_id -1;
-  // on_rebuilt releases the sets parked on it once the last rebuild lands.
-  void resubmit(Lineage& lineage, int id, const std::vector<int>& partitions);
-  void on_rebuilt(Lineage& lineage, int id, bool failed);
-  // True while an input of `stage` is being rebuilt: its tasks would only
-  // fail and park, so both drivers hold the stage back.
+  // Resubmits the producer of shuffle `shuffle_id` for exactly `partitions`
+  // at job_id -1; on_rebuilt releases the sets parked on it once the last
+  // rebuild lands.
+  void resubmit(int shuffle_id, const std::vector<int>& partitions);
+  void on_rebuilt(int shuffle_id, bool failed);
+  // True while an input shuffle of `stage` is being rebuilt: its tasks
+  // would only fail and park, so both drivers hold the stage back.
   bool input_rebuilding(const Stage& stage) const;
-  // Starts the recompute of cache `cache_id`'s dropped partitions unless
-  // one is in flight. No-op for -1 (a stage with no cached input).
-  void rebuild_dropped_cache(int cache_id);
 
   hw::Cluster* cluster_;
   conf::Config config_;
@@ -250,11 +239,7 @@ class SparkContext {
   std::unique_ptr<fault::FaultState> fault_state_;
   std::unique_ptr<fault::FaultPlan> fault_plan_;
   NodeFaultHook node_fault_hook_;
-  Lineage shuffle_lineage_{"shuffle"};
-  Lineage cache_lineage_{"cache"};
-
-  bool shuffle_locality_ = false;  // saex.storage.shuffleLocality
-  int64_t recomputes_ = 0;  // dropped cache partitions rebuilt from lineage
+  Lineage shuffle_lineage_;
 
   // Adaptive query execution (src/aqe/).
   aqe::AqeOptions aqe_;

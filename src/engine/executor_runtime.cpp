@@ -544,7 +544,6 @@ struct ExecutorRuntime::TaskRun {
       part.node = exec->node_id_;
       part.mem_bytes = cache_mem_written;
       part.spilled_bytes = cache_spilled;
-      part.dropped = false;
       // Unpin: the block is now fair game for eviction.
       exec->env_.storage->node(exec->node_id_)
           .commit(storage::BlockId{cache_out_id, spec.partition});
@@ -656,18 +655,10 @@ Bytes ExecutorRuntime::reserve_storage(int cache_id, int partition,
   // thread, but our task already accounted its own chunk).
   for (const storage::BlockManager::Evicted& ev : res.evicted) {
     auto& part = env_.caches->partition(ev.id.id, ev.id.partition);
-    if (ev.spilled) {
-      part.spilled_bytes += ev.mem_bytes;
-      part.mem_bytes = 0;
-      if (ev.mem_bytes > 0) {
-        node().disk().submit(ev.mem_bytes, true,
-                             [this, b = ev.mem_bytes] { io_.add_write(b); });
-      }
-    } else {
-      part.mem_bytes = 0;
-      part.spilled_bytes = 0;
-      part.dropped = true;
-    }
+    part.spilled_bytes += ev.mem_bytes;
+    part.mem_bytes = 0;
+    node().disk().submit(ev.mem_bytes, true,
+                         [this, b = ev.mem_bytes] { io_.add_write(b); });
   }
   return res.granted;
 }
@@ -805,22 +796,6 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
     case StageSource::kCached: {
       const auto& part =
           env_.caches->partition(stage.in_cache_id, spec.partition);
-      if (part.dropped) {
-        // Evicted without spilling: the data is gone but (unlike executor
-        // loss) its producer is still alive, so report a fetch failure and
-        // let the driver recompute the partition from lineage. shuffle_id
-        // stays -1; the stage's in_cache_id identifies what was lost.
-        raw->aborting = true;
-        raw->fail_kind = TaskFailure::kFetchFailed;
-        raw->fail_fetch_src = part.node;
-        raw->fail_fetch_sid = -1;
-        if (part.node >= 0) {
-          env_.storage->node(part.node).touch(
-              storage::BlockId{stage.in_cache_id, spec.partition},
-              /*mem_hit=*/false);
-        }
-        break;  // no segments: the empty-segments branch drains the abort
-      }
       if (part.node >= 0) {
         // Hit/miss accounting on the owning node: a hit is served entirely
         // from memory, a spilled tail forces a disk read.
@@ -872,6 +847,11 @@ void ExecutorRuntime::finish_task(TaskRun* run, const TaskOutcome& outcome) {
   const double now = env_.sim->now();
   const TaskSpec spec = run->spec;
   TaskDone on_done = std::move(run->on_done);
+  if (!outcome.success && run->cache_out_id >= 0) {
+    // The attempt never committed its cache block: give its memory back.
+    env_.storage->node(node_id_).release(
+        storage::BlockId{run->cache_out_id, spec.partition});
+  }
 
   active_.remove_if(
       [run](const std::unique_ptr<TaskRun>& p) { return p.get() == run; });

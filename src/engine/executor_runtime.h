@@ -37,10 +37,6 @@ class CacheRegistry {
     int node = -1;
     Bytes mem_bytes = 0;
     Bytes spilled_bytes = 0;
-    // Evicted without spilling (saex.storage.spillOnEvict=false): the data
-    // is gone and the partition must be recomputed from lineage before the
-    // next read.
-    bool dropped = false;
   };
 
   /// Registers a cache. Idempotent for a matching partition count; a
@@ -165,8 +161,7 @@ class ExecutorRuntime final : public adaptive::PoolEffector,
   /// returns the granted amount (the rest must spill to disk through the
   /// caller's write channel). The node's eviction policy may free committed
   /// blocks to make room — victims move to disk (a background write charged
-  /// to this node's device) or are dropped for lineage recompute, and the
-  /// CacheRegistry is updated either way.
+  /// to this node's device, recorded in the CacheRegistry).
   Bytes reserve_storage(int cache_id, int partition, Bytes bytes);
   Bytes storage_used() const noexcept {
     return env_.storage->node(node_id_).mem_used();

@@ -770,8 +770,7 @@ void TaskScheduler::on_task_finished(uint64_t set_id, const TaskSpec& spec,
     }
     FetchFailureAction action = FetchFailureAction::kCharge;
     if (fetch_hook_) {
-      action = fetch_hook_(set_id, set.stage, outcome.fetch_shuffle,
-                           outcome.fetch_src, spec);
+      action = fetch_hook_(set_id, outcome.fetch_shuffle, outcome.fetch_src);
     }
     if (action != FetchFailureAction::kCharge) {
       --st.attempts;

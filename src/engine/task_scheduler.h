@@ -41,7 +41,7 @@ enum class SchedulingMode { kFifo, kFair };
 /// handling of FetchFailed): charge it like an ordinary failure (transient
 /// drop, or cached data lost with its executor), retry for free, or retry
 /// for free *after* parking the whole set while lineage recovery rebuilds
-/// the lost map outputs or dropped cache partitions.
+/// the lost map outputs.
 enum class FetchFailureAction { kCharge, kRetry, kHold };
 
 /// A FAIR scheduler pool (Spark's fairscheduler.xml entry): a task set in a
@@ -98,8 +98,7 @@ class TaskScheduler {
   /// SparkContext (which knows shuffle lineage) decides the action. No hook
   /// installed means every fetch failure is charged.
   using FetchFailureHook = std::function<FetchFailureAction(
-      uint64_t set_id, const Stage& stage, int shuffle_id, int src_node,
-      const TaskSpec& spec)>;
+      uint64_t set_id, int shuffle_id, int src_node)>;
 
   /// Fired after every task status update with the cumulative finished-task
   /// count — drives count-triggered fault injection (FaultPlan).

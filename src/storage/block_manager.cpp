@@ -35,28 +35,19 @@ BlockManager::Reservation BlockManager::reserve(BlockId id, Bytes bytes) {
       Block& victim = it->second;
       const BlockId vid = BlockId::from_key(vkey);
       // Never evict blocks of the RDD currently being written (Spark's
-      // MemoryStore rule): dropping a sibling partition to admit this one
-      // would trigger a recompute of the very cache under construction —
-      // a ping-pong that can cycle forever under tight budgets. Pinned
-      // blocks (mid-write on this node) are likewise untouchable.
+      // MemoryStore rule): spilling a sibling partition to admit this one
+      // only trades one partition of the cache under construction for
+      // another, at the cost of a disk write. Pinned blocks (mid-write on
+      // this node) are likewise untouchable.
       if (victim.pinned || vid.id == id.id) {
         skipped.push_back(vkey);
         continue;
       }
-      Evicted ev;
-      ev.id = vid;
-      ev.mem_bytes = victim.mem_bytes;
-      ev.spilled = options_.spill_on_evict;
       mem_used_ -= victim.mem_bytes;
       ++evictions_;
-      if (options_.spill_on_evict) {
-        evict_spill_bytes_ += victim.mem_bytes;
-        victim.mem_bytes = 0;
-      } else {
-        evict_drop_bytes_ += victim.mem_bytes;
-        blocks_.erase(it);
-      }
-      res.evicted.push_back(ev);
+      evict_spill_bytes_ += victim.mem_bytes;
+      res.evicted.push_back(Evicted{vid, victim.mem_bytes});
+      blocks_.erase(it);
     }
     // Re-track the survivors in selection order (deterministic; they rejoin
     // at each policy's insertion point).
@@ -80,10 +71,20 @@ BlockManager::Reservation BlockManager::reserve(BlockId id, Bytes bytes) {
 void BlockManager::commit(BlockId id) {
   const auto it = blocks_.find(id.key());
   if (it == blocks_.end()) return;
-  it->second.pinned = false;
-  if (policy_ != nullptr && it->second.mem_bytes > 0) {
-    policy_->on_insert(id.key());
+  if (it->second.mem_bytes == 0) {
+    blocks_.erase(it);
+    return;
   }
+  it->second.pinned = false;
+  if (policy_ != nullptr) policy_->on_insert(id.key());
+}
+
+void BlockManager::release(BlockId id) {
+  const auto it = blocks_.find(id.key());
+  if (it == blocks_.end() || !it->second.pinned) return;
+  mem_used_ -= it->second.mem_bytes;
+  if (policy_ != nullptr) policy_->on_remove(id.key());
+  blocks_.erase(it);
 }
 
 void BlockManager::touch(BlockId id, bool mem_hit) {

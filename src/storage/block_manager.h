@@ -7,21 +7,21 @@
 // happens (how many bytes of a write fit in memory, which committed blocks
 // the eviction policy sacrifices to make room) and reports the consequences
 // to the caller, which owns the physical side effects (charging spill writes
-// to the simulated hw::Disk, updating the cluster-wide CacheRegistry,
-// triggering lineage recompute for dropped blocks). That keeps this layer
-// free of simulation dependencies and unit-testable on canned traces.
+// to the simulated hw::Disk, updating the cluster-wide CacheRegistry). That
+// keeps this layer free of simulation dependencies and unit-testable on
+// canned traces.
 //
 // Budget semantics by policy:
 //   none           — no active eviction: a write is granted memory up to the
 //                    remaining budget and its own overflow spills (the
 //                    pre-BlockManager semantics, bit-for-bit).
 //   lru/clock/...  — the policy evicts committed blocks to admit the write;
-//                    victims spill to disk (spill_on_evict) or are dropped
-//                    and must be recomputed from lineage.
+//                    every victim spills to disk and leaves the map.
 //
 // Blocks being written are pinned (never their own victim, never anyone
-// else's) until commit(); reads touch() the policy so recency/frequency
-// state reflects the access trace.
+// else's) until commit() or release(); reads touch() the policy so
+// recency/frequency state reflects the access trace. Every committed entry
+// holds bytes in memory.
 #pragma once
 
 #include <cstdint>
@@ -56,16 +56,15 @@ struct BlockId {
 class BlockManager {
  public:
   struct Options {
-    Bytes memory_budget = 0;    // 0 = unbounded
+    Bytes memory_budget = 0;  // 0 = unbounded
     std::string policy = "none";
-    bool spill_on_evict = true;  // false: victims are dropped (recompute)
   };
 
-  /// One block evicted to make room for a reservation.
+  /// One block evicted to make room for a reservation; the caller spills
+  /// its bytes.
   struct Evicted {
     BlockId id;
     Bytes mem_bytes = 0;  // bytes that left memory
-    bool spilled = false;  // true: the caller spills them; false: dropped
   };
 
   struct Reservation {
@@ -83,14 +82,20 @@ class BlockManager {
   /// to spill through its write channel.
   Reservation reserve(BlockId id, Bytes bytes);
 
-  /// Finishes a write: unpins the block and hands it to the eviction policy.
+  /// Finishes a write: unpins the block and hands it to the eviction policy
+  /// (a block granted no memory leaves the map instead).
   void commit(BlockId id);
+
+  /// Abandons a write (the attempt failed or was cancelled): erases the
+  /// pinned block and returns its bytes to the budget. No-op for a block
+  /// that is not being written.
+  void release(BlockId id);
 
   // --- read path -----------------------------------------------------------
 
   /// Records a read of `id` for the hit/miss counters and the policy's
   /// recency/frequency state. `mem_hit` = the read was served entirely from
-  /// memory (no disk segment, not dropped).
+  /// memory (no disk segment).
   void touch(BlockId id, bool mem_hit);
 
   /// Executor death: every block this process held is gone.
@@ -102,14 +107,12 @@ class BlockManager {
   Bytes memory_budget() const noexcept { return options_.memory_budget; }
   Bytes mem_used() const noexcept { return mem_used_; }
   const std::string& policy_name() const noexcept { return options_.policy; }
-  bool spill_on_evict() const noexcept { return options_.spill_on_evict; }
   size_t num_blocks() const noexcept { return blocks_.size(); }
 
   int64_t hits() const noexcept { return hits_; }
   int64_t misses() const noexcept { return misses_; }
   int64_t evictions() const noexcept { return evictions_; }
   Bytes evicted_spill_bytes() const noexcept { return evict_spill_bytes_; }
-  Bytes evicted_drop_bytes() const noexcept { return evict_drop_bytes_; }
 
  private:
   struct Block {
@@ -130,7 +133,6 @@ class BlockManager {
   int64_t misses_ = 0;
   int64_t evictions_ = 0;
   Bytes evict_spill_bytes_ = 0;
-  Bytes evict_drop_bytes_ = 0;
 };
 
 /// Cluster-wide owner of one BlockManager per node, plus the aggregate

@@ -181,7 +181,7 @@ struct Rig {
       : cluster(hw::ClusterSpec::das5(nodes)),
         dfs(cluster, {}),
         shuffles(nodes),
-        blocks(nodes, storage::BlockManager::Options{storage, "none", true}) {
+        blocks(nodes, storage::BlockManager::Options{storage, "none"}) {
     env.sim = &cluster.sim();
     env.cluster = &cluster;
     env.dfs = &dfs;

@@ -188,8 +188,10 @@ TEST(LineageRecovery, CachedDataLossAbortsWithTypedError) {
   const engine::Rdd cached =
       ctx.text_file("/in").map("m", {0.01, 1.0}).cache();
   (void)ctx.run_job(cached.count(), "warmup");  // materialize the cache
+  ASSERT_GT(ctx.storage().node(1).num_blocks(), 0u);
 
   ctx.kill_executor(1);  // its cached partitions are gone, no lineage here
+  EXPECT_EQ(ctx.storage().node(1).num_blocks(), 0u);  // blocks died with it
   try {
     (void)ctx.run_job(cached.count(), "doomed");
     FAIL() << "expected StageAbortedError";

@@ -1,9 +1,9 @@
 // saex::storage — per-node BlockManager and pluggable eviction policies:
-// canned-trace conformance for lru/clock/s3fifo/tinylfu, budget and
-// spill/drop accounting, pinning and the same-RDD exclusion rule,
-// CacheRegistry re-init semantics, and the engine integration paths
-// (spill-then-reload determinism, evicted-block recompute from lineage,
-// recompute interplay with executor kills, cache-locality scheduling).
+// canned-trace conformance for lru/clock/s3fifo/tinylfu, budget and spill
+// accounting, pinning, release of abandoned writes and the same-RDD
+// exclusion rule, CacheRegistry re-init semantics, and the engine
+// integration paths (spill-then-reload determinism, hit/miss counting, and
+// the memory of failed cache-writing attempts).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +16,6 @@
 #include "conf/config.h"
 #include "engine/context.h"
 #include "hw/cluster.h"
-#include "metrics/registry.h"
 #include "storage/block_manager.h"
 #include "storage/eviction.h"
 #include "workloads/workloads.h"
@@ -145,7 +144,7 @@ TEST(BlockId, KeyRoundTripsBothKinds) {
 }
 
 TEST(BlockManager, PolicyNoneGrantsUpToBudgetAndNeverEvicts) {
-  BlockManager bm(0, {mib(100), "none", true});
+  BlockManager bm(0, {mib(100), "none"});
   const auto r1 = bm.reserve(cache_block(1, 0), mib(60));
   EXPECT_EQ(r1.granted, mib(60));
   bm.commit(cache_block(1, 0));
@@ -157,14 +156,14 @@ TEST(BlockManager, PolicyNoneGrantsUpToBudgetAndNeverEvicts) {
 }
 
 TEST(BlockManager, ZeroBudgetMeansUnbounded) {
-  BlockManager bm(0, {0, "lru", true});
+  BlockManager bm(0, {0, "lru"});
   EXPECT_EQ(bm.reserve(cache_block(1, 0), gib(50)).granted, gib(50));
   EXPECT_EQ(bm.reserve(cache_block(2, 0), gib(50)).granted, gib(50));
   EXPECT_EQ(bm.evictions(), 0);
 }
 
 TEST(BlockManager, LruSpillsCommittedVictimToAdmitNewBlock) {
-  BlockManager bm(0, {mib(100), "lru", /*spill_on_evict=*/true});
+  BlockManager bm(0, {mib(100), "lru"});
   bm.reserve(cache_block(1, 0), mib(60));
   bm.commit(cache_block(1, 0));
   const auto r = bm.reserve(cache_block(2, 0), mib(60));
@@ -172,25 +171,52 @@ TEST(BlockManager, LruSpillsCommittedVictimToAdmitNewBlock) {
   ASSERT_EQ(r.evicted.size(), 1u);
   EXPECT_EQ(r.evicted[0].id.id, 1);
   EXPECT_EQ(r.evicted[0].mem_bytes, mib(60));
-  EXPECT_TRUE(r.evicted[0].spilled);
   EXPECT_EQ(bm.mem_used(), mib(60));
   EXPECT_EQ(bm.evicted_spill_bytes(), mib(60));
-  EXPECT_EQ(bm.num_blocks(), 2u);
+  EXPECT_EQ(bm.num_blocks(), 1u);  // the spilled victim left the map
 }
 
-TEST(BlockManager, SpillOnEvictFalseDropsTheVictimEntirely) {
-  BlockManager bm(0, {mib(100), "lru", /*spill_on_evict=*/false});
-  bm.reserve(cache_block(1, 0), mib(60));
+// The map holds only blocks with bytes in memory, under every policy: each
+// 60 MiB write through a 100 MiB budget spills the one resident block.
+TEST(BlockManager, EveryPolicyKeepsOnlyResidentBlocks) {
+  for (const char* policy : {"lru", "clock", "s3fifo", "tinylfu"}) {
+    BlockManager bm(0, {mib(100), policy});
+    for (int cache_id = 1; cache_id <= 8; ++cache_id) {
+      bm.reserve(cache_block(cache_id, 0), mib(60));
+      bm.commit(cache_block(cache_id, 0));
+    }
+    EXPECT_EQ(bm.num_blocks(), 1u) << policy;
+    EXPECT_EQ(bm.mem_used(), mib(60)) << policy;
+    EXPECT_EQ(bm.evictions(), 7) << policy;
+  }
+}
+
+TEST(BlockManager, BlockGrantedNoMemoryLeavesTheMapAtCommit) {
+  BlockManager bm(0, {mib(100), "none"});
+  bm.reserve(cache_block(1, 0), mib(100));
   bm.commit(cache_block(1, 0));
-  const auto r = bm.reserve(cache_block(2, 0), mib(60));
-  ASSERT_EQ(r.evicted.size(), 1u);
-  EXPECT_FALSE(r.evicted[0].spilled);
-  EXPECT_EQ(bm.evicted_drop_bytes(), mib(60));
-  EXPECT_EQ(bm.num_blocks(), 1u);  // only the incoming block remains
+  EXPECT_EQ(bm.reserve(cache_block(2, 0), mib(10)).granted, 0u);
+  bm.commit(cache_block(2, 0));
+  EXPECT_EQ(bm.num_blocks(), 1u);
+}
+
+TEST(BlockManager, ReleaseReturnsAnAbandonedWritesMemory) {
+  BlockManager bm(0, {mib(100), "lru"});
+  bm.reserve(cache_block(1, 0), mib(60));
+  bm.release(cache_block(1, 0));
+  EXPECT_EQ(bm.mem_used(), 0u);
+  EXPECT_EQ(bm.num_blocks(), 0u);
+  // A retry starts from an empty entry and gets the whole budget back.
+  EXPECT_EQ(bm.reserve(cache_block(1, 0), mib(100)).granted, mib(100));
+  bm.commit(cache_block(1, 0));
+  // A committed block is not an abandoned write: release leaves it alone.
+  bm.release(cache_block(1, 0));
+  EXPECT_EQ(bm.mem_used(), mib(100));
+  EXPECT_EQ(bm.num_blocks(), 1u);
 }
 
 TEST(BlockManager, UncommittedBlocksArePinnedAgainstEviction) {
-  BlockManager bm(0, {mib(100), "lru", true});
+  BlockManager bm(0, {mib(100), "lru"});
   bm.reserve(cache_block(1, 0), mib(60));  // no commit: still pinned
   const auto r = bm.reserve(cache_block(2, 0), mib(60));
   EXPECT_EQ(r.granted, mib(40));  // nothing evictable, partial grant
@@ -199,7 +225,7 @@ TEST(BlockManager, UncommittedBlocksArePinnedAgainstEviction) {
 }
 
 TEST(BlockManager, NeverEvictsPartitionsOfTheRddBeingWritten) {
-  BlockManager bm(0, {mib(100), "lru", true});
+  BlockManager bm(0, {mib(100), "lru"});
   bm.reserve(cache_block(1, 0), mib(60));
   bm.commit(cache_block(1, 0));
   // A sibling partition of cache 1 must not sacrifice partition 0 (that
@@ -215,7 +241,7 @@ TEST(BlockManager, NeverEvictsPartitionsOfTheRddBeingWritten) {
 }
 
 TEST(BlockManager, TouchFeedsHitMissCountersAndMetrics) {
-  BlockManager bm(3, {mib(100), "lru", true});
+  BlockManager bm(3, {mib(100), "lru"});
   bm.reserve(cache_block(1, 0), mib(10));
   bm.commit(cache_block(1, 0));
   bm.touch(cache_block(1, 0), /*mem_hit=*/true);
@@ -226,7 +252,7 @@ TEST(BlockManager, TouchFeedsHitMissCountersAndMetrics) {
 }
 
 TEST(BlockManager, DropAllForgetsEverything) {
-  BlockManager bm(0, {mib(100), "lru", true});
+  BlockManager bm(0, {mib(100), "lru"});
   bm.reserve(cache_block(1, 0), mib(40));
   bm.commit(cache_block(1, 0));
   bm.drop_all();
@@ -257,13 +283,11 @@ TEST(CacheRegistry, InitWithDifferentPartitionCountThrows) {
 
 // ---------- engine integration ----------
 
-conf::Config storage_config(const std::string& policy, Bytes budget,
-                            bool spill_on_evict = true) {
+conf::Config storage_config(const std::string& policy, Bytes budget) {
   conf::Config c;
   c.set("spark.default.parallelism", "16");
   c.set("saex.storage.policy", policy);
   if (budget > 0) c.set("saex.storage.memory", strfmt::format("{}", budget));
-  c.set_bool("saex.storage.spillOnEvict", spill_on_evict);
   return c;
 }
 
@@ -334,116 +358,28 @@ TEST(StorageEngine, BoundedRunCountsHitsAndMisses) {
   EXPECT_LT(hit_rate, 1.0);  // some reads had to go through disk
 }
 
-// Two cached RDDs fighting over one tight budget with spillOnEvict=false:
-// materializing B drops A's partitions, and the next read of A must rebuild
-// them from lineage instead of aborting the job.
-TEST(StorageEngine, EvictedBlocksAreRecomputedFromLineage) {
+// A cache-writing attempt that fails on a live executor never commits its
+// block: its memory goes back to the budget, so the retries leave exactly
+// the four committed 128 MiB partitions of a failure-free run.
+TEST(StorageEngine, FailedCacheWriteReleasesItsReservation) {
   hw::Cluster cluster(hw::ClusterSpec::das5(4));
-  conf::Config c = storage_config("lru", mib(80), /*spill_on_evict=*/false);
+  conf::Config c = storage_config("none", 0);
+  c.set_double("saex.sim.taskFailureProb", 0.2);
+  c.set_int("spark.task.maxFailures", 20);
   engine::SparkContext ctx(cluster, std::move(c));
-  ctx.dfs().load_input("/A/in", mib(256), 4);
-  ctx.dfs().load_input("/B/in", mib(512), 4);
-  const engine::Rdd a =
-      ctx.text_file("/A/in").map("parseA", {0.05, 1.0}).cache();
-  const engine::Rdd b =
-      ctx.text_file("/B/in").map("parseB", {0.05, 1.0}).cache();
-
-  ctx.run_job(a.map("scanA1", {0.05, 0.001}).collect(), "warm-a");
-  ctx.run_job(b.map("scanB1", {0.05, 0.001}).collect(), "evict-a");
-  const engine::JobReport r =
-      ctx.run_job(a.map("scanA2", {0.05, 0.001}).collect(), "reload-a");
-
-  EXPECT_FALSE(r.failed);
-  EXPECT_GT(ctx.metrics().counter_value("storage/recomputes"), 0.0);
-  EXPECT_EQ(ctx.recovering_caches(), 0);  // every rebuild drained
-}
-
-// The recompute path composes with executor loss: partitions dropped by
-// eviction are rebuilt on the surviving nodes after a kill.
-TEST(StorageEngine, RecomputeSurvivesExecutorKill) {
-  hw::Cluster cluster(hw::ClusterSpec::das5(4));
-  conf::Config c = storage_config("lru", mib(48), /*spill_on_evict=*/false);
-  engine::SparkContext ctx(cluster, std::move(c));
-  ctx.dfs().load_input("/A/in", mib(256), 4);
-  ctx.dfs().load_input("/B/in", mib(512), 4);
-  const engine::Rdd a =
-      ctx.text_file("/A/in").map("parseA", {0.05, 1.0}).cache();
-  const engine::Rdd b =
-      ctx.text_file("/B/in").map("parseB", {0.05, 1.0}).cache();
-
-  ctx.run_job(a.map("scanA1", {0.05, 0.001}).collect(), "warm-a");
-  ctx.run_job(b.map("scanB1", {0.05, 0.001}).collect(), "evict-a");
-  ctx.kill_executor(0);
-  EXPECT_EQ(ctx.storage().node(0).num_blocks(), 0u);  // blocks died with it
-
-  const engine::JobReport r =
-      ctx.run_job(a.map("scanA2", {0.05, 0.001}).collect(), "reload-a");
-  EXPECT_FALSE(r.failed);
-  EXPECT_GT(ctx.metrics().counter_value("storage/recomputes"), 0.0);
-}
-
-// A running reader trips over partitions that another job's cache writes
-// dropped (spillOnEvict=false) after the reader was submitted: the trip
-// parks its task set, the producing stage rebuilds every dropped partition
-// once, and both jobs finish.
-TEST(StorageEngine, ReaderTrippingOverADroppedPartitionIsParkedAndRebuilt) {
-  for (const int cores : {1, 2, 4, 8}) {
-    hw::Cluster cluster(hw::ClusterSpec::das5(4));
-    conf::Config c = storage_config("lru", mib(48), /*spill_on_evict=*/false);
-    c.set("saex.executor.policy", "default");
-    c.set_int("spark.executor.cores", cores);
-    engine::SparkContext ctx(cluster, std::move(c));
-    ctx.dfs().load_input("/A/in", mib(128), 4, mib(2));
-    ctx.dfs().load_input("/C/in", mib(512), 4, mib(8));
-    const engine::Rdd a =
-        ctx.text_file("/A/in").map("parseA", {0.05, 1.0}).cache();
-    const engine::Rdd cached_c =
-        ctx.text_file("/C/in").map("parseC", {0.01, 1.0}).cache();
-    ctx.run_job(a.count(), "warm-a");
-
-    int finished = 0, failed = 0;
-    const auto on_done = [&](engine::JobReport r) {
-      ++finished;
-      if (r.failed) ++failed;
-    };
-    ctx.submit_job(cached_c.count(), "fill-c", "default", on_done);
-    ctx.submit_job(a.map("scanA", {2.0, 0.001}).collect(), "scan-a",
-                   "default", on_done);
-    while (finished < 2 && cluster.sim().step()) {
-    }
-
-    int trips = 0;
-    for (const engine::Event& e :
-         ctx.event_log().of_kind(engine::EventKind::kFetchFailed)) {
-      if (e.value < 0) ++trips;  // no shuffle id: a cached-partition miss
-    }
-    EXPECT_EQ(finished, 2) << cores << " cores";
-    EXPECT_EQ(failed, 0) << cores << " cores";
-    EXPECT_GT(trips, 0) << cores << " cores";
-    // All 64 partitions of A were dropped and rebuilt exactly once.
-    EXPECT_EQ(ctx.metrics().counter_value("storage/recomputes"), 64.0)
-        << cores << " cores";
-    EXPECT_EQ(ctx.recovering_caches(), 0) << cores << " cores";
+  const workloads::WorkloadSpec spec = workloads::kmeans(mib(512), 2);
+  for (const engine::Rdd& action : spec.build(ctx)) {
+    EXPECT_FALSE(ctx.run_job(action, spec.name).failed);
   }
-}
-
-TEST(StorageEngine, ShuffleLocalityPreferenceIsDeterministic) {
-  auto run = [] {
-    hw::Cluster cluster(hw::ClusterSpec::das5(4));
-    conf::Config c;
-    c.set("spark.default.parallelism", "16");
-    c.set_bool("saex.storage.shuffleLocality", true);
-    engine::SparkContext ctx(cluster, std::move(c));
-    const workloads::WorkloadSpec spec = workloads::terasort(gib(2));
-    std::string out;
-    for (const engine::Rdd& action : spec.build(ctx)) {
-      out += ctx.run_job(action, spec.name).render();
-    }
-    return out;
-  };
-  const std::string a = run();
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, run());
+  ASSERT_GT(ctx.scheduler().tasks_failed(), 0);
+  Bytes mem_used = 0;
+  size_t blocks = 0;
+  for (int n = 0; n < ctx.storage().num_nodes(); ++n) {
+    mem_used += ctx.storage().node(n).mem_used();
+    blocks += ctx.storage().node(n).num_blocks();
+  }
+  EXPECT_EQ(mem_used, mib(512));
+  EXPECT_EQ(blocks, 4u);
 }
 
 // The BlockManager holds cached partitions only: a shuffle job with no

@@ -18,6 +18,10 @@
    docs/ARCHITECTURE.md.
 7. Test-count agreement: the test count README.md claims matches the one
    EXPERIMENTS.md records.
+8. Documented keys exist: every saex.* key written in backticks in
+   README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md is defined in
+   src/conf/spark_params.cpp (`.*` wildcards are skipped; CHANGES.md and
+   ROADMAP.md record history and are not checked).
 
 Exit code 0 iff everything holds; each violation prints one line.
 """
@@ -192,6 +196,20 @@ def check_test_count():
         )
 
 
+def check_saex_keys():
+    src = read(os.path.join(ROOT, "src/conf/spark_params.cpp"))
+    defined = set(re.findall(r'"(saex\.[\w.]+)"', src))
+    docs = [os.path.join(ROOT, n) for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    docs += [p for p in md_files() if os.path.dirname(p) == os.path.join(ROOT, "docs")]
+    for path in docs:
+        for span in re.findall(r"`([^`\n]+)`", read(path)):
+            for key in re.findall(r"saex\.[\w.]*\*?", span):
+                key = key.rstrip(".")
+                if key.endswith("*") or key in defined:
+                    continue
+                fail(f"{os.path.relpath(path, ROOT)}: documents `{key}` which is not in the registry")
+
+
 def main():
     check_links()
     check_fault_keys()
@@ -207,6 +225,7 @@ def main():
     check_net_bench()
     check_scaling_doc()
     check_test_count()
+    check_saex_keys()
     if failures:
         print(f"\n{len(failures)} documentation check(s) failed")
         return 1
