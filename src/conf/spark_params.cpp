@@ -470,12 +470,8 @@ void define_adaptive_extension(Registry& r) {
             "makespan, and seed executor pool sizes from the best observed "
             "width (composes with saex.executor.policy=dynamic)."});
   r.define({"saex.net.flowBatch", c, V::kBool, "false",
-            "Flow-batched shuffle data plane: coalesce every remote block a "
-            "reduce task pulls from one source node into a single "
-            "network flow (one setup latency, one completion event) instead "
-            "of one transfer per chunk per block. Off reproduces the "
-            "per-chunk model bitwise; fault drop rolls and open-stream "
-            "accounting stay block-granular either way."});
+            "Ignored: every remote shuffle block is fetched chunk by chunk. "
+            "Accepted so that configurations which set it still load."});
   r.define({"saex.eventLog.enabled", c, V::kBool, "true",
             "Application event log (the spark.eventLog analogue exported by "
             "saexsim --eventlog/--trace). Disable for very long serve "

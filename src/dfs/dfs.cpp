@@ -11,8 +11,7 @@ bool Block::is_local_to(int node) const noexcept {
 }
 
 Dfs::Dfs(hw::Cluster& cluster, Options options)
-    : cluster_(cluster),
-      options_(options),
+    : options_(options),
       placement_(cluster.size(), Rng(options.seed).fork("placement")),
       read_rng_(Rng(options.seed).fork("read-source")) {}
 

@@ -61,7 +61,6 @@ class Dfs {
   void remove(std::string_view path);
 
   Bytes block_size() const noexcept { return options_.block_size; }
-  int cluster_size() const noexcept { return cluster_.size(); }
 
   /// Picks the source node for reading `block` from `reader_node`:
   /// the reader itself when local, otherwise a deterministic-random replica.
@@ -71,7 +70,6 @@ class Dfs {
   FileInfo make_file(std::string path, Bytes size, int replication,
                      int preferred_node, Bytes block_size);
 
-  hw::Cluster& cluster_;
   Options options_;
   PlacementPolicy placement_;
   Rng read_rng_;

@@ -106,7 +106,6 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
 
   aqe_ = aqe::AqeOptions::from_config(config_);
   if (aqe_.enabled && aqe_.tuner) tuner_ = std::make_unique<aqe::StageTuner>();
-  env.net_flow_batch = config_.get_bool("saex.net.flowBatch");
   env.event_log = &event_log_;
 
   // Fault truth exists even with injection off (then it is entirely

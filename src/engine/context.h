@@ -77,7 +77,6 @@ class SparkContext {
 
   /// Plan construction.
   Rdd text_file(const std::string& path) { return plans_.text_file(path); }
-  PlanBuilder& plan_builder() noexcept { return plans_; }
 
   /// Builds the DAG for `action`, runs its stages in order, returns metrics.
   JobReport run_job(const Rdd& action, std::string app_name = "app");
@@ -96,9 +95,6 @@ class SparkContext {
   /// does) to restart each executor's MAPE-K climb when it picks up work.
   int submit_job(const Rdd& action, std::string app_name, std::string pool,
                  std::function<void(JobReport)> on_done);
-
-  /// Jobs submitted via submit_job that have not finished yet.
-  int active_jobs() const noexcept { return static_cast<int>(jobs_.size()); }
 
   /// Cancels an in-flight submit_job run (deadline enforcement): its live
   /// task sets are aborted (pending tasks dropped, running copies drain and
@@ -147,7 +143,6 @@ class SparkContext {
     node_fault_hook_ = std::move(hook);
   }
 
-  fault::FaultState& fault_state() noexcept { return *fault_state_; }
   /// Non-null only when saex.fault.enabled is true.
   fault::FaultPlan* fault_plan() noexcept { return fault_plan_.get(); }
   /// Shuffles whose lost partitions are being recomputed right now.

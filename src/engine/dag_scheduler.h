@@ -81,7 +81,6 @@ class DagScheduler {
 
  public:
   const std::map<int, CacheInfo>& caches() const noexcept { return caches_; }
-  int shuffle_producer(int shuffle_id) const { return shuffle_producer_.at(shuffle_id); }
 };
 
 }  // namespace saex::engine

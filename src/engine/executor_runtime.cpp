@@ -58,12 +58,6 @@ struct ExecutorRuntime::TaskRun {
     // partitions) — gone when that executor dies. DFS blocks live in the
     // datanode and survive executor kills.
     bool from_executor = false;
-    // Flow-batched fetch (saex.net.flowBatch): every shuffle block this task
-    // pulls from src_node, moved as ONE coalesced network flow. Each entry is
-    // a (shuffle_id, bytes) constituent block — fault drop rolls and
-    // open-stream registration stay block-granular even though the bytes
-    // travel together. Empty = ordinary per-chunk segment.
-    std::vector<std::pair<int, Bytes>> flow_blocks = {};
   };
   enum class Waiting { kNone, kRead, kWrite, kWriteDrain };
 
@@ -176,11 +170,6 @@ struct ExecutorRuntime::TaskRun {
 
   void issue_one_read() {
     const Segment& seg = segments[seg_idx];
-    if (!seg.flow_blocks.empty()) {
-      issue_flow_read(seg);
-      return;
-    }
-
     // Fault checks before any bytes move: a dead source executor cannot
     // serve its shuffle/cache data, and a transient seeded drop kills the
     // fetch too. Either way the attempt aborts and reports kFetchFailed so
@@ -258,80 +247,6 @@ struct ExecutorRuntime::TaskRun {
       --reads_outstanding;
       maybe_finish_abort();
     });
-  }
-
-  // ---- flow-batched fetch (saex.net.flowBatch) ----
-
-  // Moves a whole flow segment — every shuffle block this task pulls from
-  // one source — as a single network flow instead of one transfer per
-  // io_chunk. Per-block semantics survive the coalescing: the source
-  // executor must be alive, every constituent block takes its own seeded
-  // drop roll (stopping at the first drop, one record_dropped_fetch per
-  // failed fetch, as in the per-chunk path), and each block registers its
-  // own open stream for the incast model.
-  void issue_flow_read(const Segment& seg) {
-    const int src = seg.src_node;
-    hw::Network& net = exec->env_.cluster->network();
-
-    if (exec->env_.fault != nullptr && !aborting) {
-      fault::FaultState& fs = *exec->env_.fault;
-      bool failed = !fs.node_alive(src);
-      if (!failed) {
-        for (size_t b = 0; b < seg.flow_blocks.size() && !failed; ++b) {
-          failed = fs.drop_fetch(src, exec->node_id_);
-        }
-      }
-      if (failed) {
-        fail_fetch(src, seg.flow_blocks.front().first);
-        return;
-      }
-    }
-
-    const Bytes total = seg.bytes;
-    const int nblocks = static_cast<int>(seg.flow_blocks.size());
-    seg_left = 0;  // the whole segment moves in one request
-    ++seg_idx;
-    ++reads_outstanding;
-    const double issued = now();
-    for (int b = 0; b < nblocks; ++b) net.register_fetch(src, exec->node_id_);
-
-    // Server-side disk read, then the wire flow — the same request structure
-    // as one per-chunk fetch, at segment granularity. The flow holds one
-    // fair share of each link, like one chunk stream.
-    const auto finish = [this, total, src, nblocks, issued] {
-      hw::Network& n = exec->env_.cluster->network();
-      for (int b = 0; b < nblocks; ++b) n.unregister_fetch(src, exec->node_id_);
-      on_flow_done(total, issued);
-    };
-    exec->env_.cluster->node(src).disk().submit(
-        total, false,
-        [this, src, total, finish] {
-          exec->env_.cluster->network().transfer_flow(
-              src, exec->node_id_, total, exec->env_.io_chunk, finish);
-        },
-        scatter);
-  }
-
-  void on_flow_done(Bytes total, double issued_at) {
-    --reads_outstanding;
-    account_bytes(total, false);
-    account_latency(issued_at);
-    // Deliver the flow's bytes at io_chunk granularity so compute and the
-    // write channel pipeline exactly as in per-chunk mode — only the network
-    // events were coalesced.
-    for (Bytes left = total; left > 0;) {
-      const Bytes chunk = std::min(exec->env_.io_chunk, left);
-      left -= chunk;
-      ready_chunks.push_back(chunk);
-    }
-    if (aborting) {
-      maybe_finish_abort();
-      return;
-    }
-    if (waiting == Waiting::kRead) {
-      end_stall();
-      consume();
-    }
   }
 
   void on_read_done(Bytes chunk, double issued_at) {
@@ -742,13 +657,6 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
       break;
     }
     case StageSource::kShuffle: {
-      // Flow mode accumulates remote blocks per source node across the
-      // consumed shuffles; one coalesced flow segment per source is emitted
-      // after the loop, in the same rotation order.
-      std::vector<std::vector<std::pair<int, Bytes>>> flow_blocks;
-      if (env_.net_flow_batch) {
-        flow_blocks.resize(static_cast<size_t>(env_.cluster->size()));
-      }
       for (const int sid : stage.in_shuffle_ids) {
         const std::vector<Bytes> plan = env_.shuffles->fetch_plan(
             sid, stage.reduce_slice(spec.partition),
@@ -767,28 +675,12 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
             }
             run->segments.push_back(
                 Segment{K::kLocalDisk, share.src, share.bytes - cached});
-          } else if (!env_.net_flow_batch) {
+          } else {
             // Remote map output is served by the source executor: subject to
             // seeded fetch drops and lost when that executor dies.
             run->segments.push_back(
                 Segment{K::kRemote, share.src, share.bytes, sid, true});
-          } else {
-            flow_blocks[static_cast<size_t>(share.src)].emplace_back(
-                sid, share.bytes);
           }
-        }
-      }
-      if (env_.net_flow_batch) {
-        const int n = env_.cluster->size();
-        for (int i = 1; i < n; ++i) {
-          const int src = (node_id_ + i) % n;
-          auto& blocks = flow_blocks[static_cast<size_t>(src)];
-          if (blocks.empty()) continue;
-          Bytes total = 0;
-          for (const auto& block : blocks) total += block.second;
-          Segment seg{K::kRemote, src, total, /*shuffle_id=*/-1, true};
-          seg.flow_blocks = std::move(blocks);
-          run->segments.push_back(std::move(seg));
         }
       }
       break;

@@ -74,14 +74,6 @@ struct EngineEnv {
   // Concurrent in-flight fetches per reduce task (Spark fetches shuffle
   // blocks from several hosts at once, spark.reducer.maxSizeInFlight).
   int fetch_parallelism = 2;
-  // Flow-batched network data plane (saex.net.flowBatch): coalesce every
-  // shuffle block a reduce task pulls from one source node into a single
-  // hw::Network flow (one setup latency, one completion) instead of one
-  // transfer per io_chunk per block; up to fetch_parallelism flow segments
-  // stay in flight per task, as in per-chunk mode. Off reproduces the
-  // per-chunk model bitwise; fault rolls and open-stream accounting stay
-  // block-granular either way.
-  bool net_flow_batch = false;
   // Fault truth shared across the cluster (saex::fault): dead executors,
   // seeded shuffle-fetch drops and the task-attempt failure probability
   // (saex.sim.*; draws are deterministic per cluster seed, node and task).
@@ -135,7 +127,6 @@ class ExecutorRuntime final : public adaptive::PoolEffector,
   int node_id() const noexcept { return node_id_; }
   int virtual_cores() const noexcept { return virtual_cores_; }
   int running() const noexcept { return running_; }
-  bool has_free_slot() const noexcept { return running_ < pool_target_; }
 
   /// Starts a task; `on_done` fires (executor-side) at completion.
   void launch(const TaskSpec& spec, const Stage& stage, TaskDone on_done);

@@ -104,7 +104,6 @@ class Rdd {
 
   /// Actions.
   Rdd save_as_text_file(std::string path, int replication = 1) const;
-  Rdd save_as_hadoop_file(std::string path, int replication = 1) const;
   Rdd collect(std::string name = "collect") const;
   Rdd count() const { return collect("count"); }
 

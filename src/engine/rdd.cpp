@@ -96,14 +96,6 @@ Rdd Rdd::save_as_text_file(std::string path, int replication) const {
   return builder_->wrap(std::move(node));
 }
 
-Rdd Rdd::save_as_hadoop_file(std::string path, int replication) const {
-  RddNode node =
-      child_of(*this, OpKind::kSaveFile, "saveAsHadoopFile(" + path + ")");
-  node.output_path = std::move(path);
-  node.output_replication = replication;
-  return builder_->wrap(std::move(node));
-}
-
 Rdd Rdd::collect(std::string name) const {
   RddNode node = child_of(*this, OpKind::kCollect, std::move(name));
   return builder_->wrap(std::move(node));

@@ -60,13 +60,6 @@ void ShuffleManager::set_reduce_skew(int shuffle_id, double alpha) {
   s.cum_w.clear();
 }
 
-double ShuffleManager::reduce_skew(int shuffle_id) const noexcept {
-  if (shuffle_id < 0 || static_cast<size_t>(shuffle_id) >= shuffles_.size()) {
-    return 0.0;
-  }
-  return shuffles_[static_cast<size_t>(shuffle_id)].skew;
-}
-
 void ShuffleManager::ensure_weights(const ShuffleState& s, int R) {
   if (static_cast<int>(s.cum_w.size()) == R + 1) return;
   s.cum_w.assign(static_cast<size_t>(R) + 1, 0.0);

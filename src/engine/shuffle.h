@@ -39,9 +39,8 @@ struct FetchShare {
 /// Rotation-ordered view of a per-node fetch plan: the non-empty
 /// (source node, bytes) pairs a reducer running on `node_id` visits, local
 /// share first, then remote nodes in rotating order (node_id + i) % n so
-/// fetch load spreads evenly. The single ordering both the per-chunk and
-/// the flow-batched (saex.net.flowBatch) fetch paths share — plans, fault
-/// rolls, and byte totals agree between the two modes by construction.
+/// fetch load spreads evenly. ExecutorRuntime::launch turns each pair into
+/// one input segment (a remote one is fetched chunk by chunk).
 std::vector<FetchShare> rotate_fetch_plan(const std::vector<Bytes>& plan,
                                           int node_id);
 
@@ -59,7 +58,6 @@ class ShuffleManager {
   /// weighs 1/(r+1)^alpha (alpha <= 0 keeps the uniform default). Idempotent;
   /// must be set before the first fetch_plan/stats call for the shuffle.
   void set_reduce_skew(int shuffle_id, double alpha);
-  double reduce_skew(int shuffle_id) const noexcept;
 
   /// The bytes a reduce task covering `slice` of the shuffle's
   /// `num_partitions` logical reduce partitions must fetch from each node:

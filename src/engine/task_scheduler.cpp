@@ -109,14 +109,6 @@ const PoolSpec& TaskScheduler::pool_spec(
   return kFallback;
 }
 
-int TaskScheduler::running_in_pool(const std::string& pool) const noexcept {
-  int running = 0;
-  for (const auto& set : sets_) {
-    if (set->pool == pool) running += set->running;
-  }
-  return running;
-}
-
 void TaskScheduler::set_executor_active(int node_id, bool active) {
   if (const int e = exec_index_of(node_id); e >= 0) {
     ExecState& es = execs_[static_cast<size_t>(e)];
@@ -313,18 +305,6 @@ void TaskScheduler::schedule_speculation_check() {
     try_assign();
     schedule_speculation_check();
   });
-}
-
-int TaskScheduler::blacklisted_executors() const noexcept {
-  std::vector<bool> blacklisted(execs_.size(), false);
-  for (const auto& set : sets_) {
-    for (size_t e = 0; e < execs_.size(); ++e) {
-      if (set->exec_blacklisted[e]) blacklisted[e] = true;
-    }
-  }
-  int n = 0;
-  for (const bool b : blacklisted) n += b ? 1 : 0;
-  return n;
 }
 
 const std::vector<TaskScheduler::TaskSet*>& TaskScheduler::offer_order() {

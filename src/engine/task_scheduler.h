@@ -121,7 +121,6 @@ class TaskScheduler {
   // --- multi-job API -------------------------------------------------------
 
   void set_scheduling_mode(SchedulingMode mode) noexcept { mode_ = mode; }
-  SchedulingMode scheduling_mode() const noexcept { return mode_; }
   /// Registers (or redefines) a FAIR pool. Unknown pools referenced by
   /// submit_stage fall back to weight 1 / minShare 0 (as Spark does).
   void define_pool(PoolSpec spec);
@@ -145,9 +144,6 @@ class TaskScheduler {
   int pending_task_count() const noexcept {
     return static_cast<int>(pending_total_);
   }
-  int active_task_sets() const noexcept { return static_cast<int>(sets_.size()); }
-  /// Currently running (dispatched) task copies in `pool`.
-  int running_in_pool(const std::string& pool) const noexcept;
 
   void set_executor_engaged_hook(ExecutorEngagedHook hook) {
     engaged_hook_ = std::move(hook);
@@ -224,8 +220,6 @@ class TaskScheduler {
   int64_t speculative_launches() const noexcept { return speculative_launches_; }
   /// §5.4 resize notifications applied to a known executor.
   int64_t executor_resizes() const noexcept { return executor_resizes_; }
-  /// Executors currently blacklisted for any in-flight task set.
-  int blacklisted_executors() const noexcept;
 
   /// The §5.4 protocol extension: executor → driver resize notification.
   /// Public for tests; normally invoked via make_notifier().

@@ -34,7 +34,8 @@
 //                                     `min_remaining` is their least
 //                                     remaining work
 //   void set_busy(bool);              optional: a sweep retired the pool's
-//                                     last job, or the pool took arrivals
+//                                     last job, or arrivals joined an idle
+//                                     pool
 //
 // Job is an aggregate with `double remaining` (in the device's work units)
 // and `sim::Callback done`. Each pass is one `kProfile` profiler scope.
@@ -121,6 +122,7 @@ class FluidPool {
       return;
     }
     mutate([this] {
+      const bool was_idle = jobs_.empty();
       while (due()) {
         Arrival& a = ring_[head_];
         head_ = (head_ + 1) & (ring_.size() - 1);
@@ -128,7 +130,9 @@ class FluidPool {
         device().admit(a.job, a.bytes);
         jobs_.push_back(std::move(a.job));
       }
-      device().set_busy(true);
+      // Busy only when the admissions ended an idle spell: arrivals that
+      // join a busy pool leave the busy tracker alone.
+      if (was_idle) device().set_busy(true);
     });
   }
 

@@ -33,45 +33,22 @@ double Network::flow_rate(const NetworkFlow& f) const noexcept {
   const int n_up = up_count_[static_cast<size_t>(f.src)];
   const int n_down = down_count_[static_cast<size_t>(f.dst)];
   assert(n_up > 0 && n_down > 0);
-  // Every flow holds one fair share on each link and carries its own rate
-  // cap (per_flow_cap for a plain transfer).
+  // Every flow holds one fair share on each link, capped at per_flow_cap.
   const double up_share = params_.up_bw / static_cast<double>(n_up);
   const double down_share =
       down_capacity_eff(senders_to(f.dst),
                         std::max(n_down, fetches_to(f.dst))) /
       static_cast<double>(n_down);
-  return std::min({up_share, down_share, f.cap});
+  return std::min({up_share, down_share, params_.per_flow_cap});
 }
 
 void Network::transfer(NodeId src, NodeId dst, Bytes bytes,
                        sim::Callback done) {
-  start_flow(src, dst, bytes, params_.per_flow_cap, std::move(done));
-}
-
-void Network::transfer_flow(NodeId src, NodeId dst, Bytes bytes,
-                            Bytes chunk_bytes, sim::Callback done) {
-  ++flow_transfers_;
-  // Chunked-goodput cap: a per-chunk stream pays the setup latency before
-  // every chunk_bytes request, so its steady-state rate is below
-  // per_flow_cap. Folding that protocol overhead into the cap keeps the
-  // batched flow's finish time aligned with the per-chunk pipeline it
-  // replaces.
-  double cap = params_.per_flow_cap;
-  if (chunk_bytes > 0 && params_.latency > 0.0) {
-    cap = 1.0 / (params_.latency / static_cast<double>(chunk_bytes) +
-                 1.0 / params_.per_flow_cap);
-  }
-  start_flow(src, dst, bytes, cap, std::move(done));
-}
-
-void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, double cap,
-                         sim::Callback done) {
   assert(src != dst && "local data must not cross the network");
   assert(bytes >= 0);
   ++transfers_started_;
   enqueue(params_.latency, bytes,
-          NetworkFlow{src, dst, static_cast<double>(bytes), cap,
-                      std::move(done)});
+          NetworkFlow{src, dst, static_cast<double>(bytes), std::move(done)});
 }
 
 void Network::settle(double dt) {

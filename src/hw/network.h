@@ -53,7 +53,6 @@ struct NetworkFlow {
   int src;
   int dst;
   double remaining;  // bytes
-  double cap;        // this flow's rate cap, bytes/s
   sim::Callback done;
 };
 
@@ -66,32 +65,20 @@ class Network
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Starts a flow; `done` fires at completion. src == dst is invalid
-  /// (local data never crosses the network).
+  /// Starts a flow; `done` fires at completion. The flow pays the setup
+  /// latency in the arrival FIFO, then holds one fair share of the uplink
+  /// and the downlink, capped at per_flow_cap. src == dst is invalid (local
+  /// data never crosses the network). A shuffle fetch issues one transfer
+  /// per io_chunk of a block; transfers due at one instant join in one
+  /// wake-up.
   void transfer(NodeId src, NodeId dst, Bytes bytes, sim::Callback done);
-
-  /// Flow-batched data plane (saex.net.flowBatch): one aggregated flow
-  /// standing in for the per-chunk transfers of every block a task pulls
-  /// over one (src, dst) pair. Pays the setup latency ONCE, in the arrival
-  /// FIFO, then settles through the same progressive-filling loop as every
-  /// other flow, holding one fair share of the uplink/downlink; its rate
-  /// cap is the *chunked goodput*
-  ///
-  ///   1 / (latency/chunk_bytes + 1/per_flow_cap)
-  ///
-  /// — the steady-state rate a per-chunk stream reaches when every
-  /// chunk_bytes request pays the setup latency before moving at
-  /// per_flow_cap. The batched flow therefore keeps the per-chunk model's
-  /// makespan (the latency cost is folded into the cap) while collapsing
-  /// O(chunks) simulation events into one. chunk_bytes <= 0 disables the
-  /// derating (cap = per_flow_cap).
-  void transfer_flow(NodeId src, NodeId dst, Bytes bytes, Bytes chunk_bytes,
-                     sim::Callback done);
 
   /// Fetch-connection accounting: a shuffle/remote-read request holds its
   /// connection open while the server reads the block from disk, so the
   /// congestion (incast) level of a downlink counts registered fetches, not
-  /// just in-flight byte transfers.
+  /// just in-flight byte transfers. The one caller pair is the executor
+  /// runtime's per-chunk remote read: register before the source disk
+  /// read, unregister when the chunk's transfer completes.
   ///
   /// Both change a downlink's incast rate outside mutate(), so the active
   /// flows are not settled first and the wake-up stays where it was: the
@@ -115,14 +102,11 @@ class Network
   Bytes bytes_sent(NodeId n) const noexcept { return sent_[static_cast<size_t>(n)]; }
   Bytes total_bytes() const noexcept { return total_bytes_; }
 
-  /// Data-plane event accounting: transfer requests issued (one per
-  /// transfer()/transfer_flow() call) — the quantity the flow-batched data
-  /// plane collapses from O(chunks x segments) to O(distinct sources), and
-  /// the metric bench/net_flow's >=3x reduction guard reads.
+  /// Data-plane event accounting: transfer() calls so far.
   int64_t transfers_started() const noexcept { return transfers_started_; }
-  /// Subset of transfers_started() that were coalesced flows (issued via
-  /// transfer_flow).
-  int64_t flow_transfers() const noexcept { return flow_transfers_; }
+  /// Always 0: every transfer is a plain one. Kept for the repository
+  /// benchmark, which still reports it as hw.net.flow_transfers.
+  int64_t flow_transfers() const noexcept { return 0; }
 
   /// Fault-injection accounting: a shuffle fetch that was dropped before any
   /// bytes moved (saex.fault.fetchFailProb, or the source executor died).
@@ -137,9 +121,6 @@ class Network
 
  private:
   friend FluidPool;
-
-  void start_flow(NodeId src, NodeId dst, Bytes bytes, double cap,
-                  sim::Callback done);
 
   double flow_rate(const NetworkFlow& f) const noexcept;
   // FluidPool hooks. Each flow runs at its own flow_rate().
@@ -186,7 +167,6 @@ class Network
   std::vector<Bytes> sent_;
   Bytes total_bytes_ = 0;
   int64_t transfers_started_ = 0;
-  int64_t flow_transfers_ = 0;
   int64_t dropped_fetches_ = 0;
 };
 

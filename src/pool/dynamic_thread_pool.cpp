@@ -120,11 +120,6 @@ int DynamicThreadPool::live_threads() const {
   return live_;
 }
 
-int DynamicThreadPool::busy_threads() const {
-  const std::lock_guard lock(mutex_);
-  return busy_;
-}
-
 size_t DynamicThreadPool::queued() const {
   const std::lock_guard lock(mutex_);
   return queue_.size();

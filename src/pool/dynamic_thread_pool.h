@@ -73,8 +73,6 @@ class DynamicThreadPool {
   int pool_size() const;
   /// Workers currently alive (may exceed the target briefly after a shrink).
   int live_threads() const;
-  /// Workers currently executing a task.
-  int busy_threads() const;
   size_t queued() const;
 
   /// Blocks until the queue is empty and no worker is busy.

@@ -266,6 +266,32 @@ TEST(DiskArrivals, EarlierArrivalMovesTheWakeLaterOneDoesNot) {
   }
 }
 
+TEST(DiskArrivals, JoiningABusyDiskAddsNoBusyPoint) {
+  // Y joins at t1 + latency while X still runs, and the two keep the disk
+  // busy from X's arrival to the end of the run. The busy level does not
+  // change at Y's arrival, so admitting Y must leave the busy history as
+  // X's arrival left it.
+  sim::Simulation sim;
+  const DiskParams hdd = DiskParams::hdd();
+  Disk disk(sim, hdd, "d");
+  int done = 0;
+  disk.submit(mib(64), false, [&] { ++done; });
+  const double t1 = 0.1;
+  sim.run_until(t1);
+  ASSERT_EQ(disk.active_transfers(), 1);
+  const metrics::UtilizationTracker& busy = disk.busy_tracker();
+  const size_t points = busy.retained_points();
+  disk.submit(mib(64), false, [&] { ++done; });
+  sim.run_until(t1 + hdd.latency);
+  ASSERT_EQ(disk.active_transfers(), 2);
+  EXPECT_EQ(busy.retained_points(), points);
+  EXPECT_EQ(busy.last_update(), hdd.latency);  // X's arrival
+  const double end = sim.run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(busy.retained_points(), points + 1);  // busy → idle at the end
+  EXPECT_NEAR(busy.integral_at(end), end - hdd.latency, 1e-12 * end);
+}
+
 TEST(DiskArrivals, SpeedChangeInsideTheLatencyWindowKeepsTheArrival) {
   // A degrade lands while the only transfer is still inside its setup
   // latency: the rescheduling pass must keep the wake-up for the arrival,

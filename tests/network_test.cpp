@@ -110,6 +110,48 @@ TEST(Network, FlowCountersTrackActiveFlows) {
   EXPECT_EQ(net.flows_from(0), 0);
 }
 
+TEST(NetFlow, StreamWeightedLinkCountsDrainToZero) {
+  // Each flow counts once on its source's uplink and once on its
+  // destination's downlink, and holds one open request there while it
+  // moves; every count drains to zero when the flows finish.
+  sim::Simulation sim;
+  Network net(sim, 4, small_net());
+  net.transfer(0, 1, static_cast<Bytes>(10e6), [] {});
+  net.transfer(0, 2, static_cast<Bytes>(10e6), [] {});
+  sim.run_until(0.001);
+  EXPECT_EQ(net.flows_from(0), 2);
+  EXPECT_EQ(net.flows_to(1), 1);
+  EXPECT_EQ(net.active_flows(), 2);
+  EXPECT_EQ(net.fetches_to(1), 1);
+  EXPECT_EQ(net.senders_to(1), 1);
+  sim.run();
+  EXPECT_EQ(net.flows_from(0), 0);
+  EXPECT_EQ(net.flows_to(1), 0);
+  EXPECT_EQ(net.fetches_to(1), 0);
+  EXPECT_EQ(net.senders_to(1), 0);
+}
+
+TEST(NetFlow, OpenStreamAccountingBalancesAcrossFlowCompletion) {
+  // register_fetch holds a request open while the server reads the block;
+  // the transfer itself adds one more open request for its duration.
+  // Everything must unwind to zero, including the distinct-sender rollup.
+  sim::Simulation sim;
+  Network net(sim, 8, small_net());
+  net.register_fetch(1, 0);
+  net.register_fetch(1, 0);
+  net.register_fetch(2, 0);
+  net.transfer(1, 0, static_cast<Bytes>(1e6), [] {});
+  sim.run_until(0.001);
+  EXPECT_EQ(net.fetches_to(0), 4);  // 3 registered + 1 active transfer
+  EXPECT_EQ(net.senders_to(0), 2);
+  sim.run();
+  net.unregister_fetch(1, 0);
+  net.unregister_fetch(1, 0);
+  net.unregister_fetch(2, 0);
+  EXPECT_EQ(net.fetches_to(0), 0);
+  EXPECT_EQ(net.senders_to(0), 0);
+}
+
 TEST(Network, BytesAccounting) {
   sim::Simulation sim;
   Network net(sim, 4, small_net());

@@ -65,9 +65,6 @@ struct Args {
   double storage_mem_gib = -1.0;  // <0 = config default (node memory fraction)
   std::string storage_policy;     // empty = config default ("none")
 
-  // Network data plane (saex.net.*).
-  bool flow_batch = false;
-
   // Adaptive query execution (saex.aqe.*).
   bool aqe = false;
   std::string aqe_target;          // empty = config default ("64m")
@@ -141,9 +138,6 @@ void usage() {
       "                      (default: spark.memory.fraction x\n"
       "                      spark.memory.storageFraction x node memory)\n"
       "  --storage-policy P  block eviction policy, one of: %s\n"
-      "  --flow-batch        flow-batched shuffle data plane: one network\n"
-      "                      flow per (source, reducer) pair instead of one\n"
-      "                      transfer per chunk per block (saex.net.flowBatch)\n"
       "  --aqe               adaptive query execution: re-plan reduce stages\n"
       "                      from actual map-output sizes (coalesce tiny\n"
       "                      partitions, split skewed ones)\n"
@@ -207,7 +201,7 @@ void usage() {
       "  --quarantine        enable the node-health circuit breaker\n"
       "  --jobs-table        also print the per-submission table\n"
       "  (--policy, --io-threads, --nodes, --ssd, --seed, --parallelism,\n"
-      "   --failures, --speculation, the storage, flow-batch, AQE and fault\n"
+      "   --failures, --speculation, the storage, AQE and fault\n"
       "   flags, --eventlog and --trace apply here too; with --shards S > 1\n"
       "   the event log and trace get a .<shard> suffix per shard)\n",
       kWorkloadChoices, kPolicyChoices, kStoragePolicyChoices, kModeChoices);
@@ -270,8 +264,6 @@ std::optional<Args> parse(int argc, char** argv) {
       args.storage_mem_gib = parse_number<double>(a, value());
     } else if (a == "--storage-policy") {
       args.storage_policy = value();
-    } else if (a == "--flow-batch") {
-      args.flow_batch = true;
     } else if (a == "--aqe") {
       args.aqe = true;
     } else if (a == "--aqe-target") {
@@ -469,7 +461,6 @@ conf::Config make_config(const Args& args, const std::string& policy) {
   if (!args.storage_policy.empty()) {
     config.set("saex.storage.policy", args.storage_policy);
   }
-  if (args.flow_batch) config.set_bool("saex.net.flowBatch", true);
   apply_aqe_flags(config, args);
   apply_fault_flags(config, args);
   return config;
