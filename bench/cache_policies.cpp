@@ -5,9 +5,14 @@
 // For every (policy, budget) cell the bench reports the storage hit rate,
 // eviction/spill volume, and the application makespan in simulated seconds —
 // the end-to-end cost of each policy's victim choices (every victim spills,
-// so a miss is a disk read of the spilled tail). Two invariants are
-// asserted every run:
+// so a miss is a disk read of the spilled tail). Three invariants are
+// asserted every run (full and --smoke), each failing the exit status:
 //
+//   hit rate    — among the policies that evict, a hit rate at least as
+//                 high never comes with a longer makespan at the same
+//                 bounded budget (so equal hit rates mean equal makespans).
+//                 Policy "none" evicts nothing (a partition that does not
+//                 fit spills on insert), so it is printed but not compared
 //   determinism — the same (seed, policy, budget) cell run twice produces
 //                 bitwise-identical JobReports
 //   unbounded   — with a budget nothing overflows, every policy reproduces
@@ -89,8 +94,9 @@ int main(int argc, char** argv) {
   print_title("cache_policies",
               "eviction policy x memory budget sweep on an iterative cached "
               "workload (hit rate + makespan per cell)",
-              "bounded budgets: higher hit rate tracks lower makespan; "
-              "unbounded budget: every policy == policy none, bitwise");
+              "bounded budgets: among the evicting policies, a hit rate at "
+              "least as high never comes with a longer makespan; unbounded "
+              "budget: every policy == policy none, bitwise");
 
   const workloads::WorkloadSpec probe = churn_spec(smoke);
   // Per-node bytes the workload wants cached; budgets are slices of it.
@@ -109,11 +115,12 @@ int main(int argc, char** argv) {
   std::printf("%-20s %10s %9s %10s %11s %12s\n", "scenario", "budget",
               "hit rate", "evictions", "spilled", "makespan");
   std::vector<CellResult> inf_cells;
+  std::vector<std::vector<CellResult>> evicting(budgets.size());  // bounded
   double sweep_wall = 0.0;
   uint64_t sweep_events = 0;
-  int rc = 0;
   for (const std::string& policy : storage::eviction_policy_names()) {
-    for (const BudgetTag& b : budgets) {
+    for (size_t bi = 0; bi < budgets.size(); ++bi) {
+      const BudgetTag& b = budgets[bi];
       const std::string name = strfmt::format("cache_{}_{}", policy, b.tag);
       const CellResult r = run_cell(name, policy, b.bytes, smoke);
       sweep_wall += r.wall_seconds;
@@ -122,34 +129,64 @@ int main(int argc, char** argv) {
                   format_bytes(b.bytes).c_str(), r.hit_rate * 100.0,
                   static_cast<long long>(r.evictions),
                   format_bytes(r.spilled).c_str(), r.makespan);
-      if (std::string(b.tag) == "inf") inf_cells.push_back(r);
+      if (std::string(b.tag) == "inf") {
+        inf_cells.push_back(r);
+      } else if (policy != "none") {
+        evicting[bi].push_back(r);
+      }
     }
   }
   // One aggregate perf row: the individual cells are milliseconds each, too
   // small for a stable events/sec trajectory on their own.
   out.record("cache_sweep", sweep_wall, sweep_events);
 
+  // Criterion: at each bounded budget, no evicting policy pays a longer
+  // makespan for a hit rate at least as high as another's.
+  bool hit_rate_ok = true;
+  for (const std::vector<CellResult>& cells : evicting) {
+    for (const CellResult& a : cells) {
+      for (const CellResult& b : cells) {
+        if (a.hit_rate >= b.hit_rate && a.makespan > b.makespan) {
+          std::fprintf(stderr,
+                       "FAIL: %s hits %.1f%% >= %s %.1f%% but runs %.1fs > "
+                       "%.1fs\n",
+                       a.name.c_str(), a.hit_rate * 100.0, b.name.c_str(),
+                       b.hit_rate * 100.0, a.makespan, b.makespan);
+          hit_rate_ok = false;
+        }
+      }
+    }
+  }
+  std::printf("hit-rate criterion: %s\n",
+              hit_rate_ok ? "OK, no evicting policy runs longer for as many "
+                            "hits"
+                          : "VIOLATED");
+
   // Guard 1: unbounded budget reproduces policy "none" for every policy.
+  bool unbounded_ok = true;
   for (const CellResult& r : inf_cells) {
     if (r.renders != inf_cells.front().renders) {
       std::fprintf(stderr,
                    "FAIL: %s diverges from %s under an unbounded budget\n",
                    r.name.c_str(), inf_cells.front().name.c_str());
-      rc = 1;
+      unbounded_ok = false;
     }
   }
   std::printf("unbounded-budget guard: %s\n",
-              rc == 0 ? "all policies reproduce policy none bitwise" : "FAIL");
+              unbounded_ok ? "all policies reproduce policy none bitwise"
+                           : "FAIL");
 
   // Guard 2: a bounded cell re-run is bitwise deterministic.
   const CellResult d1 = run_cell("det", "lru", budgets[0].bytes, smoke);
   const CellResult d2 = run_cell("det", "lru", budgets[0].bytes, smoke);
-  if (d1.renders != d2.renders || d1.evictions != d2.evictions) {
+  const bool deterministic =
+      d1.renders == d2.renders && d1.evictions == d2.evictions;
+  if (!deterministic) {
     std::fprintf(stderr, "FAIL: lru/25%% cell is not deterministic\n");
-    rc = 1;
   }
   std::printf("determinism guard: %s\n",
-              rc == 0 ? "repeat run bitwise identical" : "FAIL");
+              deterministic ? "repeat run bitwise identical" : "FAIL");
+  const int rc = hit_rate_ok && unbounded_ok && deterministic ? 0 : 1;
 
   if (!json_path.empty()) {
     const bool ok = out.write("cache_policies", json_path);

@@ -11,8 +11,13 @@
 //   serve_trace     64-node cluster replaying a 1000-job multi-tenant trace
 //                   through the JobServer (FAIR pools + admission control),
 //                   the scale where scheduler bookkeeping dominates
+//   serve_nodes_N   the 256-node serve trace (`saexsim serve --nodes N
+//                   --jobs 300 --arrival-mean 2 --parallelism 64
+//                   --max-queued 1024 --seed 1`) on N = 256, 1024 and 4096
+//                   nodes: about the same work on ever more idle nodes, so
+//                   ns/event shows what still costs per cluster node
 //
-// Events: both rows report simulation events processed.
+// Events: every row reports simulation events processed.
 //
 // Usage: engine_perf [--smoke] [--json <path>]
 #include <chrono>
@@ -35,7 +40,7 @@ double seconds_since(Clock::time_point t0) {
 void report_row(BenchJson& out, const std::string& name, double wall,
                 uint64_t events) {
   out.record(name, wall, events);
-  std::printf("%-14s %10.3fs  %12llu events  %12.0f events/s\n", name.c_str(),
+  std::printf("%-16s %10.3fs  %12llu events  %12.0f events/s\n", name.c_str(),
               wall, static_cast<unsigned long long>(events),
               wall > 0 ? static_cast<double>(events) / wall : 0.0);
 }
@@ -109,6 +114,40 @@ void bench_serve_trace(bool smoke, BenchJson& out) {
   }
 }
 
+// The 256-node serve trace replayed on `nodes` nodes (smoke: 30 jobs). The
+// keys are the ones `saexsim serve` sets by default, so the row runs the
+// same simulation as the command line in the header.
+void bench_serve_nodes(int nodes, bool smoke, BenchJson& out) {
+  serve::TraceOptions t;
+  t.num_jobs = smoke ? 30 : 300;
+  t.mean_interarrival = 2.0;
+  t.seed = 1;
+
+  hw::ClusterSpec cs = hw::ClusterSpec::das5(nodes);
+  cs.seed = t.seed;
+  hw::Cluster cluster(cs);
+
+  conf::Config config;
+  config.set("saex.executor.policy", "dynamic");
+  config.set_int("spark.default.parallelism", 64);
+  config.set("saex.scheduler.mode", "FAIR");
+  config.set("saex.scheduler.pools", "interactive:3:16,batch:1:0");
+  config.set_int("saex.serve.maxConcurrentJobs", 8);
+  config.set_int("saex.serve.maxQueuedJobs", 1024);
+
+  engine::SparkContext ctx(cluster, std::move(config));
+  serve::JobServer server(ctx);
+  const auto t0 = Clock::now();
+  const serve::ServeReport report = server.replay(serve::make_trace(t), t);
+  const double wall = seconds_since(t0);
+  const std::string name = strfmt::format("serve_nodes_{}", nodes);
+  report_row(out, name, wall, cluster.sim().processed());
+  if (report.finished != t.num_jobs) {
+    std::printf("%s: %d/%d jobs finished\n", name.c_str(), report.finished,
+                t.num_jobs);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,13 +156,14 @@ int main(int argc, char** argv) {
 
   print_title("engine_perf",
               "engine-layer throughput (task-lifecycle churn, 64-node serve "
-              "trace)",
+              "trace, 256/1024/4096-node serve sweep)",
               "events/sec must not regress vs the recorded BENCH_engine.json "
               "trajectory");
 
   BenchJson out;
   bench_sched_churn(smoke, out);
   bench_serve_trace(smoke, out);
+  for (const int nodes : {256, 1024, 4096}) bench_serve_nodes(nodes, smoke, out);
 
   if (!json_path.empty()) {
     const bool ok = out.write("engine_perf", json_path);

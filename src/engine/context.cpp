@@ -232,9 +232,10 @@ std::vector<TaskSpec> SparkContext::make_tasks(const Stage& stage) const {
       }
       case StageSource::kShuffle: {
         for (const int sid : stage.in_shuffle_ids) {
-          for (const Bytes b : shuffles_->fetch_plan(
-                   sid, stage.reduce_slice(p), stage.sliced_partitions())) {
-            t.input_bytes += b;
+          for (const FetchShare& share : shuffles_->fetch_plan(
+                   sid, stage.reduce_slice(p), stage.sliced_partitions(),
+                   /*reader=*/0)) {
+            t.input_bytes += share.bytes;
           }
         }
         break;

@@ -658,12 +658,11 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
     }
     case StageSource::kShuffle: {
       for (const int sid : stage.in_shuffle_ids) {
-        const std::vector<Bytes> plan = env_.shuffles->fetch_plan(
-            sid, stage.reduce_slice(spec.partition),
-            stage.sliced_partitions());
         // Local share first, then remote nodes in rotating order so fetch
         // load spreads evenly.
-        for (const FetchShare& share : rotate_fetch_plan(plan, node_id_)) {
+        for (const FetchShare& share : env_.shuffles->fetch_plan(
+                 sid, stage.reduce_slice(spec.partition),
+                 stage.sliced_partitions(), node_id_)) {
           if (share.src == node_id_) {
             // A slice of freshly written local map output is still in the
             // OS page cache.

@@ -1,5 +1,6 @@
 #include "engine/shuffle.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -7,19 +8,17 @@
 
 namespace saex::engine {
 
-std::vector<FetchShare> rotate_fetch_plan(const std::vector<Bytes>& plan,
-                                          int node_id) {
-  const int n = static_cast<int>(plan.size());
-  std::vector<FetchShare> out;
-  out.reserve(plan.size());
-  for (int i = 0; i < n; ++i) {
-    const int src = (node_id + i) % n;
-    const Bytes bytes = plan[static_cast<size_t>(src)];
-    if (bytes == 0) continue;
-    out.push_back(FetchShare{src, bytes});
-  }
-  return out;
+namespace {
+
+// First entry of a node-sorted output list whose node is >= `node`.
+template <typename Outputs>
+auto lower_bound_node(Outputs& outputs, int node) {
+  return std::lower_bound(
+      outputs.begin(), outputs.end(), node,
+      [](const auto& out, int n) { return out.node < n; });
 }
+
+}  // namespace
 
 ShuffleManager::ShuffleState& ShuffleManager::state_for(int shuffle_id) {
   assert(shuffle_id >= 0);
@@ -32,12 +31,9 @@ ShuffleManager::ShuffleState& ShuffleManager::state_for(int shuffle_id) {
 bool ShuffleManager::register_map_output(int shuffle_id, int node,
                                          int partition, Bytes bytes) {
   assert(node >= 0 && node < num_nodes_);
-  assert(partition >= 0);
+  assert(partition >= 0 && bytes >= 0);
   ShuffleState& s = state_for(shuffle_id);
-  if (!s.created) {
-    s.created = true;
-    s.per_node.assign(static_cast<size_t>(num_nodes_), 0);
-  }
+  s.created = true;
   if (static_cast<size_t>(partition) >= s.commit_node.size()) {
     s.commit_node.resize(static_cast<size_t>(partition) + 1, -1);
     s.commit_bytes.resize(static_cast<size_t>(partition) + 1, 0);
@@ -48,7 +44,13 @@ bool ShuffleManager::register_map_output(int shuffle_id, int node,
   }
   s.commit_node[static_cast<size_t>(partition)] = node;
   s.commit_bytes[static_cast<size_t>(partition)] = bytes;
-  s.per_node[static_cast<size_t>(node)] += bytes;
+  if (bytes > 0) {
+    auto it = lower_bound_node(s.outputs, node);
+    if (it == s.outputs.end() || it->node != node) {
+      it = s.outputs.insert(it, NodeOutput{node, 0});
+    }
+    it->bytes += bytes;
+  }
   return true;
 }
 
@@ -87,33 +89,37 @@ Bytes ShuffleManager::cum_share(const ShuffleState& s, Bytes total, int upto,
                             s.cum_w[static_cast<size_t>(upto)]);
 }
 
-std::vector<Bytes> ShuffleManager::fetch_plan(int shuffle_id,
-                                              const ReduceSlice& slice,
-                                              int num_partitions) const {
+std::vector<FetchShare> ShuffleManager::fetch_plan(int shuffle_id,
+                                                   const ReduceSlice& slice,
+                                                   int num_partitions,
+                                                   int reader) const {
   SAEX_PROF_SCOPE(kShuffle);
   const auto [first, last, split_index, num_splits] = slice;
   assert(first >= 0 && first <= last && last < num_partitions);
   assert(num_splits >= 1 && split_index >= 0 && split_index < num_splits);
   assert(num_splits == 1 || first == last);
-  std::vector<Bytes> plan(static_cast<size_t>(num_nodes_), 0);
+  assert(reader >= 0 && reader < num_nodes_);
+  std::vector<FetchShare> plan;
   if (!has_shuffle(shuffle_id)) return plan;
   const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
-  for (int n = 0; n < num_nodes_; ++n) {
-    const Bytes total = s.per_node[static_cast<size_t>(n)];
-    const Bytes share = cum_share(s, total, last + 1, num_partitions) -
-                        cum_share(s, total, first, num_partitions);
-    if (num_splits == 1) {
-      plan[static_cast<size_t>(n)] = share;
-    } else {
+  plan.reserve(s.outputs.size());
+  const auto add = [&](const NodeOutput& out) {
+    Bytes share = cum_share(s, out.bytes, last + 1, num_partitions) -
+                  cum_share(s, out.bytes, first, num_partitions);
+    if (num_splits > 1) {
       // Exact sub-range split of one partition's share: floor-difference
       // apportionment, so the num_splits sub-tasks sum to the share.
       const Bytes lo = share * static_cast<Bytes>(split_index) /
                        static_cast<Bytes>(num_splits);
       const Bytes hi = share * static_cast<Bytes>(split_index + 1) /
                        static_cast<Bytes>(num_splits);
-      plan[static_cast<size_t>(n)] = hi - lo;
+      share = hi - lo;
     }
-  }
+    if (share != 0) plan.push_back(FetchShare{out.node, share});
+  };
+  const auto start = lower_bound_node(s.outputs, reader);
+  std::for_each(start, s.outputs.end(), add);
+  std::for_each(s.outputs.begin(), start, add);
   return plan;
 }
 
@@ -122,12 +128,10 @@ std::vector<Bytes> ShuffleManager::reduce_partition_bytes(
   std::vector<Bytes> out(static_cast<size_t>(num_partitions), 0);
   if (!has_shuffle(shuffle_id)) return out;
   const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
-  for (int n = 0; n < num_nodes_; ++n) {
-    const Bytes total = s.per_node[static_cast<size_t>(n)];
-    if (total == 0) continue;
+  for (const NodeOutput& node : s.outputs) {
     Bytes prev = 0;
     for (int r = 0; r < num_partitions; ++r) {
-      const Bytes cum = cum_share(s, total, r + 1, num_partitions);
+      const Bytes cum = cum_share(s, node.bytes, r + 1, num_partitions);
       out[static_cast<size_t>(r)] += cum - prev;
       prev = cum;
     }
@@ -146,16 +150,20 @@ std::map<int, std::vector<int>> ShuffleManager::on_node_lost(int node) {
     ShuffleState& s = shuffles_[sid];
     if (!s.created) continue;
     std::vector<int>* partitions = nullptr;
+    [[maybe_unused]] Bytes dropped = 0;
     for (size_t p = 0; p < s.commit_node.size(); ++p) {
       if (s.commit_node[p] != node) continue;
-      s.per_node[static_cast<size_t>(node)] -= s.commit_bytes[p];
+      dropped += s.commit_bytes[p];
       s.commit_node[p] = -1;
       s.commit_bytes[p] = 0;
       if (partitions == nullptr) partitions = &lost[static_cast<int>(sid)];
       partitions->push_back(static_cast<int>(p));
     }
-    assert(s.per_node[static_cast<size_t>(node)] == 0 &&
-           "per-node total out of sync with partition commits");
+    const auto it = lower_bound_node(s.outputs, node);
+    const bool held = it != s.outputs.end() && it->node == node;
+    assert((held ? it->bytes : 0) == dropped &&
+           "node total out of sync with partition commits");
+    if (held) s.outputs.erase(it);
   }
   return lost;
 }
@@ -172,14 +180,15 @@ Bytes ShuffleManager::total_output(int shuffle_id) const noexcept {
   if (!has_shuffle(shuffle_id)) return 0;
   const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
   Bytes total = 0;
-  for (Bytes b : s.per_node) total += b;
+  for (const NodeOutput& out : s.outputs) total += out.bytes;
   return total;
 }
 
 Bytes ShuffleManager::node_output(int shuffle_id, int node) const noexcept {
   if (!has_shuffle(shuffle_id)) return 0;
   const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
-  return s.per_node[static_cast<size_t>(node)];
+  const auto it = lower_bound_node(s.outputs, node);
+  return it != s.outputs.end() && it->node == node ? it->bytes : 0;
 }
 
 }  // namespace saex::engine

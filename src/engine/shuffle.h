@@ -19,6 +19,11 @@
 // 1/(r+1)^alpha. Both cases share one cumulative-share formulation, so range
 // (coalesced) and sub-range (skew-split) fetch plans are exact: bytes never
 // appear or vanish when the AQE layer re-tiles a reduce stage.
+//
+// Each shuffle keeps its committed output as a node-sorted list holding only
+// the nodes with output (like Spark's MapOutputTracker, which keeps one
+// status per map task, not one per node), so planning a reduce task's
+// fetches costs O(map nodes), not O(cluster nodes): idle nodes cost nothing.
 #pragma once
 
 #include <map>
@@ -30,19 +35,13 @@
 
 namespace saex::engine {
 
-/// One entry of a rotation-ordered fetch plan: `bytes` to pull from `src`.
+/// One entry of a fetch plan: `bytes` (never 0) to pull from the map output
+/// committed on node `src`. ExecutorRuntime::launch turns each entry into
+/// one input segment (a remote one is fetched chunk by chunk).
 struct FetchShare {
   int src;
   Bytes bytes;
 };
-
-/// Rotation-ordered view of a per-node fetch plan: the non-empty
-/// (source node, bytes) pairs a reducer running on `node_id` visits, local
-/// share first, then remote nodes in rotating order (node_id + i) % n so
-/// fetch load spreads evenly. ExecutorRuntime::launch turns each pair into
-/// one input segment (a remote one is fetched chunk by chunk).
-std::vector<FetchShare> rotate_fetch_plan(const std::vector<Bytes>& plan,
-                                          int node_id);
 
 class ShuffleManager {
  public:
@@ -59,18 +58,21 @@ class ShuffleManager {
   /// must be set before the first fetch_plan/stats call for the shuffle.
   void set_reduce_skew(int shuffle_id, double alpha);
 
-  /// The bytes a reduce task covering `slice` of the shuffle's
-  /// `num_partitions` logical reduce partitions must fetch from each node:
-  /// partitions [first, last], or sub-split `split_index` of `num_splits`
-  /// when first == last. Stage::reduce_slice gives every task its slice;
-  /// the identity tiling is {p, p, 0, 1}. Deterministic: with uniform
-  /// weights, remainder bytes go to low partitions.
-  std::vector<Bytes> fetch_plan(int shuffle_id, const ReduceSlice& slice,
-                                int num_partitions) const;
+  /// The non-empty shares a reduce task running on node `reader` fetches
+  /// for `slice` of the shuffle's `num_partitions` logical reduce
+  /// partitions: partitions [first, last], or sub-split `split_index` of
+  /// `num_splits` when first == last. Stage::reduce_slice gives every task
+  /// its slice; the identity tiling is {p, p, 0, 1}. Rotation order: the
+  /// first node >= `reader` (the local share, if the reader holds output),
+  /// then the nodes above it, wrapping around to the lowest, so fetch load
+  /// spreads evenly. Deterministic: with uniform weights, remainder bytes go
+  /// to low partitions.
+  std::vector<FetchShare> fetch_plan(int shuffle_id, const ReduceSlice& slice,
+                                     int num_partitions, int reader) const;
 
   /// Per-reduce-partition fetch totals (summed over nodes) — the map-output
-  /// statistics the AQE planner re-plans from. O(nodes * R), no commit-array
-  /// rescans; deterministic for a deterministic replay.
+  /// statistics the AQE planner re-plans from. O(map nodes * R), no
+  /// commit-array rescans; deterministic for a deterministic replay.
   std::vector<Bytes> reduce_partition_bytes(int shuffle_id,
                                             int num_partitions) const;
 
@@ -100,13 +102,17 @@ class ShuffleManager {
   int64_t duplicate_commits() const noexcept { return duplicate_commits_; }
 
  private:
+  struct NodeOutput {
+    int node;
+    Bytes bytes;  // committed bytes on `node`, never 0
+  };
   // Shuffle ids are handed out densely from 0 (DagScheduler's counter), so
   // everything is directly indexed: no map hops on the per-task commit and
   // fetch-plan paths.
   struct ShuffleState {
     bool created = false;
     double skew = 0.0;                 // reduce-weight Zipf exponent (0=uniform)
-    std::vector<Bytes> per_node;       // committed bytes per node
+    std::vector<NodeOutput> outputs;   // sorted by node, nodes with output only
     std::vector<int32_t> commit_node;  // partition -> node (-1: uncommitted)
     std::vector<Bytes> commit_bytes;   // partition -> committed copy's bytes
     // Lazily built cumulative weight prefix for the skewed case: cum_w[r] =

@@ -20,6 +20,7 @@
 namespace saex {
 namespace {
 
+using engine::FetchShare;
 using engine::ReduceSlice;
 using engine::ShuffleManager;
 
@@ -39,10 +40,23 @@ Bytes plan_total(const std::vector<Bytes>& plan) {
   return std::accumulate(plan.begin(), plan.end(), Bytes{0});
 }
 
-// Fetch plan of slice {first, last, j, k} of R = 8 logical partitions.
+// A sparse fetch plan as one entry per node, 0 where it has no share.
+std::vector<Bytes> densify(const std::vector<FetchShare>& plan, int nodes) {
+  std::vector<Bytes> dense(static_cast<size_t>(nodes), 0);
+  for (const FetchShare& share : plan) {
+    EXPECT_EQ(dense.at(static_cast<size_t>(share.src)), 0)
+        << "node " << share.src << " listed twice";
+    dense.at(static_cast<size_t>(share.src)) = share.bytes;
+  }
+  return dense;
+}
+
+// Fetch plan of slice {first, last, j, k} of R = 8 logical partitions on a
+// 4-node manager (the size every make_manager call below uses), densified.
 std::vector<Bytes> plan8(const ShuffleManager& sm, int first, int last,
                          int j = 0, int k = 1) {
-  return sm.fetch_plan(0, ReduceSlice{first, last, j, k}, 8);
+  return densify(
+      sm.fetch_plan(0, ReduceSlice{first, last, j, k}, 8, /*reader=*/0), 4);
 }
 
 // With uniform weights the identity slice {p, p, 0, 1} is the closed-form

@@ -2,6 +2,8 @@
 // cache spill) and driver-side task scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -17,6 +19,25 @@ namespace {
 
 // ---------- ShuffleManager ----------
 
+// A sparse fetch plan as one entry per node, 0 where it has no share. Every
+// share is non-zero and names its source node once.
+std::vector<Bytes> densify(const std::vector<FetchShare>& plan, int nodes) {
+  std::vector<Bytes> dense(static_cast<size_t>(nodes), 0);
+  for (const FetchShare& share : plan) {
+    EXPECT_NE(share.bytes, 0) << "node " << share.src;
+    EXPECT_EQ(dense.at(static_cast<size_t>(share.src)), 0)
+        << "node " << share.src << " listed twice";
+    dense.at(static_cast<size_t>(share.src)) = share.bytes;
+  }
+  return dense;
+}
+
+std::vector<std::pair<int, Bytes>> as_pairs(const std::vector<FetchShare>& plan) {
+  std::vector<std::pair<int, Bytes>> out;
+  for (const FetchShare& share : plan) out.emplace_back(share.src, share.bytes);
+  return out;
+}
+
 TEST(ShuffleManager, FetchPlanConservesBytes) {
   ShuffleManager sm(4);
   sm.register_map_output(0, 0, 0, 1000);
@@ -25,7 +46,8 @@ TEST(ShuffleManager, FetchPlanConservesBytes) {
   const int R = 7;
   std::vector<Bytes> totals(4, 0);
   for (int r = 0; r < R; ++r) {
-    const auto plan = sm.fetch_plan(0, ReduceSlice{r, r, 0, 1}, R);
+    const auto plan =
+        densify(sm.fetch_plan(0, ReduceSlice{r, r, 0, 1}, R, /*reader=*/r % 4), 4);
     for (int n = 0; n < 4; ++n) totals[static_cast<size_t>(n)] += plan[static_cast<size_t>(n)];
   }
   EXPECT_EQ(totals[0], 1000);
@@ -46,16 +68,70 @@ TEST(ShuffleManager, AccumulatesMultipleMapTasks) {
 
 TEST(ShuffleManager, UnknownShuffleGivesEmptyPlan) {
   ShuffleManager sm(3);
-  const auto plan = sm.fetch_plan(9, ReduceSlice{0, 0, 0, 1}, 4);
+  const auto sparse = sm.fetch_plan(9, ReduceSlice{0, 0, 0, 1}, 4, /*reader=*/1);
+  EXPECT_TRUE(sparse.empty());
+  const auto plan = densify(sparse, 3);
   for (const Bytes b : plan) EXPECT_EQ(b, 0);
   EXPECT_EQ(sm.total_output(9), 0);
 }
 
 // Reference model of the pre-flattening ShuffleManager: nested maps keyed by
-// shuffle -> node byte totals and shuffle -> partition commit records. The
-// flat array implementation must be observably identical to it.
+// shuffle -> node byte totals and shuffle -> partition commit records, and
+// the dense fetch plan (one entry per cluster node) with its rotation. The
+// flat array implementation and its sparse, node-sorted plan must be
+// observably identical to it.
 struct MapShuffleRef {
   explicit MapShuffleRef(int nodes) : num_nodes(nodes) {}
+
+  void set_reduce_skew(int shuffle, double alpha) { skew[shuffle] = alpha; }
+
+  // Bytes of `total` that reduce partitions [0, upto) of R receive: the
+  // uniform base+remainder split, or the normalized Zipf weight prefix.
+  Bytes cum_share(int shuffle, Bytes total, int upto, int R) const {
+    if (upto <= 0) return 0;
+    if (upto >= R) return total;
+    const auto it = skew.find(shuffle);
+    if (it == skew.end()) {
+      return static_cast<Bytes>(upto) * (total / R) +
+             std::min<Bytes>(upto, total % R);
+    }
+    double sum = 0.0;
+    double below = 0.0;
+    for (int r = 0; r < R; ++r) {
+      sum += std::pow(static_cast<double>(r + 1), -it->second);
+      if (r + 1 == upto) below = sum;
+    }
+    return static_cast<Bytes>(static_cast<double>(total) * (below / sum));
+  }
+
+  // Every node's bytes for `slice` of R partitions, 0 where it holds none.
+  std::vector<Bytes> fetch_plan(int shuffle, const ReduceSlice& slice,
+                                int R) const {
+    std::vector<Bytes> plan(static_cast<size_t>(num_nodes), 0);
+    for (int n = 0; n < num_nodes; ++n) {
+      const Bytes total = node_output(shuffle, n);
+      const Bytes share = cum_share(shuffle, total, slice.last + 1, R) -
+                          cum_share(shuffle, total, slice.first, R);
+      const Bytes k = slice.num_splits;
+      plan[static_cast<size_t>(n)] =
+          share * (slice.split_index + 1) / k - share * slice.split_index / k;
+    }
+    return plan;
+  }
+
+  // The non-empty entries a reader on `node_id` visits: (node_id + i) % n.
+  static std::vector<std::pair<int, Bytes>> rotate_fetch_plan(
+      const std::vector<Bytes>& plan, int node_id) {
+    const int n = static_cast<int>(plan.size());
+    std::vector<std::pair<int, Bytes>> out;
+    for (int i = 0; i < n; ++i) {
+      const int src = (node_id + i) % n;
+      if (plan[static_cast<size_t>(src)] != 0) {
+        out.emplace_back(src, plan[static_cast<size_t>(src)]);
+      }
+    }
+    return out;
+  }
 
   bool register_map_output(int shuffle, int node, int partition, Bytes bytes) {
     auto& commits = commits_by_shuffle[shuffle];
@@ -95,67 +171,129 @@ struct MapShuffleRef {
   }
 
   int num_nodes;
+  std::map<int, double> skew;  // shuffle -> Zipf exponent (absent: uniform)
   std::map<int, std::map<int, Bytes>> outputs;
   std::map<int, std::map<int, std::pair<int, Bytes>>> commits_by_shuffle;
 };
 
 TEST(ShuffleManager, OnNodeLostMatchesMapReferenceModel) {
-  const int kNodes = 4;
-  const int kShuffles = 3;
-  const int kPartitions = 16;
-  ShuffleManager sm(kNodes);
-  MapShuffleRef ref(kNodes);
-
-  // Deterministic pseudo-random commit pattern, including duplicate commits
-  // (speculative losers) that both implementations must reject identically.
-  uint64_t rng = 0x9e3779b97f4a7c15ull;
-  auto next = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
+  // Two clusters: 4 nodes that all commit, and 64 nodes with commits on only
+  // a handful of them, so most readers hold no output and the sparse plan's
+  // rotation has to start between, before or after the committing nodes.
+  struct Cluster {
+    int nodes;
+    std::vector<int> committers;
   };
-  for (int i = 0; i < 200; ++i) {
-    const int shuffle = static_cast<int>(next() % kShuffles);
-    const int node = static_cast<int>(next() % kNodes);
-    const int partition = static_cast<int>(next() % kPartitions);
-    const Bytes bytes = static_cast<Bytes>(next() % 10000 + 1);
-    EXPECT_EQ(sm.register_map_output(shuffle, node, partition, bytes),
-              ref.register_map_output(shuffle, node, partition, bytes));
-  }
+  for (const Cluster& cluster :
+       {Cluster{4, {0, 1, 2, 3}}, Cluster{64, {3, 17, 18, 40, 63}}}) {
+    SCOPED_TRACE(testing::Message() << cluster.nodes << " nodes");
+    const int kNodes = cluster.nodes;
+    const int kShuffles = 3;
+    const int kPartitions = 20;  // 16 random commits + 4 zero-byte ones
+    const int R = 8;
+    ShuffleManager sm(kNodes);
+    MapShuffleRef ref(kNodes);
+    // Shuffle 1 carries Zipf skew 1.2; shuffles 0 and 2 are uniform.
+    sm.set_reduce_skew(1, 1.2);
+    ref.set_reduce_skew(1, 1.2);
+    auto committer = [&](uint64_t draw) {
+      return cluster.committers[draw % cluster.committers.size()];
+    };
 
-  auto expect_equivalent = [&] {
-    for (int s = 0; s < kShuffles; ++s) {
-      for (int n = 0; n < kNodes; ++n) {
-        EXPECT_EQ(sm.node_output(s, n), ref.node_output(s, n))
-            << "shuffle " << s << " node " << n;
-      }
-      for (int p = 0; p < kPartitions; ++p) {
-        EXPECT_EQ(sm.partition_committed(s, p), ref.partition_committed(s, p))
-            << "shuffle " << s << " partition " << p;
-      }
+    // Deterministic pseudo-random commit pattern, including duplicate
+    // commits (speculative losers) that both implementations must reject
+    // identically.
+    uint64_t rng = 0x9e3779b97f4a7c15ull;
+    auto next = [&rng]() {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    };
+    for (int i = 0; i < 200; ++i) {
+      const int shuffle = static_cast<int>(next() % kShuffles);
+      const int node = committer(next());
+      const int partition = static_cast<int>(next() % 16);
+      const Bytes bytes = static_cast<Bytes>(next() % 10000 + 1);
+      EXPECT_EQ(sm.register_map_output(shuffle, node, partition, bytes),
+                ref.register_map_output(shuffle, node, partition, bytes));
     }
-  };
-  expect_equivalent();
+    // Zero-byte commits: on a committing node, and on the node above the
+    // last committer (on the 64-node cluster, one that holds no bytes
+    // anywhere), then a duplicate of the latter.
+    const int idle = (cluster.committers.back() + 1) % kNodes;
+    for (int s = 0; s < kShuffles; ++s) {
+      EXPECT_EQ(sm.register_map_output(s, cluster.committers[1], 16, 0),
+                ref.register_map_output(s, cluster.committers[1], 16, 0));
+      EXPECT_EQ(sm.register_map_output(s, idle, 17, 0),
+                ref.register_map_output(s, idle, 17, 0));
+      EXPECT_EQ(sm.register_map_output(s, idle, 17, 0),
+                ref.register_map_output(s, idle, 17, 0));
+    }
 
-  // Lose a node: same lost {shuffle -> partitions} map (values sorted the
-  // same way), same surviving state, and the shuffle itself stays known.
-  EXPECT_EQ(sm.on_node_lost(2), ref.on_node_lost(2));
-  expect_equivalent();
-  for (int s = 0; s < kShuffles; ++s) EXPECT_TRUE(sm.has_shuffle(s));
+    // Identity slices, two ranges and the five sub-splits of partition 3.
+    std::vector<ReduceSlice> slices;
+    for (int p = 0; p < R; ++p) slices.push_back(ReduceSlice{p, p, 0, 1});
+    slices.push_back(ReduceSlice{2, 5, 0, 1});
+    slices.push_back(ReduceSlice{0, R - 1, 0, 1});
+    for (int j = 0; j < 5; ++j) slices.push_back(ReduceSlice{3, 3, j, 5});
 
-  // Recommit a few of the lost partitions elsewhere, then lose another node.
-  for (int p = 0; p < kPartitions; p += 3) {
-    const Bytes bytes = static_cast<Bytes>(next() % 5000 + 1);
-    EXPECT_EQ(sm.register_map_output(1, 3, p, bytes),
-              ref.register_map_output(1, 3, p, bytes));
+    auto expect_equivalent = [&] {
+      for (int s = 0; s < kShuffles; ++s) {
+        for (int n = 0; n < kNodes; ++n) {
+          EXPECT_EQ(sm.node_output(s, n), ref.node_output(s, n))
+              << "shuffle " << s << " node " << n;
+        }
+        for (int p = 0; p < kPartitions; ++p) {
+          EXPECT_EQ(sm.partition_committed(s, p), ref.partition_committed(s, p))
+              << "shuffle " << s << " partition " << p;
+        }
+        for (const ReduceSlice& slice : slices) {
+          const std::vector<Bytes> dense = ref.fetch_plan(s, slice, R);
+          for (int reader = 0; reader < kNodes; ++reader) {
+            EXPECT_EQ(as_pairs(sm.fetch_plan(s, slice, R, reader)),
+                      MapShuffleRef::rotate_fetch_plan(dense, reader))
+                << "shuffle " << s << " slice {" << slice.first << ", "
+                << slice.last << ", " << slice.split_index << ", "
+                << slice.num_splits << "} reader " << reader;
+          }
+        }
+      }
+    };
+    expect_equivalent();
+
+    // Lose a node: same lost {shuffle -> partitions} map (values sorted the
+    // same way), same surviving state, and the shuffle itself stays known.
+    const int first_lost = cluster.committers[2];
+    EXPECT_EQ(sm.on_node_lost(first_lost), ref.on_node_lost(first_lost));
+    expect_equivalent();
+    for (int s = 0; s < kShuffles; ++s) EXPECT_TRUE(sm.has_shuffle(s));
+
+    // Recommit a few of the lost partitions elsewhere, then lose another
+    // node.
+    const int second_lost = cluster.committers[3];
+    for (int p = 0; p < 16; p += 3) {
+      const Bytes bytes = static_cast<Bytes>(next() % 5000 + 1);
+      EXPECT_EQ(sm.register_map_output(1, second_lost, p, bytes),
+                ref.register_map_output(1, second_lost, p, bytes));
+    }
+    expect_equivalent();
+    EXPECT_EQ(sm.on_node_lost(second_lost), ref.on_node_lost(second_lost));
+    expect_equivalent();
+
+    // Losing a node with no commits reports nothing lost in both models.
+    EXPECT_TRUE(sm.on_node_lost(first_lost).empty());
+    EXPECT_TRUE(ref.on_node_lost(first_lost).empty());
+
+    // Recommit onto the lost nodes: they rejoin the plan in node order.
+    for (int p = 0; p < 16; p += 2) {
+      const int node = p % 4 == 0 ? first_lost : second_lost;
+      const Bytes bytes = static_cast<Bytes>(next() % 7000 + 1);
+      EXPECT_EQ(sm.register_map_output(0, node, p, bytes),
+                ref.register_map_output(0, node, p, bytes));
+    }
+    expect_equivalent();
   }
-  EXPECT_EQ(sm.on_node_lost(3), ref.on_node_lost(3));
-  expect_equivalent();
-
-  // Losing a node with no commits reports nothing lost in both models.
-  EXPECT_TRUE(sm.on_node_lost(2).empty());
-  EXPECT_TRUE(ref.on_node_lost(2).empty());
 }
 
 TEST(ShuffleManager, ShuffleStaysKnownAfterLosingEveryCommit) {
