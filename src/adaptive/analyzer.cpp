@@ -4,6 +4,21 @@
 #include <algorithm>
 
 namespace saex::adaptive {
+namespace {
+
+// An interval improved when its metric beats the previous one by at least
+// 2 %; more than 10 % worse triggers the rollback.
+constexpr double kToleranceLower = 0.98;
+constexpr double kToleranceUpper = 1.10;
+// L3 guards (§5.2): when the interval moved almost no bytes, or the disk
+// was mostly idle, the stage is not I/O-constrained at this size — ζ
+// carries no contention signal and the climber keeps preferring more
+// threads ("if the input/output size or the disk utilization is too low to
+// justify using fewer threads, the performance metrics capture this").
+constexpr double kMinThroughputBps = 1.0 * static_cast<double>(kMiB);
+constexpr double kMinDiskUtilization = 0.55;
+
+}  // namespace
 
 int Analyzer::first_threads() const noexcept {
   return config_.descending ? config_.max_threads : config_.min_threads;
@@ -60,13 +75,13 @@ Decision Analyzer::decide(const std::optional<IntervalReport>& previous,
   // matters because an idle disk can also mean a *network*-bound stage
   // (§5.2: ε and µ deliberately cover network I/O too), where climbing
   // further is exactly wrong.
-  const bool low_io = (current.throughput() < config_.min_throughput_bps &&
-                       previous->throughput() < config_.min_throughput_bps) ||
-                      (current.disk_utilization < config_.min_disk_utilization &&
+  const bool low_io = (current.throughput() < kMinThroughputBps &&
+                       previous->throughput() < kMinThroughputBps) ||
+                      (current.disk_utilization < kMinDiskUtilization &&
                        current.blocked_fraction() < 0.5);
 
-  const bool improved = cur_value < config_.tolerance_lower * prev_value;
-  const bool worsened = cur_value > config_.tolerance_upper * prev_value;
+  const bool improved = cur_value < kToleranceLower * prev_value;
+  const bool worsened = cur_value > kToleranceUpper * prev_value;
 
   if (!low_io && worsened && config_.rollback) {
     d.action = Decision::Action::kRollback;

@@ -19,11 +19,6 @@ ControllerConfig ControllerConfig::from_config(const conf::Config& config,
         "(got {} and {})",
         c.min_threads, c.max_threads));
   }
-  c.tolerance_lower = config.get_double("saex.dynamic.toleranceLower");
-  c.tolerance_upper = config.get_double("saex.dynamic.toleranceUpper");
-  c.min_throughput_bps =
-      static_cast<double>(config.get_bytes("saex.dynamic.minThroughput"));
-  c.min_disk_utilization = config.get_double("saex.dynamic.minDiskUtil");
   c.rollback = config.get_bool("saex.dynamic.rollback");
   c.descending = config.get_bool("saex.dynamic.descending");
   const std::string metric = config.get_string("saex.dynamic.metric");

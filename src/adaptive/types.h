@@ -54,15 +54,6 @@ enum class IntervalMode { kCompletions, kFixedTime };
 struct ControllerConfig {
   int min_threads = 2;     // c_min (paper argues 1 never wins)
   int max_threads = 32;    // c_max = virtual cores
-  double tolerance_lower = 0.98;  // improvement must beat prev by >= 2%
-  double tolerance_upper = 1.10;  // worse than +10% triggers rollback
-  // L3 guards (§5.2): when the interval moved almost no bytes, or the disk
-  // was mostly idle, the stage is not I/O-constrained at this size — ζ
-  // carries no contention signal and the climber keeps preferring more
-  // threads ("if the input/output size or the disk utilization is too low to
-  // justify using fewer threads, the performance metrics capture this").
-  double min_throughput_bps = 1.0 * static_cast<double>(kMiB);
-  double min_disk_utilization = 0.55;
   bool rollback = true;      // ablation: keep climbing on worse ζ
   bool descending = false;   // ablation: start at c_max and halve
   Metric metric = Metric::kZeta;

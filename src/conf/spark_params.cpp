@@ -310,18 +310,6 @@ void define_adaptive_extension(Registry& r) {
             "resolved maxThreads."});
   r.define({"saex.dynamic.maxThreads", c, V::kInt, "0",
             "Hill climber upper bound c_max; 0 = number of virtual cores."});
-  r.define({"saex.dynamic.toleranceLower", c, V::kDouble, "0.98",
-            "Keep climbing while zeta_j <= toleranceLower * zeta_prev "
-            "(strict improvement with 2% slack)."});
-  r.define({"saex.dynamic.toleranceUpper", c, V::kDouble, "1.10",
-            "Indifference band: zeta within [lower,upper]*prev with low I/O "
-            "activity still climbs (CPU-bound stages prefer more threads)."});
-  r.define({"saex.dynamic.minThroughput", c, V::kBytes, "1m",
-            "Below this per-interval I/O throughput a stage is treated as "
-            "CPU-bound and the climber keeps doubling."});
-  r.define({"saex.dynamic.minDiskUtil", c, V::kDouble, "0.55",
-            "Below this windowed disk utilization the stage is not "
-            "I/O-constrained and the climber keeps doubling (L3 guard)."});
   r.define({"saex.dynamic.rollback", c, V::kBool, "true",
             "Roll back to the previous size and freeze when zeta worsens "
             "(ablation: keep climbing instead)."});
@@ -387,11 +375,6 @@ void define_adaptive_extension(Registry& r) {
   r.define({"saex.sim.taskFailureProb", c, V::kDouble, "0",
             "Fault injection: probability a task attempt dies partway "
             "through (exercises spark.task.maxFailures retries)."});
-  r.define({"saex.sim.flakyNode", c, V::kInt, "-1",
-            "Fault injection: node id with its own failure probability "
-            "(exercises spark.blacklist.*)."});
-  r.define({"saex.sim.flakyNodeFailureProb", c, V::kDouble, "0",
-            "Per-attempt failure probability on the flaky node."});
   r.define({"saex.fault.enabled", c, V::kBool, "false",
             "Master switch for the seeded FaultPlan (saex::fault); when "
             "false every other saex.fault.* key is inert."});

@@ -114,7 +114,7 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   fault_state_ = std::make_unique<fault::FaultState>(
       cluster.size(), cluster.spec().seed ^ fault_spec.seed,
       fault_spec.fetch_fail_prob, fault_spec.fetch_fail_node,
-      fault_spec.task_failures);
+      fault_spec.task_failure_prob);
   env.fault = fault_state_.get();
 
   const int vcores = static_cast<int>(config_.get_int("spark.executor.cores"));
@@ -135,9 +135,6 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
       config_.get_duration_seconds("spark.speculation.interval");
   sched_options.locality_wait =
       config_.get_duration_seconds("spark.locality.wait");
-  sched_options.blacklist_enabled = config_.get_bool("spark.blacklist.enabled");
-  sched_options.max_failed_tasks_per_executor = static_cast<int>(
-      config_.get_int("spark.blacklist.stage.maxFailedTasksPerExecutor"));
   sched_options.event_log = &event_log_;
   scheduler_ = std::make_unique<TaskScheduler>(cluster.sim(), raw,
                                                sched_options);

@@ -619,7 +619,7 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
   run->out_shuffle_id = stage.out_shuffle_id;
   run->cache_out_id = stage.cache_out_id;
   const double failure_prob =
-      env_.fault != nullptr ? env_.fault->task_failure_prob(node_id_) : 0.0;
+      env_.fault != nullptr ? env_.fault->task_failure_prob() : 0.0;
   if (failure_prob > 0.0 && failure_rng_.chance(failure_prob)) {
     run->will_fail = true;
     run->fail_after = std::max<Bytes>(

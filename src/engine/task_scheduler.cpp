@@ -264,8 +264,6 @@ uint64_t TaskScheduler::submit_stage(const Stage& stage,
   set.remaining = set.tasks.size();
   set.result.num_tasks = static_cast<int>(set.tasks.size());
   set.result.submit_time = sim_.now();
-  set.exec_failures.assign(execs_.size(), 0);
-  set.exec_blacklisted.assign(execs_.size(), false);
   set.on_done = std::move(on_done);
 
   if (set.remaining == 0) {
@@ -383,10 +381,7 @@ std::optional<size_t> TaskScheduler::pick_task_for(TaskSet& set,
   if (!any && deferred) arm_locality_timer(set);
   if (any) return any;
 
-  if (options_.speculation &&
-      set.result.durations.size() >=
-          options_.speculation_quantile *
-              static_cast<double>(set.tasks.size())) {
+  if (speculation_ready(set)) {
     const double median = percentile(set.result.durations, 0.5);
     const double now = sim_.now();
     for (size_t i = 0; i < set.tasks.size(); ++i) {
@@ -428,14 +423,26 @@ bool TaskScheduler::set_wait_over(const TaskSet& set) const noexcept {
   return sim_.now() >= locality_deadline(set);
 }
 
+// Once `quantile` of a set's tasks finished, any free executor may get a
+// speculative copy of one of its stragglers, pending tasks or not. Only a
+// completion moves this, so it holds for a whole try_assign call.
+bool TaskScheduler::speculation_ready(const TaskSet& set) const noexcept {
+  return options_.speculation &&
+         set.result.durations.size() >=
+             options_.speculation_quantile *
+                 static_cast<double>(set.tasks.size());
+}
+
 // True when some offerable set could hand a task to an *arbitrary* free
-// executor: it has a preference-free pending task, or its delay-scheduling
-// window expired so preferring tasks may be stolen. Both only decrease
-// within one try_assign call (no events fire mid-call), so a false answer
-// stays false until the call returns.
+// executor: it is speculation-ready, has a preference-free pending task, or
+// its delay-scheduling window expired so preferring tasks may be stolen.
+// None of these turns on within one try_assign call (no events fire
+// mid-call), so a false answer stays false until the call returns.
 bool TaskScheduler::any_generic_set() const noexcept {
   for (const auto& set : sets_) {
-    if (set->held || set->pending.empty()) continue;
+    if (set->held) continue;
+    if (speculation_ready(*set)) return true;
+    if (set->pending.empty()) continue;
     if (set->pref_free_pending > 0 || set_wait_over(*set)) return true;
   }
   return false;
@@ -503,23 +510,27 @@ void TaskScheduler::arm_deferred_timers() {
 }
 
 // Offers executor `exec_idx` one slot: walks sets in FIFO/FAIR order and
-// dispatches from the first that has a task for it. Mirrors one iteration of
-// the exhaustive scan's executor loop, including its side effects: deferred
-// sets passed on the way are armed exactly where their failed pick would be.
+// dispatches from the first that has a task for it — what the exhaustive
+// scan does for one executor, including its side effects: deferred sets
+// passed on the way are armed exactly where their failed pick would be. A
+// speculation-ready set may have a copy for any executor, so it always
+// gets the full pick.
 bool TaskScheduler::offer_to(size_t exec_idx) {
   const int node_id = execs_[exec_idx].exec->node_id();
   for (TaskSet* set_ptr : offer_order()) {
     TaskSet& set = *set_ptr;
     if (set.held) continue;
-    if (set.pending.empty()) continue;  // a pick would fail with no effects
-    const bool generic = set.pref_free_pending > 0 || set_wait_over(set);
-    if (!generic) {
-      const std::vector<int>& pref = pref_union(set);
-      if (!std::binary_search(pref.begin(), pref.end(), node_id)) {
-        // pick_task_for would walk the pending list, match nothing, and
-        // defer — its only side effect being this timer.
-        arm_locality_timer(set);
-        continue;
+    if (!speculation_ready(set)) {
+      if (set.pending.empty()) continue;  // a pick would fail with no effects
+      const bool generic = set.pref_free_pending > 0 || set_wait_over(set);
+      if (!generic) {
+        const std::vector<int>& pref = pref_union(set);
+        if (!std::binary_search(pref.begin(), pref.end(), node_id)) {
+          // pick_task_for would walk the pending list, match nothing, and
+          // defer — its only side effect being this timer.
+          arm_locality_timer(set);
+          continue;
+        }
       }
     }
     if (const auto task = pick_task_for(set, exec_idx)) {
@@ -535,53 +546,29 @@ bool TaskScheduler::offer_to(size_t exec_idx) {
 void TaskScheduler::try_assign() {
   SAEX_PROF_SCOPE(kScheduler);
   if (sets_.empty()) return;
-  if (options_.speculation || options_.blacklist_enabled) {
-    try_assign_scan();
-  } else {
-    try_assign_fast();
-  }
-}
-
-void TaskScheduler::try_assign_scan() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t e = 0; e < execs_.size(); ++e) {
-      ExecState& es = execs_[e];
-      if (!es.active || es.quarantined || es.assigned >= es.advertised) continue;
-      // Offer the slot to task sets in FIFO/FAIR order; the order is
-      // recomputed after every dispatch since running counts moved.
-      for (TaskSet* set_ptr : offer_order()) {
-        TaskSet& set = *set_ptr;
-        if (set.held || set.exec_blacklisted[e]) continue;
-        const auto task = pick_task_for(set, e);
-        if (!task) continue;
-        dispatch(set, *task, e, set.state[*task].running_copies > 0);
-        progress = true;
-        break;
-      }
-    }
-  }
-}
-
-void TaskScheduler::try_assign_fast() {
-  // Nothing pending means no dispatch AND no deferred set to arm: the whole
-  // offer pass is a no-op. This is the per-task-completion common case on a
-  // large, underloaded cluster.
-  if (pending_total_ == 0) return;
+  // A speculation-ready set can launch a copy with nothing pending.
+  const bool speculating =
+      options_.speculation &&
+      std::any_of(sets_.begin(), sets_.end(), [this](const auto& set) {
+        return !set->held && speculation_ready(*set);
+      });
+  // Otherwise nothing pending means no dispatch AND no deferred set to arm:
+  // the whole offer pass is a no-op. This is the per-task-completion common
+  // case on a large, underloaded cluster.
+  if (pending_total_ == 0 && !speculating) return;
   ++offer_epoch_;
   const size_t n = execs_.size();
   bool progress = true;
   while (progress) {
     progress = false;
-    if (pending_total_ == 0) break;
+    if (pending_total_ == 0 && !speculating) break;
     // One pass: each executor with a free slot is offered at most one task,
     // in ascending index order — the scan's visit order restricted to the
     // executors that can actually receive something.
     bool cand_only = false;
     size_t cand_pos = 0;
     size_t e = 0;
-    while (pending_total_ > 0) {
+    while (pending_total_ > 0 || speculating) {
       if (!cand_only && !any_generic_set()) {
         build_candidates();
         cand_only = true;
@@ -759,26 +746,15 @@ void TaskScheduler::on_task_finished(uint64_t set_id, const TaskSpec& spec,
     }
   }
 
-  if (!charged) {
-    // Free retry: the task is pending again and try_assign re-launches it
-    // (once the set is unheld, for kHold).
-  } else if (options_.blacklist_enabled &&
-             ++set.exec_failures[exec_idx] >=
-                 options_.max_failed_tasks_per_executor &&
-             !set.exec_blacklisted[exec_idx] &&
-             st.attempts < options_.max_task_failures) {
-    set.exec_blacklisted[exec_idx] = true;
-    SAEX_WARN("executor {} blacklisted for stage {} after {} failures",
-              es.exec->node_id(), set.stage.ordinal,
-              set.exec_failures[exec_idx]);
-  } else if (st.attempts >= options_.max_task_failures &&
-             st.running_copies == 0) {
+  // A free retry, or a charged one with budget left, makes the task pending
+  // again (once its last copy is back) and try_assign re-launches it — for
+  // kHold, once the set is unheld.
+  if (charged && st.attempts >= options_.max_task_failures &&
+      st.running_copies == 0) {
     SAEX_WARN("task {} of stage {} failed {} times; aborting stage",
               spec.partition, set.stage.ordinal, st.attempts);
     fail_set(set);
   }
-  // else: attempt failed with budget left — the task is pending again
-  // (running_copies just returned to 0) and try_assign re-launches it.
 
   if (!st.done && st.running_copies == 0) pending_insert(set, task_idx);
   maybe_finish_set(set);

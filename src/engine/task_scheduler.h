@@ -71,10 +71,6 @@ class TaskScheduler {
     // Delay scheduling (spark.locality.wait): an executor defers stealing a
     // task that prefers other nodes until this long after the stage start.
     double locality_wait = 3.0;
-    // Blacklisting (spark.blacklist.*): after this many failed attempts on
-    // one executor within a stage, that executor gets no more of its tasks.
-    bool blacklist_enabled = false;
-    int max_failed_tasks_per_executor = 2;
     EventLog* event_log = nullptr;
   };
 
@@ -286,9 +282,6 @@ class TaskScheduler {
     bool locality_timer_armed = false;
     TaskSetResult result;
     TaskSetDone on_done;
-    // Per-set blacklisting (spark.blacklist.stage.*), indexed by executor.
-    std::vector<int> exec_failures;
-    std::vector<bool> exec_blacklisted;
 
     size_t state_index(int partition) const noexcept {
       return static_cast<size_t>(task_index[static_cast<size_t>(partition)]);
@@ -299,19 +292,17 @@ class TaskScheduler {
   /// In-flight task sets in slot-offer order under the current scheduling
   /// mode; valid until the next submit/finish/erase.
   const std::vector<TaskSet*>& offer_order();
+  // The offer loop. Its result is that of an exhaustive scan (every free
+  // executor offered one slot per pass, walking the sets in offer order,
+  // until a pass dispatches nothing), but it visits only executors with free
+  // slots (free_bits_), and only when some set could actually hand them a
+  // task (pref_free_pending / locality candidates / a speculation-ready
+  // set). O(dispatches), not O(executors x sets).
   void try_assign();
-  // Exhaustive offer loop: every executor x every set. Kept for modes whose
-  // eligibility is executor-specific (speculation copy placement, per-set
-  // blacklists); also the semantic reference for try_assign_fast.
-  void try_assign_scan();
-  // Sparse offer loop producing the identical dispatch and event sequence:
-  // only executors with free slots are visited (free_bits_), and only when
-  // some set could actually hand them a task (pref_free_pending / locality
-  // candidates). O(dispatches), not O(executors x sets).
-  void try_assign_fast();
   bool offer_to(size_t exec_idx);
   double locality_deadline(const TaskSet& set) const noexcept;
   bool set_wait_over(const TaskSet& set) const noexcept;
+  bool speculation_ready(const TaskSet& set) const noexcept;
   bool any_generic_set() const noexcept;
   void build_candidates();
   const std::vector<int>& pref_union(TaskSet& set);
@@ -348,7 +339,8 @@ class TaskScheduler {
   std::vector<uint64_t> free_bits_;
   std::vector<int32_t> node_to_exec_;  // node id -> execs_ index (-1: none)
   // Pending tasks across all in-flight sets; 0 means an offer pass cannot
-  // dispatch anything and try_assign returns without touching executors.
+  // dispatch anything (unless a set is speculation-ready) and try_assign
+  // returns without touching executors.
   int64_t pending_total_ = 0;
   uint64_t offer_epoch_ = 0;           // stamps per-set pref_nodes caches
   std::vector<size_t> cand_scratch_;   // reused by build_candidates()

@@ -96,11 +96,7 @@ std::string format_chaos(const std::vector<ChaosEvent>& events) {
 
 FaultSpec FaultSpec::from_config(const conf::Config& config) {
   FaultSpec s;
-  s.task_failures.prob = config.get_double("saex.sim.taskFailureProb");
-  s.task_failures.flaky_node =
-      static_cast<int>(config.get_int("saex.sim.flakyNode"));
-  s.task_failures.flaky_prob =
-      config.get_double("saex.sim.flakyNodeFailureProb");
+  s.task_failure_prob = config.get_double("saex.sim.taskFailureProb");
   s.enabled = config.get_bool("saex.fault.enabled");
   if (!s.enabled) return s;
   s.seed = static_cast<uint64_t>(config.get_int("saex.fault.seed"));
@@ -122,12 +118,12 @@ FaultSpec FaultSpec::from_config(const conf::Config& config) {
 }
 
 FaultState::FaultState(int num_nodes, uint64_t seed, double fetch_fail_prob,
-                       int fetch_fail_node, TaskFailures task_failures)
+                       int fetch_fail_node, double task_failure_prob)
     : alive_(static_cast<size_t>(num_nodes), 1),
       fetch_fail_prob_(fetch_fail_prob),
       fetch_fail_node_(fetch_fail_node),
       rng_(Rng(seed).fork("fetch-drops")),
-      task_failures_(task_failures) {}
+      task_failure_prob_(task_failure_prob) {}
 
 void FaultState::mark_dead(int node) {
   assert(node >= 0 && node < static_cast<int>(alive_.size()));

@@ -51,14 +51,6 @@ std::vector<ChaosEvent> parse_chaos(std::string_view spec);
 /// rewrite global node ids into each shard's local ids.
 std::string format_chaos(const std::vector<ChaosEvent>& events);
 
-/// Random task-attempt deaths (the `saex.sim.*` keys), read even when
-/// saex.fault.enabled is off.
-struct TaskFailures {
-  double prob = 0.0;        // per attempt, on every node but the flaky one
-  int flaky_node = -1;      // node with its own probability (-1: none)
-  double flaky_prob = 0.0;  // per attempt on the flaky node
-};
-
 struct FaultSpec {
   bool enabled = false;
   uint64_t seed = 0;           // XORed into the cluster seed
@@ -71,9 +63,12 @@ struct FaultSpec {
   double fetch_fail_prob = 0.0;  // transient shuffle-fetch drop probability
   int fetch_fail_node = -1;    // restrict drops to this source node (-1: any)
   std::vector<ChaosEvent> chaos;  // scripted kill/rejoin timeline
-  TaskFailures task_failures;
+  // Per-attempt probability that a task dies partway through
+  // (saex.sim.taskFailureProb), read even when saex.fault.enabled is off.
+  double task_failure_prob = 0.0;
 
-  /// Reads every `saex.fault.*` and `saex.sim.*` key; inert by default.
+  /// Reads every `saex.fault.*` key and saex.sim.taskFailureProb; inert by
+  /// default.
   static FaultSpec from_config(const conf::Config& config);
 };
 
@@ -83,7 +78,7 @@ struct FaultSpec {
 class FaultState {
  public:
   FaultState(int num_nodes, uint64_t seed, double fetch_fail_prob,
-             int fetch_fail_node = -1, TaskFailures task_failures = {});
+             int fetch_fail_node = -1, double task_failure_prob = 0.0);
 
   bool node_alive(int node) const noexcept {
     return node < 0 || node >= static_cast<int>(alive_.size()) ||
@@ -101,11 +96,8 @@ class FaultState {
   bool drop_fetch(int src_node, int dst_node);
   int64_t fetch_drops() const noexcept { return fetch_drops_; }
 
-  /// Probability that a task attempt on `node` dies partway through.
-  double task_failure_prob(int node) const noexcept {
-    return node == task_failures_.flaky_node ? task_failures_.flaky_prob
-                                             : task_failures_.prob;
-  }
+  /// Probability that a task attempt dies partway through.
+  double task_failure_prob() const noexcept { return task_failure_prob_; }
 
  private:
   std::vector<char> alive_;
@@ -114,7 +106,7 @@ class FaultState {
   int fetch_fail_node_ = -1;
   Rng rng_;
   int64_t fetch_drops_ = 0;
-  TaskFailures task_failures_;
+  double task_failure_prob_ = 0.0;
 };
 
 /// Arms the spec's triggers against the simulation clock.

@@ -40,8 +40,7 @@ conf::Config ShardedServer::shard_config(int shard) const {
   // Fault flags name GLOBAL node ids; the owning shard sees the local id,
   // every other shard sees the fault disabled. (killAfterTasks counts tasks
   // on the owning shard's scheduler.)
-  for (const char* key : {"saex.fault.killNode", "saex.fault.slowNode",
-                          "saex.sim.flakyNode"}) {
+  for (const char* key : {"saex.fault.killNode", "saex.fault.slowNode"}) {
     const int node = static_cast<int>(config.get_int(key));
     if (node < 0 || node >= topology_.total_nodes()) continue;
     config.set_int(key, topology_.shard_of(node) == shard

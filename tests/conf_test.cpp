@@ -112,10 +112,10 @@ TEST(Config, TypedSetters) {
   Config c;
   c.set_int("saex.static.ioThreads", 4);
   c.set_bool("saex.dynamic.rollback", false);
-  c.set_double("saex.dynamic.toleranceUpper", 1.25);
+  c.set_double("saex.aqe.skewFactor", 1.25);
   EXPECT_EQ(c.get_int("saex.static.ioThreads"), 4);
   EXPECT_FALSE(c.get_bool("saex.dynamic.rollback"));
-  EXPECT_DOUBLE_EQ(c.get_double("saex.dynamic.toleranceUpper"), 1.25);
+  EXPECT_DOUBLE_EQ(c.get_double("saex.aqe.skewFactor"), 1.25);
 }
 
 TEST(Config, UnknownKeyThrows) {

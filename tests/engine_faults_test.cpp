@@ -167,51 +167,6 @@ TEST(Speculation, EngineCounterNamesReadTheirOwners) {
 namespace saex::engine {
 namespace {
 
-TEST(Blacklisting, FlakyExecutorGetsExcluded) {
-  hw::Cluster cluster(hw::ClusterSpec::das5(4));
-  conf::Config config;
-  config.set("spark.default.parallelism", "16");
-  config.set_int("saex.sim.flakyNode", 2);
-  config.set_double("saex.sim.flakyNodeFailureProb", 1.0);  // always fails
-  config.set_bool("spark.blacklist.enabled", true);
-  config.set_int("spark.task.maxFailures", 12);
-  SparkContext ctx(cluster, config);
-  ctx.dfs().load_input("/in", gib(4), 4);
-  const JobReport report = ctx.run_job(ctx.text_file("/in").count(), "flaky2");
-  // The job succeeds: node 2's work moved elsewhere once it was blacklisted.
-  EXPECT_EQ(ctx.event_log().of_kind(EventKind::kTaskEnd).size(), 32u);
-  EXPECT_GT(report.total_runtime, 0.0);
-  // Node 2 never completed anything.
-  EXPECT_EQ(ctx.executor(2).io_counters().tasks_completed, 0u);
-}
-
-TEST(Blacklisting, CutsWastedAttemptsOnAFullyFlakyNode) {
-  auto failed_attempts = [](bool blacklist) {
-    hw::Cluster cluster(hw::ClusterSpec::das5(4));
-    conf::Config config;
-    config.set("spark.default.parallelism", "16");
-    config.set_int("saex.sim.flakyNode", 2);
-    config.set_double("saex.sim.flakyNodeFailureProb", 1.0);
-    config.set_bool("spark.blacklist.enabled", blacklist);
-    config.set_int("spark.task.maxFailures", 16);
-    SparkContext ctx(cluster, config);
-    // Replication 1: node 2's blocks are local only to node 2, so without
-    // blacklisting it keeps re-picking (and killing) its own tasks until
-    // delay scheduling lets healthy nodes steal them.
-    ctx.dfs().load_input("/in", gib(4), 1);
-    (void)ctx.run_job(ctx.text_file("/in").count(), "x");
-    return ctx.event_log().of_kind(EventKind::kTaskFailed).size();
-  };
-  // With blacklisting node 2 is cut off after its second failure; without
-  // it, the node keeps drawing and killing attempts until the stage ends.
-  const size_t with = failed_attempts(true);
-  const size_t without = failed_attempts(false);
-  // The first wave (8 concurrent attempts on node 2) is already in flight
-  // when the blacklist trips; everything after it is saved.
-  EXPECT_LE(with, 10u);
-  EXPECT_GT(without, with);
-}
-
 TEST(DelayScheduling, LocalityWaitKeepsTasksLocal) {
   auto net_bytes = [](double wait_seconds) {
     hw::ClusterSpec spec = hw::ClusterSpec::das5(4);

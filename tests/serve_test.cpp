@@ -372,6 +372,50 @@ TEST(JobServer, ReplayIsDeterministic) {
   EXPECT_EQ(a.total_time, b.total_time);
 }
 
+// Speculation while several task sets compete for slots: sets that may
+// launch copies are offered slots beside sets that only pending tasks can
+// serve, which is where the offer loop's shortcuts apply (run_job offers one
+// set at a time). Copies must land, no slot may be overcommitted, and the
+// replay must stay a pure function of its seed.
+TEST(JobServer, SpeculationAcrossConcurrentSetsIsExactAndDeterministic) {
+  struct Run {
+    ServeReport report;
+    int64_t speculative = 0;
+    int64_t overcommits = 0;
+    std::string event_log;
+  };
+  auto replay = [] {
+    conf::Config c = serve_config();
+    c.set("saex.scheduler.mode", "FAIR");
+    c.set("saex.scheduler.pools", "interactive:3:16,batch:1:0");
+    c.set_bool("spark.speculation", true);
+    c.set_bool("saex.fault.enabled", true);
+    c.set_int("saex.fault.slowNode", 3);
+    c.set_double("saex.fault.slowFactor", 0.2);
+    TraceOptions t = small_trace_options(29);
+    t.num_jobs = 24;
+    ServeRig rig(c, /*nodes=*/16);
+    JobServer server(rig.ctx);
+    Run run;
+    run.report = server.replay(make_trace(t), t);
+    run.speculative = rig.ctx.scheduler().speculative_launches();
+    run.overcommits = rig.ctx.scheduler().dispatch_overcommits();
+    run.event_log = rig.ctx.event_log().to_json_lines();
+    return run;
+  };
+  const Run a = replay();
+  EXPECT_GT(a.speculative, 0);
+  EXPECT_EQ(a.overcommits, 0);
+  ASSERT_EQ(a.report.jobs.size(), 24u);
+  EXPECT_EQ(a.report.finished, 24);
+  for (const JobRecord& rec : a.report.jobs) {
+    EXPECT_EQ(rec.outcome, JobOutcome::kFinished) << rec.name;
+  }
+  const Run b = replay();
+  EXPECT_EQ(b.speculative, a.speculative);
+  EXPECT_EQ(b.event_log, a.event_log);
+}
+
 // ---------- memory ----------
 
 // Busy-time history is bounded by live state, not by simulated history: after

@@ -270,23 +270,6 @@ TEST(ShardedServer, KillNodeLandsOnOwningShardOnly) {
   EXPECT_EQ(report.merged.executors_lost, 1);
 }
 
-TEST(ShardedServer, FlakyNodeLandsOnOwningShardOnly) {
-  // Global node 1 lives on shard 0 of a 2x4 split. Shard 1 must not read
-  // the global id as its own local node 1 (global node 5).
-  const serve::TraceOptions t = small_trace();
-  conf::Config config = shard_config(2, 1);
-  config.set_int("saex.sim.flakyNode", 1);
-  config.set_double("saex.sim.flakyNodeFailureProb", 1.0);
-  config.set_bool("spark.blacklist.enabled", true);
-  ShardedServer server(spec_for(8), config);
-  server.replay(serve::make_trace(t), t);
-  auto failed_tasks = [&](int s) {
-    return server.context(s).metrics().counter_value("engine/tasks/failed");
-  };
-  EXPECT_GT(failed_tasks(0), 0.0);
-  EXPECT_EQ(failed_tasks(1), 0.0);
-}
-
 TEST(ShardedServer, RoutesEveryJobAndMergesAllRecords) {
   const serve::TraceOptions t = small_trace(19);
   ShardedServer server(spec_for(9), shard_config(3, 2));

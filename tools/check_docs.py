@@ -22,6 +22,10 @@
    README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md is defined in
    src/conf/spark_params.cpp (`.*` wildcards are skipped; CHANGES.md and
    ROADMAP.md record history and are not checked).
+9. Registered keys are read: every saex.* key registered in
+   src/conf/spark_params.cpp is read by a get_*("<key>") call somewhere
+   under src/. The one exception is saex.net.flowBatch, which is accepted
+   and ignored until ROADMAP item 8 decides its fate.
 
 Exit code 0 iff everything holds; each violation prints one line.
 """
@@ -206,6 +210,23 @@ def check_saex_keys():
                 fail(f"{os.path.relpath(path, ROOT)}: documents `{key}` which is not in the registry")
 
 
+# Registered but deliberately unread (see the module docstring, check 9).
+UNREAD_SAEX_KEYS = {"saex.net.flowBatch"}
+
+
+def check_saex_keys_read():
+    src = read(os.path.join(ROOT, "src/conf/spark_params.cpp"))
+    defined = set(re.findall(r'r\.define\(\{\s*"(saex\.[\w.]+)"', src))
+    read_keys = set()
+    for dirpath, _, names in os.walk(os.path.join(ROOT, "src")):
+        for name in names:
+            if name.endswith((".cpp", ".h")):
+                text = read(os.path.join(dirpath, name))
+                read_keys.update(re.findall(r'get_\w+\(\s*"(saex\.[\w.]+)"', text))
+    for key in sorted(defined - read_keys - UNREAD_SAEX_KEYS):
+        fail(f"src/conf/spark_params.cpp: registers `{key}` but nothing under src/ reads it")
+
+
 def main():
     check_links()
     check_fault_keys()
@@ -221,6 +242,7 @@ def main():
     check_scaling_doc()
     check_test_count()
     check_saex_keys()
+    check_saex_keys_read()
     if failures:
         print(f"\n{len(failures)} documentation check(s) failed")
         return 1
