@@ -7,10 +7,10 @@
 //   schedule_fire  K concurrent self-rescheduling chains (push + pop + the
 //                  callback round trip, the engine's dominant pattern)
 //   cancel_churn   hw::Disk processor-sharing churn across a 16-disk fleet:
-//                  every disk wake-up (due arrivals or a departure) moves
-//                  the disk's one pending wake-up in place, and every
-//                  completion cancels a watchdog — the kernel's reschedule
-//                  and cancel paths
+//                  every disk wake-up (a departure) and every resubmit due
+//                  before it moves the disk's one pending wake-up in place,
+//                  and every completion cancels a watchdog — the kernel's
+//                  reschedule and cancel paths
 //   terasort_e2e   full Terasort run under the default policy (wall seconds
 //                  for the whole engine, not just the kernel)
 //
@@ -106,10 +106,12 @@ void bench_schedule_fire(uint64_t n, BenchJson& out) {
 
 // A 16-disk fleet with `streams` concurrent transfers per disk, each stream
 // resubmitting on completion for `rounds` rounds. A submit waits out the
-// setup latency in the disk's arrival FIFO; every wake-up of the disk (the
-// arrivals due at that instant, or a departure) runs Disk::advance, which
-// moves the disk's one pending wake-up in place (Simulation::reschedule_at),
-// and every transfer arms a +30s watchdog that completion cancels — the
+// setup latency in the disk's arrival FIFO, and the disk projects its next
+// completion through the pending arrivals; every wake-up of the disk (a
+// departure) runs the pool's pass, and it and every submit due before the
+// wake-up move the disk's one pending wake-up in place
+// (Simulation::reschedule_at), and every transfer arms a +30s watchdog that
+// completion cancels — the
 // guard pattern real schedulers use. The cancel erases the watchdog's key
 // from the middle of a heap holding thousands of outstanding deadlines: this
 // is the cancellation-heavy shape of real I/O-bound runs.

@@ -579,7 +579,7 @@ void SparkContext::open_stage(JobRun& run, const Stage& stage,
   base.start_time = now;
   base.net_base = cluster_->network().total_bytes();
   for (auto& exec : executors_) {
-    const hw::Node& node = cluster_->node(exec->node_id());
+    hw::Node& node = cluster_->node(exec->node_id());
     base.disk_read.push_back(node.disk().total_bytes_read());
     base.disk_written.push_back(node.disk().total_bytes_written());
     base.blocked.push_back(exec->io_counters().blocked_seconds);
@@ -630,7 +630,7 @@ void SparkContext::close_stage(JobRun& run, const Stage& stage,
   double cpu_sum = 0.0, disk_sum = 0.0, iowait_sum = 0.0;
   for (size_t i = 0; i < executors_.size(); ++i) {
     ExecutorRuntime& exec = *executors_[i];
-    const hw::Node& node = cluster_->node(exec.node_id());
+    hw::Node& node = cluster_->node(exec.node_id());
     const double cpu_util = node.cpu().busy_tracker().utilization_since(
         base.start_time, base.cpu_busy[i], stage_end);
     const double disk_util = node.disk().busy_tracker().utilization_since(

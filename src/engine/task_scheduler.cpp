@@ -382,7 +382,11 @@ std::optional<size_t> TaskScheduler::pick_task_for(TaskSet& set,
   if (any) return any;
 
   if (speculation_ready(set)) {
-    const double median = percentile(set.result.durations, 0.5);
+    if (set.median_count != set.result.durations.size()) {
+      set.median = percentile(set.result.durations, 0.5);
+      set.median_count = set.result.durations.size();
+    }
+    const double median = set.median;
     const double now = sim_.now();
     for (size_t i = 0; i < set.tasks.size(); ++i) {
       const TaskState& st = set.state[i];

@@ -282,6 +282,10 @@ class TaskScheduler {
     bool locality_timer_armed = false;
     TaskSetResult result;
     TaskSetDone on_done;
+    // Median of result.durations, the speculation threshold's base, as of
+    // median_count durations: recomputed only when a success appends one.
+    double median = 0.0;
+    size_t median_count = 0;
 
     size_t state_index(int partition) const noexcept {
       return static_cast<size_t>(task_index[static_cast<size_t>(partition)]);

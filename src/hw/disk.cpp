@@ -85,17 +85,15 @@ double Disk::capacity_eff(double kd) const noexcept {
   return capacity_uncached(kd);
 }
 
-double Disk::effective_streams() const noexcept {
-  // Exact for the default quarter write weight: both terms are dyadic, so
-  // this matches the old per-transfer summation bit for bit.
-  return static_cast<double>(read_streams_) +
-         params_.write_stream_weight * static_cast<double>(write_streams_);
-}
-
-double Disk::current_rate_per_transfer() const noexcept {
-  const int k = active_transfers();
+double Disk::rate_per_transfer(int reads, int writes) const noexcept {
+  const int k = reads + writes;
   if (k == 0) return 0.0;
-  return capacity_eff(effective_streams()) / static_cast<double>(k);
+  // The effective streams are exact for the default quarter write weight:
+  // both terms are dyadic, so this matches a per-transfer summation bit for
+  // bit.
+  const double kd = static_cast<double>(reads) +
+                    params_.write_stream_weight * static_cast<double>(writes);
+  return capacity_eff(kd) / static_cast<double>(k);
 }
 
 void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
@@ -110,7 +108,7 @@ void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
 }
 
 void Disk::settle(double dt) {
-  const double rate = current_rate_per_transfer();
+  const double rate = rate_per_transfer(read_streams_, write_streams_);
   if (rate > 0.0) {
     for (auto& tr : jobs_) tr.remaining -= rate * dt;
   }

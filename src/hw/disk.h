@@ -82,7 +82,12 @@ class Disk : public FluidPool<Disk, DiskTransfer, prof::Subsystem::kDisk> {
   void submit(Bytes bytes, bool is_write, sim::Callback done,
               double work_factor = 1.0);
 
-  int active_transfers() const noexcept { return static_cast<int>(jobs_.size()); }
+  // The state readers first admit the arrivals due by now (catch_up), so
+  // they read what a wake-up per arrival would have left.
+  int active_transfers() {
+    catch_up();
+    return static_cast<int>(jobs_.size());
+  }
 
   /// Changes the bandwidth scale at runtime (fault injection: a degraded
   /// device turns the node into a straggler). In-flight transfers are
@@ -96,8 +101,14 @@ class Disk : public FluidPool<Disk, DiskTransfer, prof::Subsystem::kDisk> {
   /// Same over the effective (write-weighted, fractional) concurrency.
   double capacity_eff(double k) const noexcept;
 
-  Bytes total_bytes_read() const noexcept { return bytes_read_; }
-  Bytes total_bytes_written() const noexcept { return bytes_written_; }
+  Bytes total_bytes_read() {
+    catch_up();
+    return bytes_read_;
+  }
+  Bytes total_bytes_written() {
+    catch_up();
+    return bytes_written_;
+  }
 
   /// Window (sim seconds) of the executor sensor's disk %util reading
   /// (ExecutorRuntime::sample); the busy tracker retains exactly this much
@@ -105,8 +116,10 @@ class Disk : public FluidPool<Disk, DiskTransfer, prof::Subsystem::kDisk> {
   static constexpr double kUtilWindow = 5.0;
 
   /// Busy tracker: 1 while any transfer is active (iostat %util semantics).
-  const metrics::UtilizationTracker& busy_tracker() const noexcept { return busy_; }
-  metrics::UtilizationTracker& busy_tracker() noexcept { return busy_; }
+  const metrics::UtilizationTracker& busy_tracker() {
+    catch_up();
+    return busy_;
+  }
 
   const std::string& name() const noexcept { return name_; }
   const DiskParams& params() const noexcept { return params_; }
@@ -114,17 +127,31 @@ class Disk : public FluidPool<Disk, DiskTransfer, prof::Subsystem::kDisk> {
  private:
   friend FluidPool;
 
-  // FluidPool hooks. Every transfer runs at the one per-transfer rate.
+  // FluidPool hooks. Every transfer runs at the one per-transfer rate, so
+  // the pool projects its next completion through pending arrivals: the
+  // lookahead loads are stream counts, and one arrival is one increment.
   void settle(double dt);
   void retire(const DiskTransfer& tr);
   void admit(const DiskTransfer& tr, Bytes bytes);
   double until_next(double min_remaining) const noexcept {
-    return min_remaining / current_rate_per_transfer();
+    return min_remaining / rate_per_transfer(read_streams_, write_streams_);
   }
-  void set_busy(bool busy) { busy_.set_active(sim_.now(), busy ? 1.0 : 0.0); }
+  void set_busy(bool busy, sim::Time at) {
+    busy_.set_active(at, busy ? 1.0 : 0.0);
+  }
+  bool reset_ahead() noexcept {
+    ahead_reads_ = read_streams_;
+    ahead_writes_ = write_streams_;
+    return true;
+  }
+  void admit_ahead(const DiskTransfer& tr) noexcept {
+    ++(tr.is_write ? ahead_writes_ : ahead_reads_);
+  }
+  double ahead_rate() const noexcept {
+    return rate_per_transfer(ahead_reads_, ahead_writes_);
+  }
 
-  double current_rate_per_transfer() const noexcept;
-  double effective_streams() const noexcept;
+  double rate_per_transfer(int reads, int writes) const noexcept;
   double capacity_uncached(double kd) const noexcept;
 
   DiskParams params_;
@@ -133,6 +160,8 @@ class Disk : public FluidPool<Disk, DiskTransfer, prof::Subsystem::kDisk> {
 
   int read_streams_ = 0;   // active read transfers
   int write_streams_ = 0;  // active write transfers
+  int ahead_reads_ = 0;    // the same at the projection's end
+  int ahead_writes_ = 0;
   // capacity_eff(kd) memo over quarter-stream steps (kd is always
   // reads + 0.25*writes on the hot path); invalidated by set_speed_factor.
   mutable std::vector<double> cap_cache_;

@@ -11,8 +11,22 @@
 //    before it joins the pool. The latency is one constant per device, so
 //    arrivals fall due in submission order and a FIFO of (due time, job) is
 //    exact, without a kernel event per arrival;
-//  - the device's one kernel wake-up (a WakeUp), at the earlier of the next
-//    completion and the FIFO front;
+//  - the device's one kernel wake-up (a WakeUp), at the first instant a job
+//    completes. A device whose jobs all run at one rate (the disk) projects
+//    that instant through the pending arrivals: from the settled state it
+//    settles the least remaining work to each arrival and admits the
+//    arrival virtually, so an arrival that completes nothing costs no
+//    wake-up. Rounding is monotone, so the settled minimum is exactly the
+//    least of the settled jobs, and the projection repeats the arithmetic
+//    the skipped wake-ups would have run. The wake-up sits at an arrival
+//    instant only when a job finishes there. A submit due before the
+//    wake-up extends the projection's stored end by one step and moves the
+//    wake-up once. A device that cannot project (the network) keeps its
+//    wake-up at the earlier of the next completion and the FIFO front;
+//  - catch_up(): admits the arrivals a projection passed through, settling
+//    piecewise through them exactly as their wake-ups would have. It runs
+//    before every pass and in the device's state readers, so every reading
+//    equals one taken with a wake-up per arrival;
 //  - the pass: settle every job up to now at the current rates, complete
 //    the finished ones, move the wake-up, then run the completion
 //    callbacks;
@@ -33,12 +47,20 @@
 //                                     called only with jobs in the pool,
 //                                     `min_remaining` is their least
 //                                     remaining work
-//   void set_busy(bool);              optional: a sweep retired the pool's
+//   void set_busy(bool, sim::Time);   optional: a sweep retired the pool's
 //                                     last job, or arrivals joined an idle
-//                                     pool
+//                                     pool, at that time
+//   bool reset_ahead();               optional: starts a lookahead at the
+//                                     pool's loads; false (the default)
+//                                     declines projection through arrivals
+//   void admit_ahead(const Job&);     adds a pending arrival's load to the
+//                                     lookahead
+//   double ahead_rate();              every job's rate at the lookahead's
+//                                     loads (all jobs run at one rate)
 //
 // Job is an aggregate with `double remaining` (in the device's work units)
-// and `sim::Callback done`. Each pass is one `kProfile` profiler scope.
+// and `sim::Callback done`. Each pass, and each catch-up that admits, is one
+// `kProfile` profiler scope.
 #pragma once
 
 #include <algorithm>
@@ -64,11 +86,11 @@ class FluidPool {
       : sim_(sim), wake_(sim, [this] { wake(); }) {}
 
   /// Queues `job` (carrying `bytes`) to join the pool `latency` seconds from
-  /// now; a zero-byte job completes after the latency alone. When the job
-  /// is the only pending arrival and falls due strictly before the pending
-  /// wake-up (or none is pending), the wake-up moves to it. The move draws
-  /// the kernel's FIFO sequence number at submit time, so among same-instant
-  /// events the arrival orders as an event scheduled here would.
+  /// now; a zero-byte job completes after the latency alone. An arrival due
+  /// before the pending wake-up extends the projection by one step and moves
+  /// the wake-up to its result; a device that does not project moves the
+  /// wake-up to the arrival when it is the only one pending. The move draws
+  /// the kernel's FIFO sequence number at submit time.
   void enqueue(sim::Time latency, Bytes bytes, Job job) {
     if (bytes == 0) {
       sim_.schedule_after(latency, std::move(job.done));
@@ -77,23 +99,47 @@ class FluidPool {
     // The same sum schedule_after(latency) computes.
     const sim::Time at = sim_.now() + std::max(latency, 0.0);
     if (count_ == ring_.size()) grow();
-    ring_[(head_ + count_) & (ring_.size() - 1)] =
-        Arrival{at, bytes, std::move(job)};
+    Arrival& a = ring_[(head_ + count_) & (ring_.size() - 1)];
+    a = Arrival{at, bytes, std::move(job)};
     ++count_;
-    if (count_ == 1 && at < wake_.at()) wake_.move_to(at);
+    if (at >= wake_.at()) return;
+    if (!ahead_on_ && jobs_.empty() && count_ == 1) {
+      // An idle pool with no other arrival is its own projection's end
+      // state, before any pass and after a settle-only one alike.
+      start_ahead(sim_.now(), kNever);
+    }
+    if (ahead_on_) {
+      // Every earlier arrival is due before the wake-up, so the projection
+      // has passed all of them and ends at this arrival's predecessor.
+      wake_.move_to(step_ahead(a) ? ahead_done() : at);
+    } else if (count_ == 1) {
+      wake_.move_to(at);
+    }
   }
 
   /// Settles and completes at the old rates, applies `change`, then
   /// reschedules at the new rates (two passes).
   template <typename Change>
   void mutate(Change&& change) {
+    catch_up();
     pass(false);
     change();
     pass(true);
   }
 
-  /// Default hook for a device without a busy tracker.
-  void set_busy(bool) {}
+  /// Admits the pending arrivals the projection passed through: those due
+  /// before now, and those due at now unless the pool's own completion
+  /// callbacks are running (a completion and an arrival at one instant keep
+  /// the wake-up's order: callbacks first, then the admission). An arrival
+  /// due at the pending wake-up is left to it. The device's state readers
+  /// call this first.
+  void catch_up() { catch_up(!in_callbacks_); }
+
+  /// Default hooks: no busy tracker, no projection through arrivals.
+  void set_busy(bool, sim::Time) {}
+  bool reset_ahead() { return false; }
+  void admit_ahead(const Job&) {}
+  double ahead_rate() const { return 0.0; }
 
   sim::Simulation& sim_;
   std::vector<Job> jobs_;  // active jobs, in arrival order
@@ -113,33 +159,61 @@ class FluidPool {
     return count_ > 0 && ring_[head_].at <= sim_.now();
   }
 
-  // The wake-up: with arrivals due, settle and complete at the shares
-  // before them, admit every due arrival in FIFO order, then reschedule;
-  // otherwise one pass.
+  // The wake-up: admit the arrivals the projection passed through, then,
+  // with arrivals due now, settle and complete at the shares before them,
+  // admit them in FIFO order and reschedule; otherwise one pass.
   void wake() {
+    catch_up(false);
     if (!due()) {
       pass(true);
       return;
     }
-    mutate([this] {
+    pass(false);
+    const bool was_idle = jobs_.empty();
+    while (due()) admit_front();
+    // Busy only when the admissions ended an idle spell: arrivals that join
+    // a busy pool leave the busy tracker alone.
+    if (was_idle) device().set_busy(true, sim_.now());
+    pass(true);
+  }
+
+  void admit_front() {
+    Arrival& a = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    device().admit(a.job, a.bytes);
+    jobs_.push_back(std::move(a.job));
+  }
+
+  // Admits, in FIFO order, every pending arrival due before now (and at
+  // now, with `at_now`) that falls before the pending wake-up. Each one
+  // settles the pool up to its own instant at the rates before it, as its
+  // wake-up would have: the projection that skipped the wake-up guarantees
+  // that nothing completes there.
+  void catch_up(bool at_now) {
+    const sim::Time now = sim_.now();
+    const auto admissible = [&] {
+      if (count_ == 0) return false;
+      const sim::Time at = ring_[head_].at;
+      return (at < now || (at_now && at == now)) && at < wake_.at();
+    };
+    if (!admissible()) return;
+    prof::ScopedTimer scope(kProfile);
+    do {
+      const sim::Time at = ring_[head_].at;
+      const double dt = at - last_advance_;
+      if (dt > 0.0) device().settle(dt);
+      last_advance_ = at;
       const bool was_idle = jobs_.empty();
-      while (due()) {
-        Arrival& a = ring_[head_];
-        head_ = (head_ + 1) & (ring_.size() - 1);
-        --count_;
-        device().admit(a.job, a.bytes);
-        jobs_.push_back(std::move(a.job));
-      }
-      // Busy only when the admissions ended an idle spell: arrivals that
-      // join a busy pool leave the busy tracker alone.
-      if (was_idle) device().set_busy(true);
-    });
+      admit_front();
+      if (was_idle) device().set_busy(true, at);
+    } while (admissible());
   }
 
   // Settles every job up to now at the current rates and completes the
-  // finished ones. With `reschedule`, also moves the wake-up to the earlier
-  // of the next completion and the FIFO front, or cancels it when there is
-  // neither; a settle-only pass leaves it to the caller's next pass.
+  // finished ones. With `reschedule`, also projects and moves the wake-up,
+  // or cancels it when nothing is pending; a settle-only pass leaves it to
+  // the caller's next pass.
   void pass(bool reschedule) {
     prof::ScopedTimer scope(kProfile);
     const sim::Time now = sim_.now();
@@ -172,28 +246,79 @@ class FluidPool {
     jobs_.resize(out);
     // Idle only when this sweep retired the last job: a pass over a pool
     // that was already empty leaves the busy tracker alone.
-    if (jobs_.empty() && !finished.empty()) device().set_busy(false);
+    if (jobs_.empty() && !finished.empty()) device().set_busy(false, now);
 
     if (reschedule) {
-      sim::Time next = kNever;
-      if (!jobs_.empty()) {
-        // Floor the wake-up so time strictly advances even for sub-byte
-        // tails.
-        next = now + std::max(device().until_next(min_remaining), 1e-9);
-      }
-      if (count_ > 0) next = std::min(next, ring_[head_].at);
+      const sim::Time next = project(now, min_remaining);
       if (next == kNever) {
         wake_.cancel();
       } else {
         wake_.move_to(next);
       }
+    } else {
+      ahead_on_ = false;  // until the caller's rescheduling pass
     }
 
     // Callbacks run last: they may submit again reentrantly (a nested pass
     // sees an empty finished_scratch_ and allocates its own buffer).
+    const bool outer = in_callbacks_;
+    in_callbacks_ = true;
     for (auto& fn : finished) fn();
+    in_callbacks_ = outer;
     finished.clear();
     finished_scratch_ = std::move(finished);
+  }
+
+  // The first instant after `now` at which a job completes, projected
+  // through the pending arrivals, or the first arrival the projection
+  // cannot pass; kNever when nothing is pending. Leaves the projection's
+  // end state for enqueue() to extend.
+  sim::Time project(sim::Time now, double min_remaining) {
+    start_ahead(now, min_remaining);
+    // Floor the wake-up so time strictly advances even for sub-byte tails.
+    sim::Time next = jobs_.empty()
+                         ? kNever
+                         : now + std::max(device().until_next(min_remaining),
+                                          1e-9);
+    for (size_t i = 0; i < count_; ++i) {
+      const Arrival& a = ring_[(head_ + i) & (ring_.size() - 1)];
+      if (next < a.at) break;
+      if (!ahead_on_ || !step_ahead(a)) return a.at;
+      next = ahead_done();
+    }
+    return next;
+  }
+
+  // Starts a projection at the pool's settled state: time `now`, least
+  // remaining work `min_remaining`, the device's current loads.
+  void start_ahead(sim::Time now, double min_remaining) {
+    ahead_on_ = device().reset_ahead();
+    ahead_t_ = now;
+    ahead_min_ = min_remaining;
+  }
+
+  // One projection step: settles the least remaining work to `a`'s due
+  // time at the lookahead's rate, with the arithmetic the pass would run
+  // there, and admits `a` virtually. All jobs run at one rate and rounding
+  // is monotone, so the settled minimum is exactly the least of the settled
+  // jobs. False, changing nothing, when a job would finish at that instant.
+  bool step_ahead(const Arrival& a) {
+    double least = ahead_min_;
+    if (least != kNever) {
+      const double dt = a.at - ahead_t_;
+      if (dt > 0.0) least -= device().ahead_rate() * dt;
+      if (least <= 0.5) return false;
+    }
+    if (a.job.remaining <= 0.5) return false;
+    device().admit_ahead(a.job);
+    ahead_t_ = a.at;
+    ahead_min_ = std::min(least, a.job.remaining);
+    return true;
+  }
+
+  // The projected completion at the projection's end state.
+  sim::Time ahead_done() {
+    return ahead_t_ + std::max(ahead_min_ / device().ahead_rate(), 1e-9);
   }
 
   // Doubles the ring, unrolling the FIFO to start at slot 0.
@@ -209,12 +334,19 @@ class FluidPool {
   double last_advance_ = 0.0;
   // Completion callbacks, recycled across passes.
   std::vector<sim::Callback> finished_scratch_;
+  bool in_callbacks_ = false;
   // Power-of-two ring buffer: the FIFO is the count_ slots from head_. It
   // grows to the most arrivals ever in flight at once and never shrinks, so
   // a steady stream of submits allocates nothing.
   std::vector<Arrival> ring_;
   size_t head_ = 0;
   size_t count_ = 0;
+  // The projection's end state: it has settled to ahead_t_, where the least
+  // remaining work is ahead_min_ (kNever: no job) at the device's lookahead
+  // loads. Valid while ahead_on_; a settle-only pass clears it.
+  bool ahead_on_ = false;
+  sim::Time ahead_t_ = 0.0;
+  double ahead_min_ = kNever;
   WakeUp wake_;  // the device's one wake-up
 };
 

@@ -18,7 +18,12 @@
 // Like the disk, the model is event-driven: rates are piecewise constant
 // between flow arrivals/departures, and the settle → complete → reschedule
 // pass, the setup-latency arrival FIFO and the one wake-up are the disk's
-// too (hw::FluidPool).
+// too (hw::FluidPool). Unlike the disk, the network declines the pool's
+// projection through pending arrivals: its flows run at different rates, so
+// the least remaining bytes do not locate the next completion, and
+// register_fetch/unregister_fetch change incast rates outside the pool. Its
+// wake-up therefore stays at the earlier of the next completion and the
+// FIFO front, one wake-up per arrival instant.
 #pragma once
 
 #include <cassert>

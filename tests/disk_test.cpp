@@ -191,9 +191,10 @@ TEST(Disk, CompletionOrderIsFairUnderEqualWork) {
 }
 
 TEST(DiskArrivals, SameInstantSubmitsJoinInOneWake) {
-  // Eight reads submitted together fall due together: one wake-up admits
-  // all of them, and one more completes them. A kernel event per arrival
-  // would process 9 events here.
+  // Eight reads submitted together fall due together and finish together.
+  // Their arrival completes nothing, so the projection passes it and the
+  // one wake-up is their completion. A kernel event per arrival would
+  // process 9 events here, a wake-up per arrival instant 2.
   sim::Simulation sim;
   const DiskParams hdd = DiskParams::hdd();
   Disk disk(sim, hdd, "d");
@@ -207,7 +208,7 @@ TEST(DiskArrivals, SameInstantSubmitsJoinInOneWake) {
   const double expected =
       hdd.latency + 8.0 * static_cast<double>(bytes) / disk.capacity_at(8);
   for (double f : finish) EXPECT_NEAR(f, expected, 1e-12 * expected);
-  EXPECT_EQ(sim.processed(), 2u);
+  EXPECT_EQ(sim.processed(), 1u);
   EXPECT_EQ(disk.total_bytes_read(), 8 * bytes);
 }
 
@@ -216,8 +217,9 @@ TEST(DiskArrivals, EarlierArrivalMovesTheWakeLaterOneDoesNot) {
   const double lat = hdd.latency;
   const double w = static_cast<double>(mib(64));
 
-  // Y falls due while X is still in the pool: the wake-up moves to Y's
-  // arrival, then both share the device until X finishes.
+  // Y falls due while X is still in the pool: both share the device from
+  // Y's arrival until X finishes. Y's submit projects X's completion
+  // through that arrival and moves the wake-up there once.
   {
     sim::Simulation sim;
     Disk disk(sim, hdd, "d");
@@ -229,8 +231,10 @@ TEST(DiskArrivals, EarlierArrivalMovesTheWakeLaterOneDoesNot) {
     const double t1 = 0.1;
     sim.run_until(t1);
     ASSERT_EQ(disk.active_transfers(), 1);
+    const double alone = sim.next_time();  // X's completion if alone
     disk.submit(mib(64), false, [&] { y_done = sim.now(); });
-    EXPECT_EQ(sim.next_time(), t1 + lat);  // moved ahead of X's completion
+    const double shared = sim.next_time();
+    EXPECT_GT(shared, alone);  // moved to X's completion at the shared rate
     sim.run();
     // X alone over [lat, t1 + lat), then both at c2/2 each.
     const double x_left = w - c1 * t1;
@@ -239,11 +243,13 @@ TEST(DiskArrivals, EarlierArrivalMovesTheWakeLaterOneDoesNot) {
     const double ty = tx + (w - x_left) / c1;
     EXPECT_NEAR(x_done, tx, 1e-9 * tx);
     EXPECT_NEAR(y_done, ty, 1e-9 * ty);
-    EXPECT_EQ(sim.processed(), 4u);  // two arrivals, two completions
+    EXPECT_EQ(x_done, shared);  // the wake-up did not move again
+    EXPECT_EQ(sim.processed(), 2u);  // two completions, no arrival wake-up
   }
 
   // Z falls due after X's completion: the wake-up stays put, X finishes as
-  // if alone, and Z then runs alone from its own arrival.
+  // if alone, and Z then runs alone from its own arrival, which X's pass
+  // projects through.
   {
     sim::Simulation sim;
     Disk disk(sim, hdd, "d");
@@ -262,7 +268,7 @@ TEST(DiskArrivals, EarlierArrivalMovesTheWakeLaterOneDoesNot) {
     EXPECT_NEAR(x_done, tx, 1e-9 * tx);
     const double tz = t1 + lat + w / c1;
     EXPECT_NEAR(z_done, tz, 1e-9 * tz);
-    EXPECT_EQ(sim.processed(), 4u);
+    EXPECT_EQ(sim.processed(), 2u);  // the two completions
   }
 }
 
@@ -292,10 +298,54 @@ TEST(DiskArrivals, JoiningABusyDiskAddsNoBusyPoint) {
   EXPECT_NEAR(busy.integral_at(end), end - hdd.latency, 1e-12 * end);
 }
 
+TEST(DiskArrivals, ReadersSeeEveryArrivalDueByNow) {
+  // X (a read) and Y (a write) fall due 0.1 ms apart while no wake-up
+  // separates them. Read between the two arrivals and exactly at Y's, the
+  // disk must show what a wake-up per arrival leaves: X admitted at its
+  // own due time (the busy point is X's arrival, not the read), then Y
+  // joining the busy disk without a busy point.
+  sim::Simulation sim;
+  const DiskParams hdd = DiskParams::hdd();
+  const double lat = hdd.latency;
+  Disk disk(sim, hdd, "d");
+  int done = 0;
+  disk.submit(mib(64), false, [&] { ++done; });
+  const double y_submit = 1e-4;
+  sim.run_until(y_submit);
+  disk.submit(mib(4), true, [&] { ++done; });
+  const double between = lat + y_submit / 2.0;  // X due, Y not yet
+  sim.run_until(between);
+  EXPECT_EQ(sim.processed(), 0u);  // neither arrival has a wake-up
+  EXPECT_EQ(disk.active_transfers(), 1);
+  EXPECT_EQ(disk.total_bytes_read(), mib(64));
+  EXPECT_EQ(disk.total_bytes_written(), 0);
+  const metrics::UtilizationTracker& busy = disk.busy_tracker();
+  EXPECT_EQ(busy.last_update(), lat);
+  EXPECT_EQ(busy.retained_points(), 1u);  // the idle level before X
+  EXPECT_EQ(busy.integral_at(between), between - lat);
+
+  const double y_at = y_submit + lat;
+  sim.run_until(y_at);
+  EXPECT_EQ(sim.processed(), 0u);
+  EXPECT_EQ(disk.active_transfers(), 2);
+  EXPECT_EQ(disk.total_bytes_read(), mib(64));
+  EXPECT_EQ(disk.total_bytes_written(), mib(4));
+  EXPECT_EQ(disk.busy_tracker().last_update(), lat);
+  EXPECT_EQ(disk.busy_tracker().retained_points(), 1u);
+  EXPECT_EQ(disk.busy_tracker().integral_at(y_at), y_at - lat);
+
+  const double end = sim.run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(sim.processed(), 2u);
+  EXPECT_NEAR(disk.busy_tracker().integral_at(end), end - lat, 1e-12 * end);
+}
+
 TEST(DiskArrivals, SpeedChangeInsideTheLatencyWindowKeepsTheArrival) {
   // A degrade lands while the only transfer is still inside its setup
-  // latency: the rescheduling pass must keep the wake-up for the arrival,
-  // which joins at its due time and runs at the new speed.
+  // latency: the rescheduling pass must keep the arrival pending and
+  // project through it at the new speed, so the wake-up moves to the
+  // transfer's completion at that speed. The transfer still joins at its
+  // own due time.
   sim::Simulation sim;
   const DiskParams hdd = DiskParams::hdd();
   Disk disk(sim, hdd, "d");
@@ -303,13 +353,13 @@ TEST(DiskArrivals, SpeedChangeInsideTheLatencyWindowKeepsTheArrival) {
   disk.submit(mib(32), false, [&] { done_at = sim.now(); });
   sim.run_until(hdd.latency / 2.0);
   disk.set_speed_factor(0.5);
+  const double expected =
+      hdd.latency + static_cast<double>(mib(32)) / disk.capacity_at(1);
   EXPECT_EQ(disk.active_transfers(), 0);
-  EXPECT_EQ(sim.next_time(), hdd.latency);
+  EXPECT_NEAR(sim.next_time(), expected, 1e-12 * expected);
   sim.run_until(hdd.latency);
   EXPECT_EQ(disk.active_transfers(), 1);
   sim.run();
-  const double expected =
-      hdd.latency + static_cast<double>(mib(32)) / disk.capacity_at(1);
   EXPECT_NEAR(done_at, expected, 1e-12 * expected);
   EXPECT_NEAR(disk.capacity_at(1), 0.5 * hdd.base_bw, 1e-6 * hdd.base_bw);
 }
@@ -335,7 +385,7 @@ TEST(DiskPass, SpeedChangeMidTransferSettlesAtTheOldRateFirst) {
   EXPECT_NEAR(sim.next_time(), expected, 1e-12 * expected);
   sim.run();
   EXPECT_NEAR(done_at, expected, 1e-12 * expected);
-  EXPECT_EQ(sim.processed(), 2u);  // the arrival and the completion
+  EXPECT_EQ(sim.processed(), 1u);  // the completion; the arrival needs none
 }
 
 TEST(DiskPass, CallbackThatSubmitsAndChangesSpeedRunsANestedPass) {
@@ -353,12 +403,16 @@ TEST(DiskPass, CallbackThatSubmitsAndChangesSpeedRunsANestedPass) {
   int b_calls = 0;
   double a_done = -1.0;
   double c_done = -1.0;
+  double c_wake = -1.0;
   disk.submit(mib(8), false, [&] {
     ++a_calls;
     a_done = sim.now();
     disk.submit(mib(8), false, [&] { c_done = sim.now(); });
     disk.set_speed_factor(0.5);
-    EXPECT_EQ(sim.next_time(), sim.now() + hdd.latency);  // C's arrival
+    // C's completion at the new speed, projected through C's arrival.
+    c_wake = sim.next_time();
+    const double t_c = sim.now() + hdd.latency + w / disk.capacity_at(1);
+    EXPECT_NEAR(c_wake, t_c, 1e-12 * t_c);
   });
   disk.submit(mib(8), false,
               [&b_calls, one = std::make_unique<int>(1)] { b_calls += *one; });
@@ -368,6 +422,7 @@ TEST(DiskPass, CallbackThatSubmitsAndChangesSpeedRunsANestedPass) {
   EXPECT_NEAR(a_done, t_ab, 1e-12 * t_ab);
   const double t_c = a_done + hdd.latency + w / disk.capacity_at(1);
   EXPECT_NEAR(c_done, t_c, 1e-12 * t_c);
+  EXPECT_EQ(c_done, c_wake);
   EXPECT_NEAR(disk.capacity_at(1), 0.5 * hdd.base_bw, 1e-6 * hdd.base_bw);
   EXPECT_EQ(disk.total_bytes_read(), 3 * mib(8));
 }

@@ -448,7 +448,7 @@ TEST(JobServer, LongReplayKeepsOnlyTheSensorWindow) {
 
   size_t disk_points = 0;
   for (int n = 0; n < rig.cluster.size(); ++n) {
-    const hw::Node& node = rig.cluster.node(n);
+    hw::Node& node = rig.cluster.node(n);
     EXPECT_EQ(node.cpu().busy_tracker().retained_points(), 0u) << "node " << n;
     EXPECT_GT(node.cpu().total_busy_seconds(), 0.0) << "node " << n;
     const metrics::UtilizationTracker& disk = node.disk().busy_tracker();

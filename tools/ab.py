@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Paired parent/change timing of one repository-benchmark workload.
 
-Usage: ab.py --base <rev> --workload W --pairs N [--seed S] [--work-dir D]
+Usage: ab.py --base <rev> --workload W --pairs N [--seed S] [--seconds T]
+             [--work-dir D]
        ab.py --self-check
 
 Compares the current checkout (the "change", uncommitted edits included)
@@ -9,14 +10,23 @@ against git revision <rev> (the "parent"). Each side is built from its own
 tree into its own target directory, as perfbench/run.py builds with
 $CARGO_TARGET_DIR set: the parent's tree is extracted with `git archive`
 under D (default .ab_build/ in the repository root), and both build
-directories live under D too. Then N pairs of
+directories live under D too. Then N pairs of samples run back to back,
+alternating which side runs first. One sample is one
 
     saex_perfbench --workload W --seed S --setups 1
 
-run back to back, alternating which side runs first. Every run must exit 0
-with `errors == []`, and every run of both sides must report the same
-digest (the change is bitwise identical to its parent); otherwise the tool
-exits 1.
+run, or, with --seconds T, the medians of one
+
+    perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+(the side's own run.py, building into the side's target directory), so a
+sample matches the benchmark's own run length. Every run must exit 0 with
+`errors == []` (run.py: `"correct": true`), and every run of both sides
+must report the same digest (the change is bitwise identical to its
+parent); otherwise the tool exits 1. run.py prints no digest, so with
+--seconds each side first makes one `--setups 1` run for the digest, and
+the simulated end-to-end metrics (makespan, job p50, SLO attainment,
+finished fraction) of every sample must match too.
 
 For wall_s, setup_s and peak_rss_mib it prints each side's median and
 interquartile range (IQR) and the pairs in which the change read lower, then
@@ -37,6 +47,7 @@ Exit code 0 = every run correct, 1 = a run failed or digests differ,
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -47,6 +58,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("batch_paper", "serve_fair", "serve_churn_shard")
 METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+SIM_METRICS = ("sim_makespan_s", "sim_job_p50_s", "slo_attainment",
+               "finished_frac")
 WIN_SHARE = 0.9
 
 
@@ -120,6 +133,22 @@ def self_check():
     tied = list(base[:2]) + [b * 0.8 for b in base[2:]]
     case("two ties: 8/10 wins is the same",
          compare(base, tied)["verdict"], "same")
+    run_py = {"correct": True, "attempted": 12, "failed": 0, "metrics": {
+        "wall_s": {"value": 1.5, "unit": "s"},
+        "setup_s": {"value": 0.002, "unit": "s"},
+        "peak_rss_mib": {"value": 33.0, "unit": "MiB"},
+        "sim_makespan_s": {"value": 3000.0, "unit": "sim_s"},
+        "sim_job_p50_s": {"value": 40.0, "unit": "sim_s"},
+        "slo_attainment": {"value": 0.9, "unit": "ratio"},
+        "finished_frac": {"value": 1.0, "unit": "ratio"}}}
+    got = parse_run_py("workload serve_fair ...\n" + json.dumps(run_py))
+    case("a run.py sample is its medians",
+         (got["wall_s"], got["setup_s"], got["peak_rss_mib"],
+          got["sim"]["sim_makespan_s"], got["problems"]),
+         (1.5, 0.002, 33.0, 3000.0, []))
+    run_py["correct"] = False
+    case("an incorrect run.py run is a problem",
+         parse_run_py(json.dumps(run_py))["problems"] != [], True)
 
     bad = 0
     for desc, ok, got, want in cases:
@@ -189,6 +218,38 @@ def run_once(exe, workload, seed):
             "problems": problems}
 
 
+def parse_run_py(stdout):
+    """One sample from perfbench/run.py --trace 0 output: its medians."""
+    out = json.loads(stdout.strip().splitlines()[-1])
+    values = {name: m["value"] for name, m in out["metrics"].items()}
+    problems = []
+    if not out.get("correct"):
+        problems.append(f"run.py: correct is false ({out.get('failed')} of "
+                        f"{out.get('attempted')} repetitions failed)")
+    return {"wall_s": values["wall_s"], "setup_s": values["setup_s"],
+            "peak_rss_mib": values["peak_rss_mib"],
+            "sim": {m: values[m] for m in SIM_METRICS},
+            "problems": problems}
+
+
+def run_py_once(tree, target, workload, seed, seconds):
+    """The medians of one run.py invocation of `tree`'s benchmark, built
+    into `target` (its $CARGO_TARGET_DIR)."""
+    env = dict(os.environ, CARGO_TARGET_DIR=str(target))
+    proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
+                           "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
+                          cwd=str(tree), env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
+    if not proc.stdout.strip():
+        log(proc.stderr[-4000:])
+        raise RuntimeError(f"run.py exited {proc.returncode} without a result")
+    r = parse_run_py(proc.stdout)
+    if proc.returncode != 0 and not r["problems"]:
+        r["problems"].append(f"run.py exited {proc.returncode}")
+    return r
+
+
 def fmt(metric, x):
     if metric == "wall_s":
         return f"{x:.3f} s"
@@ -204,6 +265,9 @@ def main():
     ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--pairs", type=int)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float,
+                    help="one sample = the medians of perfbench/run.py "
+                    "--seconds T --trace 0 (default: one --setups 1 run)")
     ap.add_argument("--work-dir", type=Path, default=ROOT / ".ab_build")
     args = ap.parse_args()
     if args.self_check:
@@ -213,6 +277,9 @@ def main():
         ap.print_usage(sys.stderr)
         log("ab: --base, --workload and --pairs (>= 1) are required")
         return 2
+    if args.seconds is not None and args.seconds <= 0:
+        log("ab: --seconds must be > 0")
+        return 2
 
     work = args.work_dir.resolve()
     try:
@@ -221,38 +288,62 @@ def main():
         base_tree = work / f"base-{rev[:12]}"
         if not base_tree.is_dir():
             extract(rev, base_tree)
-        exes = {"base": build(base_tree, work / f"base-{rev[:12]}-target"),
-                "change": build(ROOT, work / "change-target")}
+        trees = {"base": base_tree, "change": ROOT}
+        targets = {"base": work / f"base-{rev[:12]}-target",
+                   "change": work / "change-target"}
+        exes = {side: build(trees[side], targets[side]) for side in trees}
     except (RuntimeError, OSError, subprocess.CalledProcessError,
             tarfile.TarError) as e:
         log(f"ab: {e}")
         return 2
 
+    def sample(side):
+        if args.seconds is None:
+            return run_once(exes[side], args.workload, args.seed)
+        return run_py_once(trees[side], targets[side], args.workload,
+                           args.seed, args.seconds)
+
     samples = {"base": [], "change": []}
     problems = []
-    for i in range(args.pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
-            try:
-                r = run_once(exes[side], args.workload, args.seed)
-            except (RuntimeError, ValueError, KeyError, IndexError) as e:
-                log(f"ab: FAILED {side} run {i}: {e}")
-                return 1
-            samples[side].append(r)
-            problems += [f"{side} run {i}: {p}" for p in r["problems"]]
-        log(f"ab: pair {i + 1}/{args.pairs}: parent "
-            f"{samples['base'][-1]['wall_s']:.3f} s, change "
-            f"{samples['change'][-1]['wall_s']:.3f} s")
-    digests = sorted({r["digest"] for side in samples.values() for r in side})
+    digest_runs = []
+    try:
+        if args.seconds is not None:
+            digest_runs = [run_once(exes[side], args.workload, args.seed)
+                           for side in ("base", "change")]
+            for side, r in zip(("base", "change"), digest_runs):
+                problems += [f"{side} digest run: {p}" for p in r["problems"]]
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                r = sample(side)
+                samples[side].append(r)
+                problems += [f"{side} run {i}: {p}" for p in r["problems"]]
+            log(f"ab: pair {i + 1}/{args.pairs}: parent "
+                f"{samples['base'][-1]['wall_s']:.3f} s, change "
+                f"{samples['change'][-1]['wall_s']:.3f} s")
+    except (RuntimeError, ValueError, KeyError, IndexError) as e:
+        log(f"ab: FAILED run: {e}")
+        return 1
+    runs = digest_runs or [r for side in samples.values() for r in side]
+    digests = sorted({r["digest"] for r in runs})
     if len(digests) != 1:
         problems.append("report digests differ: " + ", ".join(digests))
+    if args.seconds is not None:
+        sims = {json.dumps(r["sim"], sort_keys=True)
+                for side in samples.values() for r in side}
+        if len(sims) != 1:
+            problems.append("simulated end-to-end metrics differ: "
+                            + "; ".join(sorted(sims)))
     for p in problems:
         log(f"ab: FAILED {p}")
 
     results = {m: compare([r[m] for r in samples["base"]],
                           [r[m] for r in samples["change"]]) for m in METRICS}
+    unit = (f"run.py --seconds {args.seconds:g} medians"
+            if args.seconds is not None else "--setups 1 runs")
     print(f"parent {rev[:12]} vs change (working tree), "
-          f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
+          f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs "
+          f"of {unit}")
     print("| metric | parent | change | lower | verdict |")
     print("|---|---:|---:|---:|---|")
     for m, r in results.items():
@@ -263,7 +354,8 @@ def main():
     print(json.dumps({
         "correct": not problems,
         "base": rev, "workload": args.workload, "seed": args.seed,
-        "pairs": args.pairs, "digest": digests[0] if len(digests) == 1 else None,
+        "pairs": args.pairs, "seconds": args.seconds,
+        "digest": digests[0] if len(digests) == 1 else None,
         "verdict": results["wall_s"]["verdict"],
         "metrics": results,
         "samples": {side: [{m: r[m] for m in METRICS} for r in runs]
