@@ -43,11 +43,6 @@ class DagScheduler {
   JobPlan build(const Rdd& final);
 
  private:
-  struct ChainInfo {
-    std::vector<RddNodeRef> nodes;  // source..sink order
-    RddNodeRef boundary = nullptr;  // shuffle/join/cache source below chain
-  };
-
   // Returns the uid of the stage that materializes `node`'s output, creating
   // it (and its ancestors) if necessary. `out` collects stages in topo order.
   int build_stage_for(const RddNodeRef& node, std::vector<Stage>& out);

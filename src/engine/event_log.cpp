@@ -1,5 +1,6 @@
 #include "engine/event_log.h"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -53,7 +54,9 @@ std::string escape(const std::string& s) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt::format("\\u{:04}", static_cast<int>(c));
+          char hex[7];
+          std::snprintf(hex, sizeof hex, "\\u%04x", static_cast<unsigned>(c));
+          out += hex;
         } else {
           out.push_back(c);
         }

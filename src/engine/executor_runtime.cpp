@@ -107,7 +107,6 @@ struct ExecutorRuntime::TaskRun {
 
   // Consumer state.
   Waiting waiting = Waiting::kNone;
-  double stall_start = 0.0;
   double out_acc = 0.0;
   double cache_acc = 0.0;
   Bytes shuffle_written = 0;
@@ -138,10 +137,7 @@ struct ExecutorRuntime::TaskRun {
     exec->io_.add_blocked(now() - issued_at);
   }
 
-  void begin_stall(Waiting w) {
-    waiting = w;
-    stall_start = now();
-  }
+  void begin_stall(Waiting w) { waiting = w; }
   void end_stall() { waiting = Waiting::kNone; }
 
   void start() {

@@ -284,6 +284,13 @@ uint64_t TaskScheduler::submit_stage(const Stage& stage,
   for (const TaskSpec& t : pushed.tasks) {
     if (t.preferred_nodes.empty()) ++pushed.pref_free_pending;
   }
+  // Delay scheduling's one re-offer: when the window closes, preferring
+  // tasks become stealable by any free executor, and no other event would
+  // run the offer loop for them.
+  if (options_.locality_wait > 0.0 &&
+      pushed.pref_free_pending < static_cast<int>(pushed.tasks.size())) {
+    sim_.schedule_at(locality_deadline(pushed), [this] { try_assign(); });
+  }
   try_assign();
   schedule_speculation_check();
   return id;
@@ -361,24 +368,14 @@ std::optional<size_t> TaskScheduler::pick_task_for(TaskSet& set,
   const int node_id = execs_[exec_idx].exec->node_id();
   const bool wait_over = set_wait_over(set);
   std::optional<size_t> any;
-  bool deferred = false;
   // `pending` holds exactly the indices with !done && running_copies == 0,
-  // in ascending order — the same visit order as the full scan it replaces.
+  // in ascending order.
   for (const int32_t idx : set.pending) {
     const size_t i = static_cast<size_t>(idx);
     const auto& pref = set.tasks[i].preferred_nodes;
-    if (pref.empty()) {
-      if (!any) any = i;
-      continue;
-    }
     if (std::find(pref.begin(), pref.end(), node_id) != pref.end()) return i;
-    if (wait_over) {
-      if (!any) any = i;
-    } else {
-      deferred = true;
-    }
+    if (!any && (pref.empty() || wait_over)) any = i;
   }
-  if (!any && deferred) arm_locality_timer(set);
   if (any) return any;
 
   if (speculation_ready(set)) {
@@ -405,20 +402,10 @@ std::optional<size_t> TaskScheduler::pick_task_for(TaskSet& set,
   return std::nullopt;
 }
 
-// Re-offer once the locality window closes, or nothing would wake us.
-void TaskScheduler::arm_locality_timer(TaskSet& set) {
-  if (set.locality_timer_armed) return;
-  set.locality_timer_armed = true;
-  const uint64_t set_id = set.id;
-  sim_.schedule_at(locality_deadline(set), [this, set_id] {
-    if (TaskSet* s = find_set(set_id)) s->locality_timer_armed = false;
-    try_assign();
-  });
-}
-
 // The timer and the test share one deadline. Testing now - submit >= wait
 // instead can round below the wait at the very instant the timer fires
-// (4.1 - 1.1 < 3), re-arming a zero-delay timer forever.
+// (4.1 - 1.1 < 3), so the timer's offer pass would still find the window
+// open and the set would wait with nothing left to wake it.
 double TaskScheduler::locality_deadline(const TaskSet& set) const noexcept {
   return set.result.submit_time + options_.locality_wait;
 }
@@ -468,8 +455,9 @@ const std::vector<int>& TaskScheduler::pref_union(TaskSet& set) {
   return set.pref_nodes;
 }
 
-// Executors that some deferred set's pending tasks prefer — with no generic
-// set in flight these are the only executors an offer pass can dispatch to.
+// Executors that the pending tasks of a set still inside its locality window
+// prefer — with no generic set in flight these are the only executors an
+// offer pass can dispatch to.
 void TaskScheduler::build_candidates() {
   cand_scratch_.clear();
   for (const auto& up : sets_) {
@@ -488,61 +476,30 @@ void TaskScheduler::build_candidates() {
       cand_scratch_.end());
 }
 
-// What a fruitless pass of the exhaustive scan does as a side effect: every
-// offerable set whose pending tasks are all waiting out the delay-scheduling
-// window gets its re-offer timer armed (idempotently), in offer order so
-// event creation order matches the scan's failed picks.
-void TaskScheduler::arm_deferred_timers() {
-  // Cheap order-free pre-check so the per-event common case (nothing
-  // deferred) never pays for an offer_order() sort.
-  bool any = false;
-  for (const auto& set : sets_) {
-    if (set->held || set->pending.empty() || set->locality_timer_armed) {
-      continue;
-    }
-    if (set->pref_free_pending > 0 || set_wait_over(*set)) continue;
-    any = true;
-    break;
-  }
-  if (!any) return;
-  for (TaskSet* set_ptr : offer_order()) {
-    TaskSet& set = *set_ptr;
-    if (set.held || set.pending.empty() || set.locality_timer_armed) continue;
-    if (set.pref_free_pending > 0 || set_wait_over(set)) continue;
-    arm_locality_timer(set);
-  }
-}
-
 // Offers executor `exec_idx` one slot: walks sets in FIFO/FAIR order and
-// dispatches from the first that has a task for it — what the exhaustive
-// scan does for one executor, including its side effects: deferred sets
-// passed on the way are armed exactly where their failed pick would be. A
-// speculation-ready set may have a copy for any executor, so it always
-// gets the full pick.
+// dispatches from the first that has a task for it. A set that is waiting
+// out its locality window is skipped unless some pending task prefers this
+// node; a speculation-ready set may have a copy for any executor, so it
+// always gets the full pick.
 bool TaskScheduler::offer_to(size_t exec_idx) {
   const int node_id = execs_[exec_idx].exec->node_id();
   for (TaskSet* set_ptr : offer_order()) {
     TaskSet& set = *set_ptr;
     if (set.held) continue;
     if (!speculation_ready(set)) {
-      if (set.pending.empty()) continue;  // a pick would fail with no effects
+      if (set.pending.empty()) continue;
       const bool generic = set.pref_free_pending > 0 || set_wait_over(set);
       if (!generic) {
         const std::vector<int>& pref = pref_union(set);
-        if (!std::binary_search(pref.begin(), pref.end(), node_id)) {
-          // pick_task_for would walk the pending list, match nothing, and
-          // defer — its only side effect being this timer.
-          arm_locality_timer(set);
-          continue;
-        }
+        if (!std::binary_search(pref.begin(), pref.end(), node_id)) continue;
       }
     }
+    // A failed pick means pref_nodes over-approximated (the preferring task
+    // dispatched earlier in this call): keep walking.
     if (const auto task = pick_task_for(set, exec_idx)) {
       dispatch(set, *task, exec_idx, set.state[*task].running_copies > 0);
       return true;
     }
-    // pref_nodes over-approximated (the preferring task dispatched earlier
-    // in this call); the failed pick armed the timer itself. Keep walking.
   }
   return false;
 }
@@ -556,9 +513,9 @@ void TaskScheduler::try_assign() {
       std::any_of(sets_.begin(), sets_.end(), [this](const auto& set) {
         return !set->held && speculation_ready(*set);
       });
-  // Otherwise nothing pending means no dispatch AND no deferred set to arm:
-  // the whole offer pass is a no-op. This is the per-task-completion common
-  // case on a large, underloaded cluster.
+  // Otherwise nothing pending means no dispatch: the whole offer pass is a
+  // no-op. This is the per-task-completion common case on a large,
+  // underloaded cluster.
   if (pending_total_ == 0 && !speculating) return;
   ++offer_epoch_;
   const size_t n = execs_.size();
@@ -567,8 +524,7 @@ void TaskScheduler::try_assign() {
     progress = false;
     if (pending_total_ == 0 && !speculating) break;
     // One pass: each executor with a free slot is offered at most one task,
-    // in ascending index order — the scan's visit order restricted to the
-    // executors that can actually receive something.
+    // in ascending index order.
     bool cand_only = false;
     size_t cand_pos = 0;
     size_t e = 0;
@@ -590,11 +546,6 @@ void TaskScheduler::try_assign() {
             break;
           }
         }
-        // A free non-candidate executor ahead of the next candidate would
-        // walk every set without dispatching; its only effect is arming the
-        // deferred timers, which must land *before* the candidate's dispatch
-        // to keep the event sequence identical to the scan.
-        if (next_free_exec(e) < c) arm_deferred_timers();
         if (c >= n) break;
         next = c;
       } else {
@@ -605,10 +556,6 @@ void TaskScheduler::try_assign() {
       e = next + 1;
     }
   }
-  // The scan's final no-progress pass arms the deferred timers of sets its
-  // failed picks reach — but only if some free executor exists to do the
-  // walking.
-  if (next_free_exec(0) < n) arm_deferred_timers();
 }
 
 void TaskScheduler::dispatch(TaskSet& set, size_t task_idx, size_t exec_idx,

@@ -279,7 +279,6 @@ class TaskScheduler {
     uint64_t pref_epoch = 0;
     bool failed = false;
     bool held = false;  // parked during lineage recovery
-    bool locality_timer_armed = false;
     TaskSetResult result;
     TaskSetDone on_done;
     // Median of result.durations, the speculation threshold's base, as of
@@ -296,12 +295,14 @@ class TaskScheduler {
   /// In-flight task sets in slot-offer order under the current scheduling
   /// mode; valid until the next submit/finish/erase.
   const std::vector<TaskSet*>& offer_order();
-  // The offer loop. Its result is that of an exhaustive scan (every free
-  // executor offered one slot per pass, walking the sets in offer order,
-  // until a pass dispatches nothing), but it visits only executors with free
-  // slots (free_bits_), and only when some set could actually hand them a
-  // task (pref_free_pending / locality candidates / a speculation-ready
-  // set). O(dispatches), not O(executors x sets).
+  // The offer loop: passes over the free executors in index order, each
+  // offered one slot and walking the sets in offer order, until a pass
+  // dispatches nothing. It visits only executors with free slots
+  // (free_bits_), and only when some set could actually hand them a task
+  // (pref_free_pending / locality candidates / a speculation-ready set):
+  // O(dispatches), not O(executors x sets). A failed pick has no side
+  // effect; each set's locality deadline is one kernel event, armed at
+  // submit.
   void try_assign();
   bool offer_to(size_t exec_idx);
   double locality_deadline(const TaskSet& set) const noexcept;
@@ -310,8 +311,6 @@ class TaskScheduler {
   bool any_generic_set() const noexcept;
   void build_candidates();
   const std::vector<int>& pref_union(TaskSet& set);
-  void arm_locality_timer(TaskSet& set);
-  void arm_deferred_timers();
   void pending_remove(TaskSet& set, size_t task_idx) noexcept;
   void pending_insert(TaskSet& set, size_t task_idx);
   void pending_clear(TaskSet& set) noexcept;

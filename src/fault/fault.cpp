@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/log.h"
@@ -36,14 +39,17 @@ ChaosEvent parse_chaos_entry(std::string_view entry) {
   const std::string time_text(entry.substr(at + 1));
   if (node_text.empty() || time_text.empty()) throw bad("empty field");
   char* end = nullptr;
+  errno = 0;
   const long node = std::strtol(node_text.c_str(), &end, 10);
-  if (end == node_text.c_str() || *end != '\0' || node < 0)
-    throw bad("node must be a non-negative integer");
+  if (end == node_text.c_str() || *end != '\0' || errno == ERANGE ||
+      node < 0 || node > INT_MAX)
+    throw bad("node must be a non-negative int");
   ev.node = static_cast<int>(node);
   end = nullptr;
   const double time = std::strtod(time_text.c_str(), &end);
-  if (end == time_text.c_str() || *end != '\0' || !(time >= 0.0))
-    throw bad("time must be a non-negative number of seconds");
+  if (end == time_text.c_str() || *end != '\0' || !(time >= 0.0) ||
+      !std::isfinite(time))
+    throw bad("time must be a finite, non-negative number of seconds");
   ev.time = time;
   return ev;
 }

@@ -34,7 +34,6 @@ class IoAccounting {
   void task_completed() noexcept { ++counters_.tasks_completed; }
 
   const IoCounters& snapshot() const noexcept { return counters_; }
-  void reset() noexcept { counters_ = IoCounters{}; }
 
  private:
   IoCounters counters_;

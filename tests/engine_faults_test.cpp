@@ -231,6 +231,61 @@ TEST(DelayScheduling, LocalityTimerEndsTheWaitAtItsDeadline) {
   EXPECT_GE(starts[0].time, 1.1 + 3.0);
 }
 
+TEST(DelayScheduling, OneLocalityTimerPerSetArmedAtSubmit) {
+  // A set with a preferring task gets exactly one re-offer event, at submit +
+  // spark.locality.wait, armed at submit whether or not a pick has failed.
+  // Submits one single-task set at 1.1 s while no executor is free (so no
+  // pick runs) and returns the kernel's pending events afterwards.
+  struct Pending {
+    size_t count;
+    double next_time;
+  };
+  const auto submit_unoffered = [](const char* wait, bool prefers) {
+    hw::Cluster cluster(hw::ClusterSpec::das5(2));
+    conf::Config config;
+    config.set("spark.locality.wait", wait);
+    SparkContext ctx(cluster, config);
+    for (int n = 0; n < cluster.size(); ++n) {
+      ctx.scheduler().set_executor_active(n, false);
+    }
+    TaskSpec task;
+    task.partition = 0;
+    if (prefers) task.preferred_nodes = {0};
+    sim::Simulation& sim = cluster.sim();
+    sim.schedule_at(1.1, [&] {
+      ctx.scheduler().submit_stage(Stage{}, {task}, 0, "default", nullptr);
+    });
+    EXPECT_TRUE(sim.step());
+    return Pending{sim.pending(), sim.next_time()};
+  };
+  const Pending armed = submit_unoffered("3s", true);
+  EXPECT_EQ(armed.count, 1u);
+  EXPECT_EQ(armed.next_time, 1.1 + 3.0);
+  EXPECT_EQ(submit_unoffered("3s", false).count, 0u);
+  EXPECT_EQ(submit_unoffered("0s", true).count, 0u);
+
+  // With only a non-preferred executor free, the timer's offer pass steals
+  // the task at the deadline; it starts one launch message later.
+  hw::Cluster cluster(hw::ClusterSpec::das5(2));
+  conf::Config config;
+  config.set("spark.locality.wait", "3s");
+  SparkContext ctx(cluster, config);
+  const dfs::FileInfo& file = ctx.dfs().load_input("/in", mib(64), 1);
+  const int home = file.blocks[0].replicas[0];
+  ctx.scheduler().set_executor_active(home, false);
+  sim::Simulation& sim = cluster.sim();
+  sim.schedule_at(1.1, [&] {
+    ctx.submit_job(ctx.text_file("/in").count(), "remote", "default",
+                   [](const JobReport&) {});
+  });
+  sim.run();
+  const auto starts = ctx.event_log().of_kind(EventKind::kTaskStart);
+  ASSERT_EQ(starts.size(), 1u);
+  EXPECT_NE(starts[0].node, home);
+  EXPECT_EQ(starts[0].time,
+            1.1 + 3.0 + TaskScheduler::Options{}.message_latency);
+}
+
 TEST(AimdPolicy, RunsAndStaysInBounds) {
   hw::Cluster cluster(hw::ClusterSpec::das5(4));
   conf::Config config;

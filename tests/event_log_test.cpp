@@ -36,6 +36,9 @@ TEST(EventLog, JsonEscapesLabels) {
                    "weird \"name\"\nwith\tstuff"});
   const std::string json = log.to_json_lines();
   EXPECT_NE(json.find(R"(weird \"name\"\nwith\tstuff)"), std::string::npos);
+  // Other control characters become \u escapes with four hex digits.
+  log.record(Event{EventKind::kStageStart, 0, 0, 0, -1, -1, 0, "a\rb\x1f" "c"});
+  EXPECT_NE(log.to_json_lines().find(R"(a\u000db\u001fc)"), std::string::npos);
 }
 
 TEST(EventLog, ChromeTracePairsTasksAndEmitsCounters) {

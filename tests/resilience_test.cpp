@@ -215,6 +215,12 @@ TEST(ChaosSpec, RejectsMalformedEntries) {
   EXPECT_THROW(fault::parse_chaos("kill:-1@5"), conf::ConfigError);
   EXPECT_THROW(fault::parse_chaos("kill:1@oops"), conf::ConfigError);
   EXPECT_THROW(fault::parse_chaos("kill:1@-3"), conf::ConfigError);
+  // Node ids past INT_MAX once wrapped to another executor (2) or to -1,
+  // and an infinite time never fired.
+  EXPECT_THROW(fault::parse_chaos("kill:4294967298@10"), conf::ConfigError);
+  EXPECT_THROW(fault::parse_chaos("kill:99999999999999999999@10"),
+               conf::ConfigError);
+  EXPECT_THROW(fault::parse_chaos("kill:1@inf"), conf::ConfigError);
 }
 
 TEST(FaultSpec, ReadsChaosAndFetchFailNode) {
