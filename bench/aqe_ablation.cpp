@@ -11,7 +11,7 @@
 //   configs  off      default executor policy, AQE off (baseline)
 //            paper    the paper's dynamic hill-climb policy alone
 //            aqe      AQE re-planning alone (default policy)
-//            both     dynamic policy + AQE + per-stage multi-knob tuner
+//            both     dynamic policy + AQE
 //
 // Acceptance bars (enforced in-binary and via BENCH_aqe.json guards):
 //   * skew:   aqe makespan <= 0.75x off   (>= 25% reduction)
@@ -72,7 +72,6 @@ conf::Config ablation_config(const std::string& cfg) {
   c.set_int("spark.default.parallelism", 128);
   if (cfg == "paper" || cfg == "both") c.set("saex.executor.policy", "dynamic");
   if (cfg == "aqe" || cfg == "both") c.set_bool("saex.aqe.enabled", true);
-  if (cfg == "both") c.set_bool("saex.aqe.tuner", true);
   return c;
 }
 
@@ -147,7 +146,7 @@ int main(int argc, char** argv) {
                 makespans["uniform"]["off"]);
   }
 
-  // Composition: dynamic + AQE + tuner at least matches the better single
+  // Composition: dynamic + AQE at least matches the better single
   // technique on some shape (the paper's policy and AQE fix different
   // bottlenecks, so stacking them must not be a strict loss everywhere).
   std::string compose_shape;

@@ -1,7 +1,8 @@
 // Figure 5: average disk utilization across all nodes in the I/O stages of
 // different applications, per static thread count. The paper marks the
 // highest-utilization setting (red bar); for Terasort it coincides with the
-// per-stage BestFit (4, 8, 8), corroborating the runtime results.
+// per-stage BestFit (4, 8, 8), corroborating the runtime results. Exits 1
+// when the shape criterion is violated.
 #include "bench_common.h"
 
 int main() {
@@ -10,10 +11,10 @@ int main() {
   print_title(
       "Figure 5",
       "average disk utilization in I/O stages vs thread count (6 panels)",
-      "Terasort stages: utilization high (>85%) across settings with the "
-      "peak at an intermediate thread count; Aggregation/Join stage 0: "
-      "utilization collapses as threads shrink (the stage is CPU-starved), "
-      "so the default peaks");
+      "Terasort stages: utilization peaks at an intermediate thread count "
+      "(4-16); PageRank, Aggregation and Join stage 0: utilization falls "
+      "monotonically as threads shrink (too few threads to keep the disk "
+      "busy), so the default (32) peaks");
 
   struct Panel {
     workloads::WorkloadSpec spec;
@@ -31,12 +32,15 @@ int main() {
     if (!sweeps.count(p.spec.name)) sweeps[p.spec.name] = static_sweep(p.spec);
   }
 
+  bool ok = true;
   for (const Panel& p : panels) {
     const auto& sweep = sweeps.at(p.spec.name);
     std::printf("\n%s, stage %d\n", p.spec.name.c_str(), p.stage);
     TextTable t({"threads", "disk util", "bar", "peak"});
     int best_threads = 0;
     double best_util = -1;
+    bool falling = true;  // each smaller count reads strictly lower
+    double previous = std::numeric_limits<double>::infinity();
     for (const int threads : {32, 16, 8, 4, 2}) {
       const double util =
           sweep.at(threads).stages[static_cast<size_t>(p.stage)].disk_utilization;
@@ -44,7 +48,12 @@ int main() {
         best_util = util;
         best_threads = threads;
       }
+      falling = falling && util < previous;
+      previous = util;
     }
+    ok = ok && (p.spec.name == "terasort"
+                    ? best_threads >= 4 && best_threads <= 16
+                    : falling);
     for (const int threads : {32, 16, 8, 4, 2}) {
       const double util =
           sweep.at(threads).stages[static_cast<size_t>(p.stage)].disk_utilization;
@@ -54,5 +63,9 @@ int main() {
     }
     std::printf("%s", t.render().c_str());
   }
-  return 0;
+  std::printf(
+      "shape (Terasort stages peak at 4-16 threads; PageRank, Aggregation "
+      "and Join stage 0 fall as threads shrink): %s\n",
+      ok ? "OK" : "VIOLATED");
+  return ok ? 0 : 1;
 }

@@ -43,8 +43,6 @@ ControllerConfig ControllerConfig::from_config(const conf::Config& config,
         "unknown saex.dynamic.intervalMode '{}' (want completions | fixed)",
         mode));
   }
-  c.fixed_interval_seconds =
-      config.get_duration_seconds("saex.dynamic.fixedIntervalSeconds");
   return c;
 }
 
@@ -81,7 +79,7 @@ void AdaptiveController::on_task_complete(double now) {
   const bool due =
       c.interval_mode == IntervalMode::kCompletions
           ? completions_in_interval_ >= monitor_.interval_threads()
-          : now - monitor_.interval_start() + 1e-9 >= c.fixed_interval_seconds;
+          : now - monitor_.interval_start() + 1e-9 >= kFixedIntervalSeconds;
   if (due) close_interval_and_decide(now);
 }
 
@@ -96,8 +94,8 @@ void AdaptiveController::close_interval_and_decide(double now) {
              report.throughput() / 1e6, report.congestion_index(),
              decision.reason);
 
-  // The decision is relative to the size the interval ran at, even if
-  // something else (the AQE tuner's seed) resized the pool since.
+  // The decision is relative to the size the interval ran at, which is the
+  // pool's size: the controller is the only owner of its width.
   resize_pool(*pool_, notifier_, report.threads, decision.target_threads);
 
   if (decision.action == Decision::Action::kContinueClimb) {

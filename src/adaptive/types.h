@@ -25,7 +25,7 @@ namespace saex::adaptive {
 struct IoSample {
   double epoll_wait_seconds = 0.0;  // ε accumulator: time blocked on I/O
   Bytes bytes_total = 0;            // disk + shuffle bytes moved by tasks
-  double disk_utilization = 0.0;    // windowed %util (ablation metric only)
+  double disk_utilization = 0.0;    // windowed %util (L3 guard, diskutil metric)
   uint64_t tasks_completed = 0;     // completion counter (ε normalization)
 };
 
@@ -48,8 +48,11 @@ enum class Metric { kZeta, kEpollOnly, kDiskUtil };
 
 /// Paper: interval I_j = j task completions at pool size j. Fixed-time
 /// intervals are the ablation alternative: I_j ends at the first completion
-/// `fixed_interval_seconds` or more after it opened.
+/// `kFixedIntervalSeconds` or more after it opened.
 enum class IntervalMode { kCompletions, kFixedTime };
+
+/// Interval length of IntervalMode::kFixedTime, in simulated seconds.
+inline constexpr double kFixedIntervalSeconds = 5.0;
 
 struct ControllerConfig {
   int min_threads = 2;     // c_min (paper argues 1 never wins)
@@ -58,7 +61,6 @@ struct ControllerConfig {
   bool descending = false;   // ablation: start at c_max and halve
   Metric metric = Metric::kZeta;
   IntervalMode interval_mode = IntervalMode::kCompletions;
-  double fixed_interval_seconds = 5.0;
 
   /// Reads the saex.dynamic.* keys; `virtual_cores` resolves maxThreads=0.
   static ControllerConfig from_config(const conf::Config& config,

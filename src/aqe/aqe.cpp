@@ -14,7 +14,6 @@ AqeOptions AqeOptions::from_config(const conf::Config& config) {
   opt.skew_factor = config.get_double("saex.aqe.skewFactor");
   opt.max_splits = static_cast<int>(config.get_int("saex.aqe.maxSplits"));
   opt.min_partitions = static_cast<int>(config.get_int("saex.aqe.minPartitions"));
-  opt.tuner = config.get_bool("saex.aqe.tuner");
 
   if (opt.target_partition_bytes <= 0) {
     throw conf::ConfigError(strfmt::format(

@@ -45,7 +45,6 @@ struct AqeOptions {
   // (Spark's own minPartitionNum default), so coalescing never starves the
   // cluster's task slots.
   int min_partitions = 0;
-  bool tuner = false;
 
   /// Reads and validates the saex.aqe.* keys; throws conf::ConfigError on
   /// out-of-range values (non-positive target, skewFactor < 1, ...).

@@ -320,11 +320,9 @@ void define_adaptive_extension(Registry& r) {
             "values are rejected."});
   r.define({"saex.dynamic.intervalMode", c, V::kString, "completions",
             "Interval definition: completions (I_j = j task completions) | "
-            "fixed (wall-clock seconds; ablation); other values are "
+            "fixed (ablation: an interval closes at the first task "
+            "completion 5 s or more after it opened); other values are "
             "rejected."});
-  r.define({"saex.dynamic.fixedIntervalSeconds", c, V::kDurationSeconds, "5s",
-            "Interval length when intervalMode=fixed: an interval closes at "
-            "the first task completion this long after it opened."});
   r.define({"saex.scheduler.mode", c, V::kString, "FIFO",
             "Multi-job slot arbitration in saex::serve: FIFO | FAIR."});
   r.define({"saex.scheduler.pools", c, V::kString, "",
@@ -340,9 +338,6 @@ void define_adaptive_extension(Registry& r) {
   r.define({"saex.serve.maxJobsPerClient", c, V::kInt, "0",
             "Admission control: per-client cap on queued+running jobs "
             "(0 = unlimited)."});
-  r.define({"saex.serve.allocationTick", c, V::kDurationSeconds, "250ms",
-            "Dynamic-allocation evaluation period (backlog and idle-timeout "
-            "checks)."});
   r.define({"saex.serve.defaultDeadline", c, V::kDurationSeconds, "-1",
             "Relative deadline (from submit) applied to trace jobs that "
             "carry none of their own; negative disables deadlines."});
@@ -447,11 +442,6 @@ void define_adaptive_extension(Registry& r) {
   r.define({"saex.aqe.minPartitions", c, V::kInt, "0",
             "Coalescing never reduces a stage below this many tasks "
             "(0 = spark.default.parallelism)."});
-  r.define({"saex.aqe.tuner", c, V::kBool, "false",
-            "Per-stage multi-knob tuner: fit service_time = a + b*bytes from "
-            "observed tasks, pick the coalesce target minimizing modeled "
-            "makespan, and seed executor pool sizes from the best observed "
-            "width (composes with saex.executor.policy=dynamic)."});
   r.define({"saex.net.flowBatch", c, V::kBool, "false",
             "Ignored: every remote shuffle block is fetched chunk by chunk. "
             "Accepted so that configurations which set it still load."});

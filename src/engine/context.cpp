@@ -105,7 +105,6 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   env.storage = storage_.get();
 
   aqe_ = aqe::AqeOptions::from_config(config_);
-  if (aqe_.enabled && aqe_.tuner) tuner_ = std::make_unique<aqe::StageTuner>();
   env.event_log = &event_log_;
 
   // Fault truth exists even with injection off (then it is entirely
@@ -278,20 +277,10 @@ void SparkContext::maybe_replan_stage(Stage& stage) {
   }
   if (total == 0) return;
 
-  // The tuner (when enabled) overrides the static coalesce target with the
-  // argmin of its fitted per-task cost model; it keeps the static target
-  // until the model has seen enough spread to be determined.
   aqe::AqeOptions opt = aqe_;
   if (opt.min_partitions == 0) {
     opt.min_partitions = std::max(
         1, static_cast<int>(config_.get_int("spark.default.parallelism")));
-  }
-  if (tuner_ != nullptr) {
-    const int slots =
-        static_cast<int>(executors_.size()) *
-        static_cast<int>(config_.get_int("spark.executor.cores"));
-    opt.target_partition_bytes =
-        tuner_->choose_target(total, slots, opt.target_partition_bytes);
   }
 
   const aqe::AqePlan plan = aqe::plan_reduce_stage(bytes, opt);
@@ -309,30 +298,6 @@ void SparkContext::maybe_replan_stage(Stage& stage) {
       "({} coalesced away, {} skew-split)",
       stage.ordinal, stage.name, R, stage.num_tasks, plan.merged_partitions,
       plan.split_partitions);
-}
-
-void SparkContext::tuner_observe_stage(const Stage& stage,
-                                       const std::vector<double>& durations,
-                                       const std::vector<Bytes>& task_bytes,
-                                       double makespan) {
-  if (tuner_ == nullptr || stage.source != StageSource::kShuffle) return;
-  aqe::StageObservation obs;
-  obs.durations = durations;
-  obs.bytes = task_bytes;
-  obs.pool_size = executors_.empty() ? 0 : executors_.front()->pool_size();
-  obs.makespan = makespan;
-  obs.total_bytes = stage.input_bytes;
-  tuner_->observe_stage(obs);
-}
-
-void SparkContext::apply_tuner_pool_hint(const Stage& stage) {
-  if (tuner_ == nullptr || stage.source != StageSource::kShuffle) return;
-  if (tuner_->stages_observed() == 0) return;
-  const int hint = tuner_->choose_pool_hint(executors_.front()->pool_size());
-  if (hint <= 0) return;
-  // Seed every executor's pool. The dynamic policy's open interval still
-  // counts at c_min, so its first decision resizes from c_min, not the seed.
-  for (auto& exec : executors_) exec->set_pool_size(hint);
 }
 
 // ---------------------------------------------------------------------------
@@ -849,19 +814,12 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     for (auto& exec : executors_) {
       exec->policy().on_stage_start(sctx, stage_start);
     }
-    // The AQE tuner's pool-size seed overrides the policy's opening width.
-    apply_tuner_pool_hint(stage);
     // Offer the stage against the sizes just set, not the ones the §5.4
     // notifications will deliver a message latency later.
     scheduler_->sync_pool_sizes();
 
     open_stage(*run, stage, sctx.stage_ordinal);
     std::vector<TaskSpec> tasks = make_tasks(stage);
-    std::vector<Bytes> task_bytes;
-    if (tuner_ != nullptr) {
-      task_bytes.reserve(tasks.size());
-      for (const TaskSpec& t : tasks) task_bytes.push_back(t.input_bytes);
-    }
     std::optional<TaskScheduler::TaskSetResult> result;
     scheduler_->submit_stage(
         stage, std::move(tasks), run->job_id, run->pool,
@@ -880,8 +838,6 @@ JobReport SparkContext::run_job(const Rdd& action, std::string app_name) {
     }
     const double stage_end = sim.now();
     for (auto& exec : executors_) exec->policy().on_stage_end(stage_end);
-    tuner_observe_stage(stage, result->durations, task_bytes,
-                        stage_end - stage_start);
     close_stage(*run, stage, *result);
     if (result->failed) {
       throw StageAbortedError(

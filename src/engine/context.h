@@ -25,7 +25,6 @@
 
 #include "adaptive/policies.h"
 #include "aqe/aqe.h"
-#include "aqe/tuner.h"
 #include "conf/config.h"
 #include "dfs/dfs.h"
 #include "engine/dag_scheduler.h"
@@ -177,12 +176,6 @@ class SparkContext {
   // stages, and when the plan comes back as the identity tiling, so disabled
   // runs stay bitwise identical to the pre-AQE engine.
   void maybe_replan_stage(Stage& stage);
-  // Feeds the per-stage tuner with the finished stage's task durations/bytes
-  // and applies its pool-size hint before the next stage (run_job path only).
-  void tuner_observe_stage(const Stage& stage, const std::vector<double>& durations,
-                           const std::vector<Bytes>& task_bytes,
-                           double makespan);
-  void apply_tuner_pool_hint(const Stage& stage);
 
   // Job and stage bookkeeping shared by run_job and submit_job. Only
   // `per_executor` runs (run_job's figures) get StageStats::executors: the
@@ -238,7 +231,6 @@ class SparkContext {
 
   // Adaptive query execution (src/aqe/).
   aqe::AqeOptions aqe_;
-  std::unique_ptr<aqe::StageTuner> tuner_;  // non-null iff saex.aqe.tuner
   int64_t replans_ = 0;  // stages AQE re-tiled
 };
 

@@ -22,7 +22,6 @@ AllocationOptions AllocationOptions::from_config(const conf::Config& config) {
       "spark.dynamicAllocation.schedulerBacklogTimeout");
   o.sustained_backlog_timeout = config.get_duration_seconds(
       "spark.dynamicAllocation.sustainedSchedulerBacklogTimeout");
-  o.tick = config.get_duration_seconds("saex.serve.allocationTick");
   return o;
 }
 
@@ -53,7 +52,7 @@ void ExecutorAllocationManager::start() {
 void ExecutorAllocationManager::notify_work() {
   if (!options_.enabled || timer_armed_) return;
   timer_armed_ = true;
-  sim_.schedule_after(options_.tick, [this] { tick(); });
+  sim_.schedule_after(kAllocationTick, [this] { tick(); });
 }
 
 void ExecutorAllocationManager::tick() {
@@ -108,7 +107,7 @@ void ExecutorAllocationManager::tick() {
                            std::max(options_.min_executors, 0);
   if ((has_work_ && has_work_()) || can_release) {
     timer_armed_ = true;
-    sim_.schedule_after(options_.tick, [this] { tick(); });
+    sim_.schedule_after(kAllocationTick, [this] { tick(); });
   }
 }
 

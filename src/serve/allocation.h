@@ -11,7 +11,7 @@
 // executor-engaged hook and its adaptive policy restarts the hill climb at
 // c_min.
 //
-// The manager evaluates on a fixed tick (saex.serve.allocationTick) driven by
+// The manager evaluates on a fixed 0.25 s tick (kAllocationTick) driven by
 // the simulation clock; the tick re-arms only while the server reports
 // outstanding work, so a drained simulation still terminates.
 #pragma once
@@ -26,6 +26,10 @@
 
 namespace saex::serve {
 
+/// Evaluation period of the allocation manager (backlog and idle-timeout
+/// checks), in simulated seconds.
+inline constexpr double kAllocationTick = 0.25;
+
 struct AllocationOptions {
   bool enabled = false;
   int min_executors = 0;
@@ -34,7 +38,6 @@ struct AllocationOptions {
   double idle_timeout = 60.0;              // executorIdleTimeout
   double backlog_timeout = 1.0;            // schedulerBacklogTimeout
   double sustained_backlog_timeout = 1.0;  // sustainedSchedulerBacklogTimeout
-  double tick = 0.25;                      // saex.serve.allocationTick
 
   static AllocationOptions from_config(const conf::Config& config);
 };

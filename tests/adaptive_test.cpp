@@ -376,7 +376,6 @@ TEST(Controller, StageEndMidIntervalRecordsPartial) {
 TEST(Controller, FixedIntervalModeUsesTicks) {
   ControllerConfig c = test_config();
   c.interval_mode = IntervalMode::kFixedTime;
-  c.fixed_interval_seconds = 2.0;
   FakePool pool;
   LandscapeSensor sensor;
   sensor.epoll_rate = {{2, 0.9}, {4, 0.8}, {8, 0.9}, {16, 6.0}, {32, 20.0}};
@@ -384,8 +383,8 @@ TEST(Controller, FixedIntervalModeUsesTicks) {
   AdaptiveController ctrl(c, sensor, pool, nullptr);
   ctrl.on_stage_start({1, 0, true}, sensor.now);
   sensor.current_threads = pool.pool_size();
-  // Completions every 0.5 s: each interval closes at its fourth, 2 s after
-  // it opened, whatever the pool size.
+  // Completions every 0.5 s: each interval closes at its tenth, 5 s
+  // (kFixedIntervalSeconds) after it opened, whatever the pool size.
   for (int i = 0; i < 100 && !ctrl.frozen(); ++i) {
     sensor.advance(0.5);
     ctrl.on_task_complete(sensor.now);
@@ -393,6 +392,12 @@ TEST(Controller, FixedIntervalModeUsesTicks) {
   }
   EXPECT_TRUE(ctrl.frozen());
   EXPECT_EQ(pool.pool_size(), 8);
+  const StageRecord& rec = ctrl.knowledge();
+  ASSERT_EQ(rec.intervals.size(), 4u);  // 2, 4, 8, then 16 rolls back
+  for (const IntervalReport& r : rec.intervals) {
+    EXPECT_DOUBLE_EQ(r.duration(), kFixedIntervalSeconds);
+    EXPECT_EQ(r.completions, 10u);
+  }
 }
 
 TEST(ControllerConfig, FromConfigReadsKeysAndResolvesCores) {

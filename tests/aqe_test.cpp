@@ -1,8 +1,8 @@
 // saex::aqe: slice-aware fetch-plan exactness, the coalesce/split planner,
-// the per-stage tuner, and the engine-level guarantees — AQE off is
-// bitwise-identical to the legacy path, AQE on is deterministic (including
-// under the sharded serve path), and the re-plan actually pays on the skew
-// and tiny-partition shapes.
+// and the engine-level guarantees — AQE off is bitwise-identical to the
+// legacy path, AQE on is deterministic (including under the sharded serve
+// path), and the re-plan actually pays on the skew and tiny-partition
+// shapes.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "aqe/aqe.h"
-#include "aqe/tuner.h"
 #include "conf/config.h"
 #include "engine/shuffle.h"
 #include "serve/job_server.h"
@@ -256,63 +255,6 @@ TEST(AqeOptions, ValidatesConfigKeys) {
   EXPECT_THROW(aqe::AqeOptions::from_config(bad_min), conf::ConfigError);
 }
 
-// ---------- the per-stage tuner ----------
-
-TEST(AqeTuner, RecoversAPlantedCostModel) {
-  aqe::StageTuner tuner;
-  aqe::StageObservation obs;
-  for (int i = 1; i <= 8; ++i) {
-    const Bytes b = i * mib(8);
-    obs.bytes.push_back(b);
-    obs.durations.push_back(0.5 + 2e-8 * static_cast<double>(b));
-  }
-  obs.pool_size = 8;
-  obs.makespan = 10.0;
-  obs.total_bytes = 8 * mib(8);
-  tuner.observe_stage(obs);
-  ASSERT_TRUE(tuner.ready());
-  EXPECT_NEAR(tuner.fixed_cost(), 0.5, 1e-6);
-  EXPECT_NEAR(tuner.per_byte(), 2e-8, 1e-12);
-}
-
-TEST(AqeTuner, HigherFixedCostPrefersLargerTargets) {
-  const auto fit = [](double fixed) {
-    aqe::StageTuner tuner;
-    aqe::StageObservation obs;
-    for (int i = 1; i <= 8; ++i) {
-      const Bytes b = i * mib(8);
-      obs.bytes.push_back(b);
-      obs.durations.push_back(fixed + 1e-8 * static_cast<double>(b));
-    }
-    obs.pool_size = 8;
-    obs.makespan = 10.0;
-    obs.total_bytes = 8 * mib(8);
-    tuner.observe_stage(obs);
-    return tuner.choose_target(gib(64), /*slots=*/128, /*fallback=*/mib(64));
-  };
-  EXPECT_GE(fit(5.0), fit(0.001));
-}
-
-TEST(AqeTuner, NotReadyFallsBackAndHintsCurrentPool) {
-  const aqe::StageTuner tuner;
-  EXPECT_FALSE(tuner.ready());
-  EXPECT_EQ(tuner.choose_target(gib(1), 128, mib(32)), mib(32));
-  EXPECT_EQ(tuner.choose_pool_hint(16), 16);
-}
-
-TEST(AqeTuner, PoolHintExploresAroundTheBestObserved) {
-  aqe::StageTuner tuner;
-  aqe::StageObservation obs;
-  obs.bytes = {mib(1), mib(2)};
-  obs.durations = {1.0, 2.0};
-  obs.pool_size = 8;
-  obs.makespan = 4.0;
-  obs.total_bytes = gib(1);
-  tuner.observe_stage(obs);
-  // Only pool 8 has been observed: the hint explores one step up.
-  EXPECT_EQ(tuner.choose_pool_hint(8), 9);
-}
-
 // ---------- engine-level guarantees ----------
 
 engine::JobReport run_sized(const workloads::WorkloadSpec& spec,
@@ -327,10 +269,9 @@ std::string render(const engine::JobReport& r) {
   return r.render() + "\n" + r.to_csv();
 }
 
-conf::Config aqe_config(bool tuner = false) {
+conf::Config aqe_config() {
   conf::Config c;
   c.set_bool("saex.aqe.enabled", true);
-  if (tuner) c.set_bool("saex.aqe.tuner", true);
   return c;
 }
 
@@ -362,8 +303,8 @@ TEST(AqeGolden, UniformShapeIsIdentityEvenWithAqeOn) {
 
 TEST(AqeGolden, AqeOnRunsAreDeterministic) {
   const workloads::WorkloadSpec spec = workloads::skewshuffle(gib(2), 64, 1.2);
-  const std::string first = render(run_sized(spec, aqe_config(true)));
-  const std::string second = render(run_sized(spec, aqe_config(true)));
+  const std::string first = render(run_sized(spec, aqe_config()));
+  const std::string second = render(run_sized(spec, aqe_config()));
   EXPECT_EQ(first, second);
 }
 

@@ -38,6 +38,15 @@ the verdict of the paired rule in PERFORMANCE.md ("Repository benchmark"):
     slower   the same rule with the sides swapped
     same     neither
 
+That rule judges a claimed gain. A regression is judged apart, against the
+metric's relative `bound` in BENCHMARK.json's end_to_end list:
+
+    regressed     the change's median exceeds the parent's by more than
+                  bound x the parent's median
+    unresolved    the parent's IQR is wider than bound x its median, and not
+                  every change sample is lower than every parent sample
+    within bound  neither
+
 The last stdout line is one JSON object with every sample and verdict.
 `--self-check` runs the statistics' unit tests on synthetic samples.
 
@@ -47,6 +56,7 @@ Exit code 0 = every run correct, 1 = a run failed or digests differ,
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -77,9 +87,17 @@ def quartiles(xs):
     return q1, med, q3
 
 
-def compare(base, change):
-    """Paired verdict for one lower-is-better metric. `base` and `change`
-    are equally long sample lists; sample i of each comes from pair i."""
+def benchmark_bounds():
+    """Each end-to-end metric's relative regression bound, from
+    BENCHMARK.json."""
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
+        return {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
+
+
+def compare(base, change, bound=math.inf):
+    """Paired verdict and regression verdict for one lower-is-better metric
+    with relative regression bound `bound`. `base` and `change` are equally
+    long sample lists; sample i of each comes from pair i."""
     assert len(base) == len(change) and base
     lower = sum(1 for b, c in zip(base, change) if c < b)
     higher = sum(1 for b, c in zip(base, change) if c > b)
@@ -93,11 +111,17 @@ def compare(base, change):
         verdict = "slower"
     else:
         verdict = "same"
+    if cmed - bmed > bound * bmed:
+        regression = "regressed"
+    elif iqr > bound * bmed and not max(change) < min(base):
+        regression = "unresolved"
+    else:
+        regression = "within bound"
     return {
         "base": {"median": bmed, "q1": bq1, "q3": bq3, "iqr": iqr},
         "change": {"median": cmed, "q1": cq1, "q3": cq3, "iqr": cq3 - cq1},
         "lower": lower, "higher": higher, "pairs": len(base),
-        "verdict": verdict,
+        "verdict": verdict, "bound": bound, "regression": regression,
     }
 
 
@@ -133,6 +157,22 @@ def self_check():
     tied = list(base[:2]) + [b * 0.8 for b in base[2:]]
     case("two ties: 8/10 wins is the same",
          compare(base, tied)["verdict"], "same")
+    rss = [34.00, 34.01, 34.00, 34.02, 34.01, 34.00, 34.01, 34.02, 34.00,
+           34.01]
+    r = compare(rss, [x * 1.002 for x in rss], bound=0.2)
+    case("+0.2% on a tight IQR is slower but within a 20% bound",
+         (r["verdict"], r["regression"]), ("slower", "within bound"))
+    case("+30% against a 25% bound is regressed",
+         compare(base, [b * 1.3 for b in base], bound=0.25)["regression"],
+         "regressed")
+    wide = [1.0, 2.0, 1.1, 1.9, 1.2, 1.8, 1.0, 2.0, 1.5, 1.5]
+    case("a parent IQR wider than the bound is unresolved",
+         compare(wide, list(wide), bound=0.25)["regression"], "unresolved")
+    case("a wide parent IQR is within bound when every change run is lower",
+         compare(wide, [0.9] * len(wide), bound=0.25)["regression"],
+         "within bound")
+    case("BENCHMARK.json bounds the three timed metrics",
+         all(m in benchmark_bounds() for m in METRICS), True)
     run_py = {"correct": True, "attempted": 12, "failed": 0, "metrics": {
         "wall_s": {"value": 1.5, "unit": "s"},
         "setup_s": {"value": 0.002, "unit": "s"},
@@ -283,6 +323,7 @@ def main():
 
     work = args.work_dir.resolve()
     try:
+        bounds = benchmark_bounds()
         rev = run_checked(["git", "-C", str(ROOT), "rev-parse", "--verify",
                            args.base + "^{commit}"]).strip()
         base_tree = work / f"base-{rev[:12]}"
@@ -292,8 +333,8 @@ def main():
         targets = {"base": work / f"base-{rev[:12]}-target",
                    "change": work / "change-target"}
         exes = {side: build(trees[side], targets[side]) for side in trees}
-    except (RuntimeError, OSError, subprocess.CalledProcessError,
-            tarfile.TarError) as e:
+    except (RuntimeError, OSError, KeyError, ValueError,
+            subprocess.CalledProcessError, tarfile.TarError) as e:
         log(f"ab: {e}")
         return 2
 
@@ -338,19 +379,21 @@ def main():
         log(f"ab: FAILED {p}")
 
     results = {m: compare([r[m] for r in samples["base"]],
-                          [r[m] for r in samples["change"]]) for m in METRICS}
+                          [r[m] for r in samples["change"]], bounds[m])
+               for m in METRICS}
     unit = (f"run.py --seconds {args.seconds:g} medians"
             if args.seconds is not None else "--setups 1 runs")
     print(f"parent {rev[:12]} vs change (working tree), "
           f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs "
           f"of {unit}")
-    print("| metric | parent | change | lower | verdict |")
-    print("|---|---:|---:|---:|---|")
+    print("| metric | parent | change | lower | verdict | regression |")
+    print("|---|---:|---:|---:|---|---|")
     for m, r in results.items():
         b, c = r["base"], r["change"]
         print(f"| `{m}` | {fmt(m, b['median'])} ({fmt(m, b['iqr'])}) "
               f"| {fmt(m, c['median'])} ({fmt(m, c['iqr'])}) "
-              f"| {r['lower']}/{r['pairs']} | {r['verdict']} |")
+              f"| {r['lower']}/{r['pairs']} | {r['verdict']} "
+              f"| {r['regression']} (bound {r['bound']:.0%}) |")
     print(json.dumps({
         "correct": not problems,
         "base": rev, "workload": args.workload, "seed": args.seed,

@@ -25,6 +25,7 @@
 #include <string>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/format.h"
@@ -70,7 +71,6 @@ struct Args {
   std::string aqe_target;          // empty = config default ("64m")
   double aqe_skew_factor = -1.0;   // <0 = config default (4.0)
   int aqe_min_partitions = -1;     // <0 = config default (1)
-  bool aqe_tuner = false;
 
   // Fault injection (saex.fault.*).
   int kill_node = -1;
@@ -145,8 +145,6 @@ void usage() {
       "  --aqe-skew-factor F split partitions above F x median (default 4)\n"
       "  --aqe-min-parts N   never coalesce below N tasks (default 0 =\n"
       "                      spark.default.parallelism)\n"
-      "  --aqe-tuner         per-stage multi-knob tuner: fitted cost model\n"
-      "                      picks the coalesce target and seeds pool sizes\n"
       "  --kill-node N       fault: kill executor N (with --kill-time or\n"
       "                      --kill-after-tasks)\n"
       "  --kill-time T       fault: kill trigger, simulated seconds\n"
@@ -274,9 +272,6 @@ std::optional<Args> parse(int argc, char** argv) {
       args.aqe = true;
     } else if (a == "--aqe-min-parts") {
       args.aqe_min_partitions = parse_number<int>(a, value());
-      args.aqe = true;
-    } else if (a == "--aqe-tuner") {
-      args.aqe_tuner = true;
       args.aqe = true;
     } else if (a == "--kill-node") {
       args.kill_node = parse_number<int>(a, value());
@@ -408,7 +403,6 @@ void apply_aqe_flags(conf::Config& config, const Args& args) {
   if (args.aqe_min_partitions >= 0) {
     config.set_int("saex.aqe.minPartitions", args.aqe_min_partitions);
   }
-  if (args.aqe_tuner) config.set_bool("saex.aqe.tuner", true);
 }
 
 void apply_fault_flags(conf::Config& config, const Args& args) {
@@ -429,19 +423,44 @@ void apply_fault_flags(conf::Config& config, const Args& args) {
 }
 
 // Resolves --chaos: a readable file's contents, otherwise the argument
-// itself as an inline spec. Either way the result must parse; a typed
-// ConfigError is reported in the usual saexsim style (rc 2 at the caller).
-bool resolve_chaos_flag(std::string& chaos) {
+// itself as an inline spec. Either way the result must parse and name only
+// nodes 0..nodes-1 (the global ids, with --shards too); a typed ConfigError
+// is reported in the usual saexsim style (rc 2 at the caller).
+bool resolve_chaos_flag(std::string& chaos, int nodes) {
   if (std::ifstream file(chaos); file.good()) {
     std::ostringstream contents;
     contents << file.rdbuf();
     chaos = contents.str();
   }
   try {
-    (void)fault::parse_chaos(chaos);
+    for (const fault::ChaosEvent& ev : fault::parse_chaos(chaos)) {
+      if (ev.node >= nodes) {
+        throw conf::ConfigError(strfmt::format(
+            "entry '{}' names node {}, but the cluster has nodes 0..{}",
+            fault::format_chaos({ev}), ev.node, nodes - 1));
+      }
+    }
   } catch (const conf::ConfigError& e) {
     std::fprintf(stderr, "invalid --chaos spec: %s\n", e.what());
     return false;
+  }
+  return true;
+}
+
+// The single-node fault flags take -1 (none, their default) or a node of
+// the cluster: at run time an executor outside it would be logged and
+// ignored, and the run would test nothing.
+bool check_fault_nodes(const Args& args) {
+  const std::pair<const char*, int> flags[] = {
+      {"--kill-node", args.kill_node},
+      {"--slow-node", args.slow_node},
+      {"--fetch-fail-node", args.fetch_fail_node}};
+  for (const auto& [flag, node] : flags) {
+    if (node < -1 || node >= args.nodes) {
+      std::fprintf(stderr, "%s %d is outside the cluster (nodes 0..%d)\n",
+                   flag, node, args.nodes - 1);
+      return false;
+    }
   }
   return true;
 }
@@ -685,7 +704,6 @@ int main(int argc, char** argv) {
   const auto parsed = parse(argc, argv);
   if (!parsed) return 2;
   Args args = *parsed;
-  if (!args.chaos.empty() && !resolve_chaos_flag(args.chaos)) return 2;
   if (args.deadline_set && args.deadline <= 0.0) {
     std::fprintf(stderr, "--deadline must be > 0 (seconds, got %g)\n",
                  args.deadline);
@@ -700,6 +718,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--nodes must be >= 1 (got %d)\n", args.nodes);
     return 2;
   }
+  if (!args.chaos.empty() && !resolve_chaos_flag(args.chaos, args.nodes)) {
+    return 2;
+  }
+  if (!check_fault_nodes(args)) return 2;
   if (args.profile || !args.profile_json_path.empty()) {
     prof::Profiler::set_enabled(true);
   }
